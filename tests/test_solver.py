@@ -6,11 +6,14 @@ first-branch symmetry rule, and trace emission.
 """
 
 import itertools
+import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wordrep.debruijn import build_simplified
 from wordrep.graphs import LabeledGraph, build_graph, build_wheel
 from wordrep.orientations import (
     Orientation,
@@ -33,7 +36,9 @@ from wordrep.solver import (
     propagate,
     solve,
 )
-from wordrep.traces import extract_graph, load_witness_trace, verify_trace
+from wordrep.traces import emit_trace, extract_graph, load_witness_trace, verify_trace
+
+GOLDEN = Path(__file__).parent / "data" / "golden"
 
 # ---------------------------------------------------------------------------
 # fixtures
@@ -386,6 +391,26 @@ def test_emitted_traces_have_balanced_copy_ledgers():
     assert ids == list(range(2, len(ids) + 2))
     assert all(used is not None for _, used in report.copy_ledger.values())
 
+
+GOLDEN_GRAPHS = {
+    "w5": lambda: build_wheel(5),
+    "s23": lambda: build_simplified(2, 3).graph,
+    "witness": lambda: extract_graph(load_witness_trace()),
+    "s24": lambda: build_simplified(2, 4).graph,
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_GRAPHS))
+def test_emitted_proofs_match_the_golden_files(name):
+    # any change to the search, the rules or the traversals that alters a
+    # proof must show up here as a deliberate update of tests/data/golden
+    verdict = solve(GOLDEN_GRAPHS[name]())
+    assert isinstance(verdict, NonSemiTransitive)
+    preamble = json.loads((GOLDEN / "preambles.json").read_text(encoding="utf-8"))[name]
+    assert verdict.trace.preamble.source_vertex == preamble["source"]
+    assert list(verdict.trace.preamble.wlog_arc) == preamble["wlog"]
+    expected = (GOLDEN / f"{name}.txt").read_bytes()
+    assert emit_trace(verdict.trace).encode("utf-8") == expected
 
 # ---------------------------------------------------------------------------
 # cross-procedure consistency
