@@ -30,6 +30,7 @@ from .debruijn import (
     simplified_to_dot,
 )
 from .graphs import (
+    GraphError,
     LabeledGraph,
     build_wheel,
     graph_from_json,
@@ -122,7 +123,7 @@ def _load_graph(path: str) -> LabeledGraph:
         raise _UsageError(f"{path} is not valid JSON: {exc}") from None
     try:
         return graph_from_json(obj)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (GraphError, KeyError, TypeError, ValueError) as exc:
         raise _UsageError(f"{path} is not a graph: {exc}") from None
 
 

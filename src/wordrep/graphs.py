@@ -169,6 +169,9 @@ def graph_to_json(g: LabeledGraph) -> dict:
 
 def graph_from_json(obj: Mapping) -> LabeledGraph:
     labels = list(obj["labels"])
+    for lab in labels:
+        if not isinstance(lab, str):
+            raise GraphError(f"label {lab!r} is not a string")
     return build_graph(labels, [tuple(e) for e in obj["edges"]])
 
 

@@ -6,6 +6,12 @@ shortcuts a directed u->v path (a path with a missing or backward chord).
 some arc (u,v) admits vertices x != y with u ->* x -> y ->* v over set arcs
 where x->y is not itself a set arc and (x,y) != (u,v); the witness path is
 assembled from shortest segments, which compose to a simple path in a DAG.
+
+Every traversal of the directed bitmask adjacency (``out_adj[v]`` = heads
+of the arcs leaving v) goes through one of three routines, shared with the
+solver: ``reach_closure`` (reach rows, or None on a directed cycle),
+``shortest_path`` (BFS taking heads lowest id first) and ``directed_cycle``.
+The proof verifier in ``traces`` keeps its own checks on purpose.
 """
 
 from __future__ import annotations
@@ -21,6 +27,9 @@ __all__ = [
     "PartialOrientation",
     "ShortcutWitness",
     "BruteForceResult",
+    "reach_closure",
+    "shortest_path",
+    "directed_cycle",
     "is_acyclic",
     "find_shortcut",
     "is_semitransitive",
@@ -44,7 +53,7 @@ class PartialOrientation:
     the brute-force counter and the solver.
     """
 
-    __slots__ = ("graph", "edge_order", "edge_index", "state", "out_adj", "in_adj")
+    __slots__ = ("graph", "edge_order", "edge_index", "state", "out_adj")
 
     def __init__(self, graph: LabeledGraph):
         self.graph = graph
@@ -52,7 +61,6 @@ class PartialOrientation:
         self.edge_index = {e: i for i, e in enumerate(self.edge_order)}
         self.state = [UNSET] * len(self.edge_order)
         self.out_adj = [0] * graph.n  # bitmask of arc heads per tail
-        self.in_adj = [0] * graph.n
 
     def copy(self) -> "PartialOrientation":
         other = object.__new__(PartialOrientation)
@@ -61,7 +69,6 @@ class PartialOrientation:
         other.edge_index = self.edge_index
         other.state = list(self.state)
         other.out_adj = list(self.out_adj)
-        other.in_adj = list(self.in_adj)
         return other
 
     def direction(self, a: int, b: int) -> int | None:
@@ -88,7 +95,6 @@ class PartialOrientation:
             )
         self.state[i] = new
         self.out_adj[tail] |= 1 << head
-        self.in_adj[head] |= 1 << tail
 
     def unset_arc(self, a: int, b: int) -> None:
         lo, hi = (a, b) if a < b else (b, a)
@@ -99,7 +105,6 @@ class PartialOrientation:
         tail, head = (lo, hi) if s == FORWARD else (hi, lo)
         self.state[i] = UNSET
         self.out_adj[tail] &= ~(1 << head)
-        self.in_adj[head] &= ~(1 << tail)
 
     def arcs(self) -> Iterator[tuple[int, int]]:
         for (lo, hi), s in zip(self.edge_order, self.state):
@@ -144,10 +149,12 @@ class ShortcutWitness:
         return (self.path[0], self.path[-1])
 
 
-def _topo_order(n: int, out_adj: list[int]) -> list[int] | None:
+def reach_closure(out_adj: list[int]) -> list[int] | None:
+    """reach[v] = bitmask of vertices reachable from v (v included);
+    None when the arcs contain a directed cycle."""
+    n = len(out_adj)
     indeg = [0] * n
-    for v in range(n):
-        targets = out_adj[v]
+    for targets in out_adj:
         while targets:
             low = targets & -targets
             indeg[low.bit_length() - 1] += 1
@@ -165,14 +172,7 @@ def _topo_order(n: int, out_adj: list[int]) -> list[int] | None:
             if indeg[w] == 0:
                 stack.append(w)
             targets ^= low
-    return order if len(order) == n else None
-
-
-def _reach_masks(n: int, out_adj: list[int]) -> list[int] | None:
-    """reach[v] = bitmask of vertices reachable from v (v included);
-    None when the arcs contain a directed cycle."""
-    order = _topo_order(n, out_adj)
-    if order is None:
+    if len(order) < n:
         return None
     reach = [0] * n
     for v in reversed(order):
@@ -186,21 +186,17 @@ def _reach_masks(n: int, out_adj: list[int]) -> list[int] | None:
     return reach
 
 
-def is_acyclic(o: Orientation | PartialOrientation) -> bool:
-    po = o.as_partial() if isinstance(o, Orientation) else o
-    return _topo_order(po.graph.n, po.out_adj) is not None
-
-
-def _shortest_path(po: PartialOrientation, src: int, dst: int) -> list[int]:
-    """Shortest directed src -> dst path over set arcs via BFS."""
+def shortest_path(out_adj: list[int], src: int, dst: int) -> list[int] | None:
+    """Shortest directed src -> dst path by BFS, heads taken lowest id
+    first; [src] when src == dst, None when dst is unreachable."""
     if src == dst:
         return [src]
-    prev = {src: -1}
+    prev = {src: src}
     frontier = [src]
     while frontier:
         nxt = []
         for v in frontier:
-            targets = po.out_adj[v]
+            targets = out_adj[v]
             while targets:
                 low = targets & -targets
                 w = low.bit_length() - 1
@@ -214,7 +210,42 @@ def _shortest_path(po: PartialOrientation, src: int, dst: int) -> list[int]:
                         return path[::-1]
                     nxt.append(w)
         frontier = nxt
-    raise AssertionError("no directed path despite reachability claim")
+    return None
+
+
+def directed_cycle(out_adj: list[int]) -> list[int] | None:
+    """Some simple directed cycle, found by DFS from the lowest ids, or None."""
+    state = [0] * len(out_adj)  # 0 unseen, 1 on stack, 2 done
+    stack: list[int] = []
+
+    def visit(v: int) -> list[int] | None:
+        state[v] = 1
+        stack.append(v)
+        mask = out_adj[v]
+        while mask:
+            w = (mask & -mask).bit_length() - 1
+            mask &= mask - 1
+            if state[w] == 1:
+                return stack[stack.index(w):]
+            if state[w] == 0:
+                cyc = visit(w)
+                if cyc is not None:
+                    return cyc
+        state[v] = 2
+        stack.pop()
+        return None
+
+    for v in range(len(out_adj)):
+        if state[v] == 0:
+            cyc = visit(v)
+            if cyc is not None:
+                return cyc
+    return None
+
+
+def is_acyclic(o: Orientation | PartialOrientation) -> bool:
+    po = o.as_partial() if isinstance(o, Orientation) else o
+    return reach_closure(po.out_adj) is not None
 
 
 def find_shortcut(o: Orientation | PartialOrientation) -> ShortcutWitness | None:
@@ -224,9 +255,7 @@ def find_shortcut(o: Orientation | PartialOrientation) -> ShortcutWitness | None
     exactly the defects that persist in every completion.
     """
     po = o.as_partial() if isinstance(o, Orientation) else o
-    g = po.graph
-    n = g.n
-    reach = _reach_masks(n, po.out_adj)
+    reach = reach_closure(po.out_adj)
     if reach is None:
         raise CyclicInput("orientation has a directed cycle")
     for u, v in sorted(po.arcs()):
@@ -234,9 +263,9 @@ def find_shortcut(o: Orientation | PartialOrientation) -> ShortcutWitness | None
         if pair is None:
             continue
         x, y = pair
-        seg1 = _shortest_path(po, u, x)
-        seg2 = _shortest_path(po, x, y)
-        seg3 = _shortest_path(po, y, v)
+        seg1 = shortest_path(po.out_adj, u, x)
+        seg2 = shortest_path(po.out_adj, x, y)
+        seg3 = shortest_path(po.out_adj, y, v)
         # segments cannot share interior vertices: a repeat would close a
         # directed cycle in the DAG of set arcs
         path = seg1 + seg2[1:] + seg3[1:]
@@ -293,9 +322,10 @@ def _assert_witness(po: PartialOrientation, w: ShortcutWitness) -> None:
 
 
 def is_semitransitive(o: Orientation | PartialOrientation) -> bool:
-    if not is_acyclic(o):
+    try:
+        return find_shortcut(o) is None
+    except CyclicInput:
         return False
-    return find_shortcut(o) is None
 
 
 def reverse_orientation(o: Orientation) -> Orientation:
@@ -319,8 +349,8 @@ def brute_force_semitransitive(
     default runs a DFS visiting leaves in the same counter order but prunes
     subtrees whose partial state already holds a defect that persists in
     every completion (a directed cycle, or a closed shortcut whose chord is
-    a non-edge or a backward arc). Both modes return the same verdict and
-    the same first certificate.
+    a non-edge). Both modes return the same verdict and the same first
+    certificate.
     """
     m = len(g.edges)
     if 2**m > budget:
@@ -348,12 +378,19 @@ def _brute_force_pure(g: LabeledGraph, edges: list[tuple[int, int]]) -> BruteFor
 
 def _brute_force_pruned(g: LabeledGraph, edges: list[tuple[int, int]]) -> BruteForceResult:
     """DFS over edge indices m-1 .. 0 (high counter bit first), lo->hi
-    before hi->lo, so leaves are visited in increasing counter order."""
+    before hi->lo, so leaves are visited in increasing counter order.
+
+    Each node carries the reach rows of its (acyclic) arcs. A new arc
+    tail->head closes a cycle iff head reaches tail; otherwise every row
+    that reaches tail gains reach[head]. The prune then asks only whether
+    the new arc closes a shortcut; a shortcut under an older closing arc
+    is caught at the leaf by the exact check, so the verdict is unaffected.
+    """
     m = len(edges)
     po = PartialOrientation(g)
     examined = 0
 
-    def dfs(i: int) -> Orientation | None:
+    def dfs(i: int, reach: list[int]) -> Orientation | None:
         nonlocal examined
         if i < 0:
             examined += 1
@@ -362,69 +399,21 @@ def _brute_force_pruned(g: LabeledGraph, edges: list[tuple[int, int]]) -> BruteF
             return None
         lo, hi = edges[i]
         for tail, head in ((lo, hi), (hi, lo)):
-            if _creates_cycle(po, tail, head):
+            if reach[head] >> tail & 1:
                 continue
             po.set_arc(tail, head)
-            if not _closing_defect(po, tail, head):
-                found = dfs(i - 1)
+            grown = [r | reach[head] if r >> tail & 1 else r for r in reach]
+            if _violating_pair(po, grown, tail, head) is None:
+                found = dfs(i - 1, grown)
                 if found is not None:
                     return found
             po.unset_arc(tail, head)
         return None
 
-    cert = dfs(m - 1)
+    cert = dfs(m - 1, [1 << v for v in range(g.n)])
     if cert is not None:
         return BruteForceResult("exists", cert, examined=examined)
     return BruteForceResult("notexists", examined=examined)
-
-
-def _creates_cycle(po: PartialOrientation, tail: int, head: int) -> bool:
-    return bool(_bfs_mask(po, head, forward=True) >> tail & 1)
-
-
-def _closing_defect(po: PartialOrientation, tail: int, head: int) -> bool:
-    """Persistent shortcut with the new arc tail->head as closing arc.
-
-    Best-effort prune: misses defects where the new arc lies on the path
-    under an older closing arc; those are caught at the leaves by the exact
-    check, so the verdict is unaffected.
-    """
-    g = po.graph
-    n = g.n
-    fwd = _bfs_mask(po, tail, forward=True)
-    bwd = _bfs_mask(po, head, forward=False)
-    between = fwd & bwd
-    if between.bit_count() <= 2:
-        return False
-    xs = [x for x in range(n) if between >> x & 1]
-    fwd_of = {x: _bfs_mask(po, x, forward=True) for x in xs}
-    for x in xs:
-        for y in xs:
-            if x == y or (x, y) == (tail, head):
-                continue
-            if not (fwd_of[x] >> y & 1):
-                continue
-            if not po.has_arc(x, y):
-                return True
-    return False
-
-
-def _bfs_mask(po: PartialOrientation, start: int, forward: bool) -> int:
-    adj = po.out_adj if forward else po.in_adj
-    seen = 1 << start
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            targets = adj[v]
-            new = targets & ~seen
-            while new:
-                low = new & -new
-                nxt.append(low.bit_length() - 1)
-                seen |= low
-                new ^= low
-        frontier = nxt
-    return seen
 
 
 def orientation_to_dot(o: Orientation, name: str = "o") -> str:

@@ -18,11 +18,19 @@ numbered copy for later; a dead end (directed cycle or shortcut) ends the
 current line, and the search resumes the lowest-numbered unconsumed copy
 ("MC").  When every copy has been consumed and every line ended in a
 defect, no semi-transitive orientation exists, and the accumulated lines
-form a machine-checkable proof trace.  Optionally the very first branch
-is oriented one way only (recorded as the preamble arc of the emitted
-trace instead of a copy); reversing every arc of a semi-transitive
-orientation yields another one, so up to that symmetry the first split
-explores both cases at once.
+form a machine-checkable proof trace.
+
+Optionally the very first branch is oriented one way only (recorded as the
+preamble arc of the emitted trace instead of a copy).  The branch edge is
+not incident to the source s, and reversing every arc *not* incident to s
+maps a semi-transitive orientation with source s to another one with
+source s: a directed cycle avoids s and reverses to a cycle; a shortcut
+avoiding s reverses to a shortcut; and a shortcut s -> v1 -> ... -> vk
+closed by s -> vk corresponds to the path s -> vk -> ... -> v1 closed by
+s -> v1, with the same violating pairs.  (Reversing *every* arc would turn
+s into a sink.)  Arcs forced before the split hold in every semi-transitive
+orientation with source s, so up to that symmetry the first split explores
+both cases at once.
 """
 
 from __future__ import annotations
@@ -33,12 +41,14 @@ from functools import lru_cache
 
 from .graphs import LabeledGraph, induced_subgraph, max_degree_vertex
 from .orientations import (
+    CyclicInput,
     Orientation,
     PartialOrientation,
-    ShortcutWitness,
+    directed_cycle,
     find_shortcut,
     is_acyclic,
     is_semitransitive,
+    shortest_path,
 )
 from .traces import (
     Branch,
@@ -51,8 +61,6 @@ from .traces import (
     TraceLine,
     verify_trace,
 )
-from .words import BudgetExceeded as WordSearchBudgetExceeded
-from .words import find_uniform_representant
 
 __all__ = [
     "Justification",
@@ -67,7 +75,6 @@ __all__ = [
     "fix_source",
     "propagate",
     "solve",
-    "check_theorem1_consistency",
     "DEFAULT_CYCLE_LEN",
     "DEFAULT_NODE_BUDGET",
 ]
@@ -301,74 +308,19 @@ def fix_source(po: PartialOrientation, v: int) -> PartialOrientation:
     return out
 
 
-def _directed_cycle(po: PartialOrientation) -> list[int] | None:
-    """Some simple directed cycle over the set arcs, or None."""
-    g = po.graph
-    state = [0] * g.n  # 0 unseen, 1 on stack, 2 done
-    stack: list[int] = []
-
-    def visit(v: int) -> list[int] | None:
-        state[v] = 1
-        stack.append(v)
-        mask = po.out_adj[v]
-        while mask:
-            w = (mask & -mask).bit_length() - 1
-            mask &= mask - 1
-            if state[w] == 1:
-                return stack[stack.index(w):]
-            if state[w] == 0:
-                cyc = visit(w)
-                if cyc is not None:
-                    return cyc
-        state[v] = 2
-        stack.pop()
-        return None
-
-    for v in range(g.n):
-        if state[v] == 0:
-            cyc = visit(v)
-            if cyc is not None:
-                return cyc
-    return None
-
-
 def _scan_defect(po: PartialOrientation) -> tuple[str, ...] | None:
     """Printable terminal path if the state is dead, else None."""
     g = po.graph
-    if not is_acyclic(po):
-        cyc = _directed_cycle(po)
+    try:
+        witness = find_shortcut(po)
+    except CyclicInput:
+        cyc = directed_cycle(po.out_adj)
         assert cyc is not None
         start = min(range(len(cyc)), key=lambda i: _label_key(g.labels[cyc[i]]))
         ring = cyc[start:] + cyc[:start]
         return tuple(g.labels[v] for v in ring)
-    witness = find_shortcut(po)
     if witness is not None:
         return tuple(g.labels[v] for v in witness.path)
-    return None
-
-
-def _shortest_directed_path(
-    po: PartialOrientation, src: int, dst: int
-) -> list[int] | None:
-    parent = {src: src}
-    frontier = [src]
-    while frontier:
-        nxt: list[int] = []
-        for u in frontier:
-            mask = po.out_adj[u]
-            while mask:
-                w = (mask & -mask).bit_length() - 1
-                mask &= mask - 1
-                if w not in parent:
-                    parent[w] = u
-                    if w == dst:
-                        path = [dst]
-                        while path[-1] != src:
-                            path.append(parent[path[-1]])
-                        path.reverse()
-                        return path
-                    nxt.append(w)
-        frontier = nxt
     return None
 
 
@@ -407,7 +359,7 @@ def _find_application(
     # PathRule: an existing directed path decides an unset edge
     for a, b in po.unset_edges():
         for t, h in ((a, b), (b, a)):
-            path = _shortest_directed_path(po, t, h)
+            path = shortest_path(po.out_adj, t, h)
             if path is not None:
                 ids = tuple(path)
                 return _Application(
@@ -682,38 +634,3 @@ def solve(g: LabeledGraph, cfg: SolverConfig | None = None) -> Verdict:
     arcs = tuple((g.index[a], g.index[b]) for a, b in arcs_by_label)
     return SemiTransitive(Orientation(g, arcs))
 
-
-# --------------------------------------------------------------------------
-# cross-checks
-
-
-def check_theorem1_consistency(
-    g: LabeledGraph, cfg: SolverConfig | None = None
-) -> bool:
-    """Solver verdict == exhaustive oracle, and a 2-uniform representant
-    (when one exists) implies the positive verdict.
-
-    Raises the word-search BudgetExceeded if either exhaustive check runs
-    out of budget; a word-search budget overrun only downgrades the word
-    evidence to "not found".
-    """
-    from .orientations import brute_force_semitransitive
-
-    verdict = solve(g, cfg)
-    if isinstance(verdict, BudgetExceeded):
-        raise WordSearchBudgetExceeded(
-            f"solver budget exhausted after {verdict.nodes} nodes"
-        )
-    oracle = brute_force_semitransitive(g)
-    if oracle.verdict == "budget":
-        raise WordSearchBudgetExceeded("orientation oracle budget exhausted")
-    positive = isinstance(verdict, SemiTransitive)
-    if positive != (oracle.verdict == "exists"):
-        return False
-    try:
-        word = find_uniform_representant(g, k_max=2)
-    except WordSearchBudgetExceeded:
-        word = None
-    if word is not None and not positive:
-        return False
-    return True

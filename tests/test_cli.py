@@ -259,9 +259,20 @@ def test_word_search(capsys, p4_file, w5_file):
         ("oracle", "--graph", "/nonexistent/g.json"),
         ("check", "--graph", "/nonexistent/g.json"),
         ("verify-trace", "--graph", "/nonexistent/g.json", "--trace", "t"),
+        # bad graph files (a dict is written to a file, its path passed)
+        ("check", "--graph", {"labels": ["a", "a"], "edges": []}),
+        ("check", "--graph", {"labels": ["a"], "edges": [["a", "a"]]}),
+        ("check", "--graph", {"labels": ["a"], "edges": [["a", "b"]]}),
+        ("check", "--graph", {"labels": [0, 1], "edges": [[0, 1]]}),
     ],
 )
-def test_usage_errors_exit_64(capsys, argv):
+def test_usage_errors_exit_64(capsys, tmp_path, argv):
+    argv = list(argv)
+    for i, arg in enumerate(argv):
+        if isinstance(arg, dict):
+            path = tmp_path / "graph.json"
+            path.write_text(json.dumps(arg))
+            argv[i] = str(path)
     code, _, err = cli(capsys, *argv)
     assert code == 64 and "error:" in err
 

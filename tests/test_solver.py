@@ -31,12 +31,13 @@ from wordrep.solver import (
     NonSemiTransitive,
     SemiTransitive,
     SolverConfig,
-    check_theorem1_consistency,
     fix_source,
     propagate,
     solve,
 )
 from wordrep.traces import emit_trace, extract_graph, load_witness_trace, verify_trace
+from wordrep.words import BudgetExceeded as WordSearchBudgetExceeded
+from wordrep.words import find_uniform_representant
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
 
@@ -414,6 +415,34 @@ def test_emitted_proofs_match_the_golden_files(name):
 
 # ---------------------------------------------------------------------------
 # cross-procedure consistency
+
+
+def check_theorem1_consistency(g, cfg=None):
+    """Solver verdict == exhaustive oracle, and a 2-uniform representant
+    (when one exists) implies the positive verdict.
+
+    Raises the word-search BudgetExceeded if either exhaustive check runs
+    out of budget; a word-search budget overrun only downgrades the word
+    evidence to "not found".
+    """
+    verdict = solve(g, cfg)
+    if isinstance(verdict, BudgetExceeded):
+        raise WordSearchBudgetExceeded(
+            f"solver budget exhausted after {verdict.nodes} nodes"
+        )
+    oracle = brute_force_semitransitive(g)
+    if oracle.verdict == "budget":
+        raise WordSearchBudgetExceeded("orientation oracle budget exhausted")
+    positive = isinstance(verdict, SemiTransitive)
+    if positive != (oracle.verdict == "exists"):
+        return False
+    try:
+        word = find_uniform_representant(g, k_max=2)
+    except WordSearchBudgetExceeded:
+        word = None
+    if word is not None and not positive:
+        return False
+    return True
 
 
 def test_check_theorem1_consistency_on_pinned_graphs():
