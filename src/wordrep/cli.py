@@ -3,7 +3,9 @@
 Machine-readable results go to standard output as JSON; short human
 summaries go to standard error.  Exit codes: 0 for a positive result
 (semi-transitive, accepted, found, all stages passed), 1 for a
-negative one, 2 for an exhausted search budget, 64 for usage errors.
+negative one, 2 for an exhausted search budget, 64 for usage errors
+(bad arguments or input files), and 70 for an internal fault: an
+exception that escaped a subcommand, such as a failed self-check.
 
 The ``WORDREP_BUDGET`` environment variable overrides the default
 search budget of every budgeted subcommand; an explicit ``--budget``
@@ -16,7 +18,9 @@ import argparse
 import json
 import os
 import random
+import re
 import sys
+import traceback
 from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
 
@@ -34,7 +38,6 @@ from .graphs import (
     LabeledGraph,
     build_wheel,
     graph_from_json,
-    graph_to_dot,
     graph_to_json,
     induced_subgraph,
     is_proper_coloring,
@@ -49,6 +52,7 @@ from .solver import (
 )
 from .subiso import find_induced_embedding
 from .traces import (
+    LABEL_PATTERN,
     Preamble,
     ProofTrace,
     TraceSyntaxError,
@@ -59,7 +63,7 @@ from .traces import (
     verify_trace,
 )
 from .words import BudgetExceeded as WordBudgetExceeded
-from .words import find_uniform_representant, represents
+from .words import MissingLetter, find_uniform_representant, represents
 
 __all__ = ["run", "main"]
 
@@ -69,6 +73,7 @@ EXIT_POSITIVE = 0
 EXIT_NEGATIVE = 1
 EXIT_BUDGET = 2
 EXIT_USAGE = 64
+EXIT_INTERNAL = 70
 
 
 class _UsageError(Exception):
@@ -93,7 +98,7 @@ def _say(message: str) -> None:
 def _parse_budget(text: str) -> int:
     try:
         value = int(float(text))
-    except ValueError:
+    except (ValueError, OverflowError):
         raise _UsageError(f"budget {text!r} is not a number") from None
     if value <= 0:
         raise _UsageError("budget must be positive")
@@ -122,9 +127,16 @@ def _load_graph(path: str) -> LabeledGraph:
     except json.JSONDecodeError as exc:
         raise _UsageError(f"{path} is not valid JSON: {exc}") from None
     try:
-        return graph_from_json(obj)
+        g = graph_from_json(obj)
     except (GraphError, KeyError, TypeError, ValueError) as exc:
         raise _UsageError(f"{path} is not a graph: {exc}") from None
+    for label in g.labels:
+        if not re.fullmatch(LABEL_PATTERN, label):
+            raise _UsageError(
+                f"{path}: label {label!r} does not match the trace label "
+                f"grammar {LABEL_PATTERN}"
+            )
+    return g
 
 
 def _read_text(path: str) -> str:
@@ -197,7 +209,7 @@ def _cmd_debruijn(ns) -> int:
 def _cmd_color3(ns) -> int:
     try:
         s, colors = color_s_n_2(ns.n)
-    except ValueError as exc:
+    except (ValueError, SizeLimitExceeded) as exc:
         raise _UsageError(str(exc)) from None
     graph = s.graph
     proper = is_proper_coloring(graph, colors)
@@ -223,7 +235,7 @@ def _cmd_chromatic(ns) -> int:
     g = _load_graph(ns.graph)
     try:
         number = exact_chromatic_number(g, ns.max)
-    except ValueError as exc:
+    except (ValueError, SizeLimitExceeded) as exc:
         raise _UsageError(str(exc)) from None
     _emit({"max_colors": ns.max, "chromatic_number": number})
     if number is None:
@@ -376,7 +388,11 @@ def _cmd_represent_check(ns) -> int:
         if token not in g.index:
             raise _UsageError(f"word letter {token!r} is not a vertex")
         word.append(g.index[token])
-    ok = represents(word, g)
+    try:
+        ok = represents(word, g)
+    except MissingLetter as exc:
+        label = g.labels[exc.vertex]
+        raise _UsageError(f"vertex {label!r} never occurs in the word") from None
     _emit({"represents": ok, "length": len(word)})
     _say("represents" if ok else "does not represent")
     return EXIT_POSITIVE if ok else EXIT_NEGATIVE
@@ -387,6 +403,8 @@ def _cmd_word_search(ns) -> int:
     budget = _resolve_budget(ns.budget, 5_000_000)
     try:
         word = find_uniform_representant(g, ns.kmax, budget)
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from None
     except WordBudgetExceeded:
         _emit({"found": None, "budget_exceeded": True})
         _say("budget exceeded")
@@ -610,6 +628,11 @@ def run(argv: Sequence[str] | None = None) -> int:
     except _UsageError as exc:
         _say(f"error: {exc}")
         return EXIT_USAGE
+    except Exception as exc:  # a fault, not a verdict: never exit 1
+        frame = traceback.extract_tb(exc.__traceback__)[-1]
+        where = f"{os.path.basename(frame.filename)}:{frame.lineno}"
+        _say(f"error: internal: {exc!r} at {where}")
+        return EXIT_INTERNAL
 
 
 def main() -> None:

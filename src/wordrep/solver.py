@@ -36,7 +36,8 @@ both cases at once.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from collections import deque
+from dataclasses import dataclass
 from functools import lru_cache
 
 from .graphs import LabeledGraph, induced_subgraph, max_degree_vertex
@@ -63,12 +64,7 @@ from .traces import (
 )
 
 __all__ = [
-    "Justification",
-    "CopyStore",
     "SolverConfig",
-    "Forced",
-    "Contradiction",
-    "Fixpoint",
     "SemiTransitive",
     "NonSemiTransitive",
     "BudgetExceeded",
@@ -79,60 +75,8 @@ __all__ = [
     "DEFAULT_NODE_BUDGET",
 ]
 
-Arc = tuple[str, str]
-
 DEFAULT_CYCLE_LEN = 6
 DEFAULT_NODE_BUDGET = 1_000_000
-
-TRIANGLE_RULE = "TriangleRule"
-CYCLE_RULE = "CycleRule"
-
-
-@dataclass(frozen=True)
-class Justification:
-    """Why an arc was forced: the cycle printed in its "O" step."""
-
-    kind: str  # TRIANGLE_RULE or CYCLE_RULE
-    cycle: tuple[str, ...]
-
-    def __post_init__(self):
-        if self.kind == TRIANGLE_RULE:
-            if len(self.cycle) != 3:
-                raise ValueError("triangle justifications have 3 vertices")
-        elif self.kind == CYCLE_RULE:
-            if len(self.cycle) < 4:
-                raise ValueError("cycle justifications have >= 4 vertices")
-        else:
-            raise ValueError(f"unknown justification kind {self.kind!r}")
-
-
-class CopyStore:
-    """Deferred branch states: snapshot plus the arc to apply on resume.
-
-    Ids are consecutive integers from 2; each is created once and
-    consumed once.
-    """
-
-    def __init__(self):
-        self._next_id = 2
-        self._pending: dict[int, tuple[PartialOrientation, tuple[int, int]]] = {}
-
-    def create(self, snapshot: PartialOrientation, deferred: tuple[int, int]) -> int:
-        cid = self._next_id
-        self._next_id += 1
-        self._pending[cid] = (snapshot, deferred)
-        return cid
-
-    def pop_lowest(self) -> tuple[int, PartialOrientation, tuple[int, int]]:
-        cid = min(self._pending)
-        snapshot, deferred = self._pending.pop(cid)
-        return cid, snapshot, deferred
-
-    def __len__(self) -> int:
-        return len(self._pending)
-
-    def __bool__(self) -> bool:
-        return bool(self._pending)
 
 
 @dataclass(frozen=True)
@@ -143,14 +87,12 @@ class SolverConfig:
     vertex (smallest id on ties) per component.  wlog_rule: orient the
     first branch edge one way only, recording it as the trace preamble
     arc.  budget: search nodes (root, branches, resumes) before giving
-    up.  trace: build the proof trace for negative verdicts.  cycle_len:
-    longest cycle the CycleRule propagates over.
+    up.  cycle_len: longest cycle the CycleRule propagates over.
     """
 
     source: str | None = None
     wlog_rule: bool = True
     budget: int = DEFAULT_NODE_BUDGET
-    trace: bool = True
     cycle_len: int = DEFAULT_CYCLE_LEN
 
     def __post_init__(self):
@@ -158,32 +100,6 @@ class SolverConfig:
             raise ValueError("budget must be positive")
         if self.cycle_len < 3:
             raise ValueError("cycle_len must be at least 3")
-
-
-# --------------------------------------------------------------------------
-# propagation results
-
-
-@dataclass(frozen=True)
-class Forced:
-    """Arcs applied by propagation, in order, with their justifications."""
-
-    arcs: tuple[tuple[Arc, Justification], ...]
-
-
-@dataclass(frozen=True)
-class Contradiction:
-    """The state is dead: ``witness`` is the terminal path (a shortcut,
-    or a directed cycle when the closing edge points backward).  Arcs
-    forced before the defect arose are included for trace emission."""
-
-    witness: tuple[str, ...]
-    forced: tuple[tuple[Arc, Justification], ...] = ()
-
-
-@dataclass(frozen=True)
-class Fixpoint:
-    """Nothing forced and no defect; branching is required to proceed."""
 
 
 # --------------------------------------------------------------------------
@@ -197,7 +113,7 @@ class SemiTransitive:
 
 @dataclass(frozen=True)
 class NonSemiTransitive:
-    trace: ProofTrace | None
+    trace: ProofTrace
 
 
 @dataclass(frozen=True)
@@ -223,7 +139,6 @@ def _label_key(label: str) -> tuple[int, int, str]:
 class _Cycle:
     ids: tuple[int, ...]  # ring order
     steps: tuple[tuple[int, int], ...]  # ring edges as (ids[i], ids[i+1])
-    non_clique: bool
     printed: tuple[str, ...]  # canonical "C..." annotation order
 
 
@@ -245,8 +160,11 @@ def _is_clique(g: LabeledGraph, ids: tuple[int, ...]) -> bool:
 
 
 @lru_cache(maxsize=32)
-def _cycle_inventory(g: LabeledGraph, max_len: int) -> tuple[_Cycle, ...]:
-    """Every simple cycle of length 3..max_len, once per vertex set ring."""
+def _cycle_inventory(
+    g: LabeledGraph, max_len: int
+) -> tuple[tuple[_Cycle, ...], tuple[_Cycle, ...]]:
+    """Every triangle, and every non-clique simple cycle of length
+    4..max_len, once per vertex set ring, each sorted by (length, ids)."""
     found: list[_Cycle] = []
 
     def extend(path: list[int]) -> None:
@@ -254,19 +172,21 @@ def _cycle_inventory(g: LabeledGraph, max_len: int) -> tuple[_Cycle, ...]:
         start = path[0]
         for w in g.neighbors(tail):
             if w == start and len(path) >= 3:
-                if path[1] < path[-1]:  # one orientation of each ring
-                    ids = tuple(path)
-                    found.append(
-                        _Cycle(
-                            ids=ids,
-                            steps=tuple(
-                                (ids[i], ids[(i + 1) % len(ids)])
-                                for i in range(len(ids))
-                            ),
-                            non_clique=not _is_clique(g, ids),
-                            printed=_canonical_ring_print(g, ids),
-                        )
+                if path[1] > path[-1]:  # one orientation of each ring
+                    continue
+                ids = tuple(path)
+                if len(ids) > 3 and _is_clique(g, ids):
+                    continue  # clique rings never fire the CycleRule
+                found.append(
+                    _Cycle(
+                        ids=ids,
+                        steps=tuple(
+                            (ids[i], ids[(i + 1) % len(ids)])
+                            for i in range(len(ids))
+                        ),
+                        printed=_canonical_ring_print(g, ids),
                     )
+                )
             elif w > start and w not in path and len(path) < max_len:
                 path.append(w)
                 extend(path)
@@ -275,17 +195,25 @@ def _cycle_inventory(g: LabeledGraph, max_len: int) -> tuple[_Cycle, ...]:
     for s in range(g.n):
         extend([s])
     found.sort(key=lambda c: (len(c.ids), c.ids))
-    return tuple(found)
+    triangles = tuple(c for c in found if len(c.ids) == 3)
+    return triangles, tuple(found[len(triangles):])
 
 
-@lru_cache(maxsize=32)
-def _split_inventory(
-    g: LabeledGraph, max_len: int
-) -> tuple[tuple[_Cycle, ...], tuple[_Cycle, ...]]:
-    cycles = _cycle_inventory(g, max_len)
-    triangles = tuple(c for c in cycles if len(c.ids) == 3)
-    longer = tuple(c for c in cycles if len(c.ids) >= 4)
-    return triangles, longer
+def _tally(
+    po: PartialOrientation, cyc: _Cycle
+) -> tuple[int, int, list[tuple[int, int]]]:
+    """Ring edges pointing along, against, and the unset ring steps."""
+    along = against = 0
+    unset: list[tuple[int, int]] = []
+    for t, h in cyc.steps:
+        d = po.direction(t, h)
+        if d is None:
+            unset.append((t, h))
+        elif d == t:
+            along += 1
+        else:
+            against += 1
+    return along, against, unset
 
 
 # --------------------------------------------------------------------------
@@ -324,23 +252,13 @@ def _scan_defect(po: PartialOrientation) -> tuple[str, ...] | None:
     return None
 
 
-@dataclass(frozen=True)
-class _Application:
-    arcs: tuple[tuple[int, int], ...]  # one arc, or the two of a paired force
-    cycle_ids: tuple[int, ...]
-    justification: Justification
-
-
-def _justify(ids: tuple[int, ...], printed: tuple[str, ...]) -> Justification:
-    kind = TRIANGLE_RULE if len(ids) == 3 else CYCLE_RULE
-    return Justification(kind, printed)
-
-
 def _find_application(
     po: PartialOrientation,
     triangles: tuple[_Cycle, ...],
     longer: tuple[_Cycle, ...],
-) -> _Application | None:
+) -> tuple[tuple[tuple[int, int], ...], tuple[int, ...], tuple[str, ...]] | None:
+    """The first force a rule allows: its arcs (one, or the two of a paired
+    force), the ids of the justifying cycle and its printed ring."""
     g = po.graph
 
     # TriangleRule: directed path across a triangle forces the third edge
@@ -354,7 +272,7 @@ def _find_application(
                     and po.has_arc(mid, h)
                     and po.direction(t, h) is None
                 ):
-                    return _Application(((t, h),), ids, _justify(ids, cyc.printed))
+                    return ((t, h),), ids, cyc.printed
 
     # PathRule: an existing directed path decides an unset edge
     for a, b in po.unset_edges():
@@ -362,26 +280,12 @@ def _find_application(
             path = shortest_path(po.out_adj, t, h)
             if path is not None:
                 ids = tuple(path)
-                return _Application(
-                    ((t, h),), ids, _justify(ids, _canonical_ring_print(g, ids))
-                )
+                return ((t, h),), ids, _canonical_ring_print(g, ids)
 
     # CycleRule: nearly-aligned non-clique cycles force the stragglers
     for cyc in longer:
-        if not cyc.non_clique:
-            continue
         m = len(cyc.ids)
-        along = against = 0
-        unset: list[tuple[int, int]] = []
-        for t, h in cyc.steps:
-            d = po.direction(t, h)
-            if d is None:
-                unset.append((t, h))
-            elif d == t:
-                along += 1
-            else:
-                against += 1
-        just = _justify(cyc.ids, cyc.printed)
+        along, against, unset = _tally(po, cyc)
         # evaluate the ring direction, then its mirror; "against" an
         # unset step (t, h) means arc (h, t) for the ring direction and
         # (t, h) for the mirror
@@ -389,12 +293,12 @@ def _find_application(
             if len(unset) == 1 and fwd >= m - 2:
                 t, h = unset[0]
                 arc = (t, h) if mirrored else (h, t)
-                return _Application((arc,), cyc.ids, just)
+                return (arc,), cyc.ids, cyc.printed
             if len(unset) == 2 and fwd == m - 2 and bwd == 0:
                 arcs = tuple(
                     (t, h) if mirrored else (h, t) for t, h in unset
                 )
-                return _Application(arcs, cyc.ids, just)
+                return arcs, cyc.ids, cyc.printed
 
     return None
 
@@ -425,42 +329,34 @@ def _assert_flip_defect(
 
 
 def propagate(
-    po: PartialOrientation,
-    cycle_len: int = DEFAULT_CYCLE_LEN,
-    _steps: list | None = None,
-) -> Forced | Contradiction | Fixpoint:
+    po: PartialOrientation, cycle_len: int = DEFAULT_CYCLE_LEN
+) -> tuple[list[Orient], tuple[str, ...] | None]:
     """Apply the three rules to fixpoint, mutating ``po``.
 
-    Returns Forced with the applied arcs (labels) and justifications,
-    Contradiction as soon as the state is dead, or Fixpoint when nothing
-    was forced.  ``_steps``, if given, collects the same information as
-    trace Orient steps (with two-arc forces paired).
+    Returns the Orient steps applied, in order (the first arc of a
+    two-arc force paired with the second), and the printable terminal
+    path (a shortcut, or a directed cycle) as soon as the state is dead,
+    else None.
     """
     g = po.graph
-    triangles, longer = _split_inventory(g, cycle_len)
-    applied: list[tuple[Arc, Justification]] = []
+    triangles, longer = _cycle_inventory(g, cycle_len)
+    steps: list[Orient] = []
     while True:
         witness = _scan_defect(po)
         if witness is not None:
-            return Contradiction(witness, tuple(applied))
+            return steps, witness
         hit = _find_application(po, triangles, longer)
         if hit is None:
-            return Forced(tuple(applied)) if applied else Fixpoint()
-        for t, h in hit.arcs:
+            return steps, None
+        arcs, cycle_ids, printed = hit
+        for t, h in arcs:
             po.set_arc(t, h)
         if __debug__:
-            for arc in hit.arcs:
-                _assert_flip_defect(po, hit.cycle_ids, arc)
-        labeled = [
-            ((g.labels[t], g.labels[h]), hit.justification) for t, h in hit.arcs
-        ]
-        applied.extend(labeled)
-        if _steps is not None:
-            paired = len(hit.arcs) == 2
-            for k, (arc, just) in enumerate(labeled):
-                _steps.append(
-                    Orient(arc, just.cycle, paired_with_next=paired and k == 0)
-                )
+            for arc in arcs:
+                _assert_flip_defect(po, cycle_ids, arc)
+        for k, (t, h) in enumerate(arcs):
+            paired = k == 0 and len(arcs) == 2
+            steps.append(Orient((g.labels[t], g.labels[h]), printed, paired))
 
 
 # --------------------------------------------------------------------------
@@ -473,19 +369,7 @@ def _almost_forced_counts(
     """How many rule-usable cycles each unset edge could nearly fire."""
     counts: dict[tuple[int, int], int] = {}
     for cyc in cycles:
-        m = len(cyc.ids)
-        if m >= 4 and not cyc.non_clique:
-            continue
-        along = against = 0
-        unset: list[tuple[int, int]] = []
-        for t, h in cyc.steps:
-            d = po.direction(t, h)
-            if d is None:
-                unset.append((t, h))
-            elif d == t:
-                along += 1
-            else:
-                against += 1
+        along, against, unset = _tally(po, cyc)
         if len(unset) == 3 and (along == 0 or against == 0):
             for t, h in unset:
                 edge = (t, h) if t < h else (h, t)
@@ -545,37 +429,40 @@ def _solve_component(
 ) -> Verdict:
     if not g.edges:
         return SemiTransitive(Orientation(g, ()))
-    cycles = _cycle_inventory(g, cfg.cycle_len)
+    triangles, longer = _cycle_inventory(g, cfg.cycle_len)
+    cycles = triangles + longer
     source = _choose_source(g, cfg)
     po = fix_source(PartialOrientation(g), source)
     if not budget.spend():  # the root node
         return BudgetExceeded(budget.used)
 
     preamble = Preamble(None, g.labels[source])
-    copies = CopyStore()
+    # deferred branches as (copy id, snapshot, arc to apply on resume);
+    # ids grow from 2, so the front of the queue is the lowest pending id
+    copies: deque[tuple[int, PartialOrientation, tuple[int, int]]] = deque()
+    copy_ids = itertools.count(2)
     lines: list[TraceLine] = []
     opener: Root | MoveCopy = Root()
     steps: list[Orient | Branch] = []
     wlog_pending = cfg.wlog_rule
 
     while True:
-        outcome = propagate(po, cfg.cycle_len, _steps=steps)
-        if isinstance(outcome, Contradiction):
+        forced, witness = propagate(po, cfg.cycle_len)
+        steps.extend(forced)
+        if witness is not None:
             lines.append(
-                TraceLine(
-                    len(lines) + 1, opener, tuple(steps), Shortcut(outcome.witness)
-                )
+                TraceLine(len(lines) + 1, opener, tuple(steps), Shortcut(witness))
             )
             if not copies:
-                trace = ProofTrace(preamble, tuple(lines)) if cfg.trace else None
-                if __debug__ and trace is not None:
+                trace = ProofTrace(preamble, tuple(lines))
+                if __debug__:
                     assert verify_trace(g, trace).accepted, (
                         "emitted trace failed self-verification"
                     )
                 return NonSemiTransitive(trace)
             if not budget.spend():
                 return BudgetExceeded(budget.used)
-            cid, po, (t, h) = copies.pop_lowest()
+            cid, po, (t, h) = copies.popleft()
             opener = MoveCopy(cid, (g.labels[t], g.labels[h]))
             steps = []
             po.set_arc(t, h)
@@ -595,7 +482,8 @@ def _solve_component(
                 (g.labels[lo], g.labels[hi]), preamble.source_vertex
             )
         else:
-            cid = copies.create(po.copy(), (hi, lo))
+            cid = next(copy_ids)
+            copies.append((cid, po.copy(), (hi, lo)))
             steps.append(Branch((g.labels[lo], g.labels[hi]), cid))
         po.set_arc(lo, hi)
 
@@ -604,7 +492,7 @@ def solve(g: LabeledGraph, cfg: SolverConfig | None = None) -> Verdict:
     """Decide semi-transitive orientability.
 
     SemiTransitive carries a checked orientation; NonSemiTransitive
-    carries a proof trace (when cfg.trace) that verify_trace accepts
+    carries a proof trace that verify_trace accepts
     against ``g`` with the same preamble; BudgetExceeded reports the
     nodes consumed.  Disconnected graphs are solved per component.
     """

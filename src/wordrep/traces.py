@@ -32,6 +32,7 @@ from .graphs import LabeledGraph, build_graph
 from .orientations import PartialOrientation
 
 __all__ = [
+    "LABEL_PATTERN",
     "TraceSyntaxError",
     "UnknownCopyReference",
     "Branch",
@@ -156,15 +157,17 @@ def normalize_latex(text: str) -> str:
     return "\n".join(line for line in lines if line)
 
 
-_LABEL = r"[A-Za-z0-9_]+"
-_ARC = rf"({_LABEL})\s*(?:->|\u2192)\s*({_LABEL})"
+# the vertex label grammar of the trace language; a graph whose labels do
+# not fully match it cannot be named in a trace
+LABEL_PATTERN = r"[A-Za-z0-9_]+"
+_ARC = rf"({LABEL_PATTERN})\s*(?:->|\u2192)\s*({LABEL_PATTERN})"
 
 _NUMBER_RE = re.compile(r"(\d+)\.\s*")
 _MC_RE = re.compile(rf"MC\s*(\d+)\s+{_ARC}")
 _BRANCH_RE = re.compile(rf"B\s*{_ARC}\s*\(\s*Copy\s+(\d+)\s*\)")
 _ORIENT_RE = re.compile(rf"O\s*{_ARC}")
-_CYCLE_RE = re.compile(rf"\(\s*C({_LABEL}(?:-{_LABEL})+)\s*\)")
-_TERMINAL_RE = re.compile(rf"S:\s*({_LABEL}(?:-{_LABEL})+)")
+_CYCLE_RE = re.compile(rf"\(\s*C({LABEL_PATTERN}(?:-{LABEL_PATTERN})+)\s*\)")
+_TERMINAL_RE = re.compile(rf"S:\s*({LABEL_PATTERN}(?:-{LABEL_PATTERN})+)")
 
 
 class _LineScanner:

@@ -1,10 +1,13 @@
 """The command-line surface: JSON to stdout, summaries to stderr,
-exit codes 0 (positive) / 1 (negative) / 2 (budget) / 64 (usage)."""
+exit codes 0 (positive) / 1 (negative) / 2 (budget) / 64 (usage) /
+70 (internal fault)."""
 
 import json
+from types import SimpleNamespace
 
 import pytest
 
+import wordrep.solver
 from wordrep.cli import run
 from wordrep.debruijn import build_simplified
 from wordrep.graphs import (
@@ -251,6 +254,17 @@ def test_word_search(capsys, p4_file, w5_file):
 # usage errors and help
 
 
+W5 = graph_to_json(build_wheel(5))
+S23 = graph_to_json(build_simplified(2, 3).graph)
+# W5 with labels outside the trace label grammar: a proof naming them
+# could not be parsed back
+W5_DASHED = {
+    "labels": [f"c-{i}" for i in range(5)] + ["h"],
+    "edges": [[f"c-{i}", f"c-{(i + 1) % 5}"] for i in range(5)]
+    + [["h", f"c-{i}"] for i in range(5)],
+}
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -264,17 +278,41 @@ def test_word_search(capsys, p4_file, w5_file):
         ("check", "--graph", {"labels": ["a"], "edges": [["a", "a"]]}),
         ("check", "--graph", {"labels": ["a"], "edges": [["a", "b"]]}),
         ("check", "--graph", {"labels": [0, 1], "edges": [[0, 1]]}),
+        # budgets that overflow an int (a tuple sets an environment variable)
+        ("check", "--graph", S23, "--budget", "1e400"),
+        ("check", "--graph", S23, "--budget", "inf"),
+        (("WORDREP_BUDGET", "1e999"), "oracle", "--graph", S23),
+        # inputs beyond a command's size limits or domain
+        ("color3", "--n", "13"),
+        ("chromatic", "--graph", graph_to_json(build_simplified(7, 2).graph)),
+        ("word-search", "--graph", W5, "--kmax", "0"),
+        ("represent-check", "--graph", S23, "--word", "00 01"),
+        ("check", "--graph", W5_DASHED),
     ],
 )
-def test_usage_errors_exit_64(capsys, tmp_path, argv):
+def test_usage_errors_exit_64(capsys, tmp_path, monkeypatch, argv):
     argv = list(argv)
     for i, arg in enumerate(argv):
         if isinstance(arg, dict):
             path = tmp_path / "graph.json"
             path.write_text(json.dumps(arg))
             argv[i] = str(path)
+        elif isinstance(arg, tuple):
+            monkeypatch.setenv(*arg)
+    argv = [arg for arg in argv if not isinstance(arg, tuple)]
     code, _, err = cli(capsys, *argv)
     assert code == 64 and "error:" in err
+
+
+@pytest.mark.skipif(not __debug__, reason="the solver self-checks only in debug mode")
+def test_internal_faults_exit_70(capsys, w5_file, monkeypatch):
+    # a failed self-check is a fault of the program, not a negative verdict
+    monkeypatch.setattr(
+        wordrep.solver, "verify_trace", lambda g, trace: SimpleNamespace(accepted=False)
+    )
+    code, out, err = cli(capsys, "check", "--graph", w5_file)
+    assert code == 70 and out == ""
+    assert err.startswith("error: internal: ") and err.count("\n") == 1
 
 
 def test_bad_source_and_bad_wlog_are_usage_errors(capsys, w5_file, tmp_path):

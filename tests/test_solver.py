@@ -23,11 +23,6 @@ from wordrep.orientations import (
 )
 from wordrep.solver import (
     BudgetExceeded,
-    Contradiction,
-    CopyStore,
-    Fixpoint,
-    Forced,
-    Justification,
     NonSemiTransitive,
     SemiTransitive,
     SolverConfig,
@@ -35,7 +30,15 @@ from wordrep.solver import (
     propagate,
     solve,
 )
-from wordrep.traces import emit_trace, extract_graph, load_witness_trace, verify_trace
+from wordrep.traces import (
+    Branch,
+    MoveCopy,
+    Orient,
+    emit_trace,
+    extract_graph,
+    load_witness_trace,
+    verify_trace,
+)
 from wordrep.words import BudgetExceeded as WordSearchBudgetExceeded
 from wordrep.words import find_uniform_representant
 
@@ -89,26 +92,6 @@ def test_config_rejects_bad_values():
         SolverConfig(cycle_len=2)
 
 
-def test_justification_shape_is_checked():
-    with pytest.raises(ValueError):
-        Justification("TriangleRule", ("a", "b", "c", "d"))
-    with pytest.raises(ValueError):
-        Justification("CycleRule", ("a", "b", "c"))
-    with pytest.raises(ValueError):
-        Justification("Hunch", ("a", "b", "c"))
-
-
-def test_copy_store_ids_start_at_two_and_resume_lowest():
-    g = path4()
-    store = CopyStore()
-    a = store.create(PartialOrientation(g), (0, 1))
-    b = store.create(PartialOrientation(g), (1, 2))
-    assert (a, b) == (2, 3)
-    cid, _, deferred = store.pop_lowest()
-    assert cid == 2 and deferred == (0, 1)
-    assert len(store) == 1
-
-
 # ---------------------------------------------------------------------------
 # fix_source
 
@@ -158,10 +141,7 @@ def test_propagate_triangle_forces_the_transitive_arc():
     po = PartialOrientation(triangle())
     po.set_arc(0, 1)
     po.set_arc(1, 2)
-    result = propagate(po)
-    assert result == Forced(
-        ((("a", "c"), Justification("TriangleRule", ("a", "c", "b"))),)
-    )
+    assert propagate(po) == ([Orient(("a", "c"), ("a", "c", "b"))], None)
     assert po.has_arc(0, 2)
 
 
@@ -169,10 +149,12 @@ def test_propagate_c4_forces_both_remaining_edges_opposite():
     po = PartialOrientation(c4())
     po.set_arc(0, 1)
     po.set_arc(1, 2)
-    result = propagate(po)
-    assert isinstance(result, Forced)
-    just = Justification("CycleRule", ("a", "d", "c", "b"))
-    assert set(result.arcs) == {(("d", "c"), just), (("a", "d"), just)}
+    steps, witness = propagate(po)
+    assert witness is None
+    ring = ("a", "d", "c", "b")
+    assert {(s.arc, s.cycle) for s in steps} == {(("d", "c"), ring), (("a", "d"), ring)}
+    # one two-arc force: the first step is paired with the second
+    assert [s.paired_with_next for s in steps] == [True, False]
     assert po.has_arc(3, 2) and po.has_arc(0, 3)
     assert po.fully_oriented()
 
@@ -181,18 +163,17 @@ def test_propagate_replays_the_first_two_forced_arcs_of_the_witness_line_1():
     g = extract_graph(load_witness_trace())
     po = fix_source(PartialOrientation(g), g.index["13"])
     po.set_arc(g.index["14"], g.index["16"])
-    result = propagate(po)
-    forced = result.forced if isinstance(result, Contradiction) else result.arcs
-    assert forced[:2] == (
-        (("14", "12"), Justification("CycleRule", ("12", "14", "16", "13"))),
-        (("4", "12"), Justification("CycleRule", ("4", "13", "14", "12"))),
-    )
+    steps, _ = propagate(po)
+    assert steps[:2] == [
+        Orient(("14", "12"), ("12", "14", "16", "13")),
+        Orient(("4", "12"), ("4", "13", "14", "12")),
+    ]
 
 
 def test_propagate_reports_fixpoint_when_nothing_applies():
     po = PartialOrientation(c4())
     po.set_arc(0, 1)
-    assert propagate(po) == Fixpoint()
+    assert propagate(po) == ([], None)
 
 
 def test_propagate_reports_contradiction_with_a_terminal_path():
@@ -208,9 +189,8 @@ def test_propagate_reports_contradiction_with_a_terminal_path():
     po.set_arc(1, 2)
     po.set_arc(2, 3)
     po.set_arc(0, 3)  # a->d closes the shortcut a-b-c-d: (b, d) non-edge
-    result = propagate(po)
-    assert isinstance(result, Contradiction)
-    assert result.witness == ("a", "b", "c", "d")
+    _, witness = propagate(po)
+    assert witness == ("a", "b", "c", "d")
 
 
 def test_propagate_path_rule_decides_edges_on_existing_paths():
@@ -223,12 +203,10 @@ def test_propagate_path_rule_decides_edges_on_existing_paths():
     po = PartialOrientation(g)
     for i in range(4):
         po.set_arc(i, i + 1)  # a->b->c->d->e
-    result = propagate(po, cycle_len=3)
-    assert isinstance(result, Contradiction)
-    assert result.forced == (
-        (("a", "e"), Justification("CycleRule", ("a", "e", "d", "c", "b"))),
+    assert propagate(po, cycle_len=3) == (
+        [Orient(("a", "e"), ("a", "e", "d", "c", "b"))],
+        ("a", "b", "c", "d", "e"),
     )
-    assert result.witness == ("a", "b", "c", "d", "e")
 
 
 def test_forced_arcs_survive_their_own_flip_check():
@@ -237,8 +215,8 @@ def test_forced_arcs_survive_their_own_flip_check():
     w5 = build_wheel(5)
     po = fix_source(PartialOrientation(w5), w5.index["h"])
     po.set_arc(w5.index["c0"], w5.index["c1"])
-    result = propagate(po)
-    assert isinstance(result, (Forced, Contradiction))
+    steps, witness = propagate(po)
+    assert steps or witness is not None
 
 
 # ---------------------------------------------------------------------------
@@ -331,15 +309,6 @@ def test_unknown_source_label_is_an_error():
         solve(path4(), SolverConfig(source="zz"))
 
 
-def test_trace_off_keeps_the_verdict_and_drops_the_certificate():
-    w5 = build_wheel(5)
-    with_trace = solve(w5, SolverConfig(trace=True))
-    without = solve(w5, SolverConfig(trace=False))
-    assert isinstance(with_trace, NonSemiTransitive)
-    assert isinstance(without, NonSemiTransitive)
-    assert without.trace is None
-
-
 # ---------------------------------------------------------------------------
 # solve: invariances (exhaustive on small graphs)
 
@@ -391,6 +360,21 @@ def test_emitted_traces_have_balanced_copy_ledgers():
     ids = sorted(report.copy_ledger)
     assert ids == list(range(2, len(ids) + 2))
     assert all(used is not None for _, used in report.copy_ledger.values())
+    # copies are created as 2, 3, ... and resumed lowest pending id first,
+    # which with increasing ids is creation order
+    created = [
+        step.copy_id
+        for line in verdict.trace.lines
+        for step in line.steps
+        if isinstance(step, Branch)
+    ]
+    resumed = [
+        line.opener.copy_id
+        for line in verdict.trace.lines
+        if isinstance(line.opener, MoveCopy)
+    ]
+    assert created == ids
+    assert resumed == ids
 
 
 GOLDEN_GRAPHS = {
