@@ -360,8 +360,12 @@ def test_emitted_traces_have_balanced_copy_ledgers():
     ids = sorted(report.copy_ledger)
     assert ids == list(range(2, len(ids) + 2))
     assert all(used is not None for _, used in report.copy_ledger.values())
+
+
+def test_copy_store_ids_start_at_two_and_resume_lowest():
     # copies are created as 2, 3, ... and resumed lowest pending id first,
     # which with increasing ids is creation order
+    verdict = solve(extract_graph(load_witness_trace()))
     created = [
         step.copy_id
         for line in verdict.trace.lines
@@ -373,8 +377,8 @@ def test_emitted_traces_have_balanced_copy_ledgers():
         for line in verdict.trace.lines
         if isinstance(line.opener, MoveCopy)
     ]
-    assert created == ids
-    assert resumed == ids
+    assert created == list(range(2, len(created) + 2))
+    assert resumed == created
 
 
 GOLDEN_GRAPHS = {
