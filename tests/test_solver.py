@@ -386,6 +386,8 @@ GOLDEN_GRAPHS = {
     "s23": lambda: build_simplified(2, 3).graph,
     "witness": lambda: extract_graph(load_witness_trace()),
     "s24": lambda: build_simplified(2, 4).graph,
+    "s25": lambda: build_simplified(2, 5).graph,
+    "s33": lambda: build_simplified(3, 3).graph,
 }
 
 
