@@ -512,6 +512,9 @@ def _repro_stage_sampled(seed: int, samples: int) -> tuple[bool, dict]:
 
 
 def _cmd_repro(ns) -> int:
+    if ns.samples < 1:
+        # zero samples would pass the sampled stage having checked nothing
+        raise _UsageError("--samples must be at least 1")
     stages = [
         ("3-coloring S(n,2) for n=1..10", lambda: _repro_stage_colorings(ns.jobs)),
         ("W5 and S(2,3) verdicts", _repro_stage_small_witnesses),

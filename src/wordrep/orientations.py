@@ -258,8 +258,13 @@ def find_shortcut(o: Orientation | PartialOrientation) -> ShortcutWitness | None
     reach = reach_closure(po.out_adj)
     if reach is None:
         raise CyclicInput("orientation has a directed cycle")
-    for u, v in sorted(po.arcs()):
-        pair = _violating_pair(po, reach, u, v)
+    arcs = sorted(po.arcs())
+    in_adj = [0] * len(reach)
+    for u, v in arcs:
+        in_adj[v] |= 1 << u
+    coreach = reach_closure(in_adj)  # coreach[v]: the vertices reaching v
+    for u, v in arcs:
+        pair = _violating_pair(po, reach, reach[u] & coreach[v], u, v)
         if pair is None:
             continue
         x, y = pair
@@ -277,24 +282,24 @@ def find_shortcut(o: Orientation | PartialOrientation) -> ShortcutWitness | None
 
 
 def _violating_pair(
-    po: PartialOrientation, reach: list[int], u: int, v: int
+    po: PartialOrientation, reach: list[int], between: int, u: int, v: int
 ) -> tuple[int, int] | None:
     """Smallest (j desc, i asc) pair x,y with u ->* x -> y ->* v over set
     arcs and x->y not a set arc, (x,y) != (u,v); None if no such pair.
+    ``between`` is the mask of the vertices x with u ->* x ->* v.
 
     The scan enumerates y from the far end first, so for a square
     a->b->c->d with closing arc a->d the reported violation is (b, d),
     the pair nearest the closing arc's head.
     """
     g = po.graph
-    n = g.n
-    between = 0
-    for x in range(n):
-        if reach[u] >> x & 1 and reach[x] >> v & 1:
-            between |= 1 << x
     if between.bit_count() <= 2:
         return None
-    xs = [x for x in range(n) if between >> x & 1]
+    xs = []
+    while between:
+        low = between & -between
+        xs.append(low.bit_length() - 1)
+        between ^= low
     for y in reversed(xs):
         for x in xs:
             if x == y or (x, y) == (u, v):
@@ -403,7 +408,12 @@ def _brute_force_pruned(g: LabeledGraph, edges: list[tuple[int, int]]) -> BruteF
                 continue
             po.set_arc(tail, head)
             grown = [r | reach[head] if r >> tail & 1 else r for r in reach]
-            if _violating_pair(po, grown, tail, head) is None:
+            between = 0
+            for x, row in enumerate(grown):
+                if row >> head & 1:
+                    between |= 1 << x
+            between &= grown[tail]
+            if _violating_pair(po, grown, between, tail, head) is None:
                 found = dfs(i - 1, grown)
                 if found is not None:
                     return found

@@ -31,17 +31,37 @@ s -> v1, with the same violating pairs.  (Reversing *every* arc would turn
 s into a sink.)  Arcs forced before the split hold in every semi-transitive
 orientation with source s, so up to that symmetry the first split explores
 both cases at once.
+
+Propagation reads counters instead of rescanning cycles.  Each cycle of
+the inventory is numbered in scan order (triangles first, then longer
+rings by length and ids), and each edge keeps a watch list of the cycles
+it lies on, signed by the direction the ring takes it, in the manner of
+Chaff's watched literals (Moskewicz et al., DAC 2001).  Setting an arc
+walks only that edge's list, bumping each cycle's along or against count
+(unset = ring length - along - against), and keeps the set of cycles
+whose counts let the TriangleRule or the CycleRule fire.  The rules fire
+the lowest-numbered cycle of that set, which is exactly the cycle the
+in-order scans would find first, so every proof is unchanged; a ring is
+walked only to find the unset steps of the cycle that fires.  The
+PathRule is one reach-row bit test per unset edge, with a BFS only for
+the edge it decides.  A banked copy holds the edge states and the counts
+as bytes; its fire set is empty, because the search branches only at a
+propagation fixpoint, and its arcs are rebuilt on resume.
 """
 
 from __future__ import annotations
 
 import itertools
+from array import array
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 
 from .graphs import LabeledGraph, induced_subgraph, max_degree_vertex
 from .orientations import (
+    BACKWARD,
+    FORWARD,
+    UNSET,
     CyclicInput,
     Orientation,
     PartialOrientation,
@@ -49,6 +69,7 @@ from .orientations import (
     find_shortcut,
     is_acyclic,
     is_semitransitive,
+    reach_closure,
     shortest_path,
 )
 from .traces import (
@@ -135,13 +156,6 @@ def _label_key(label: str) -> tuple[int, int, str]:
     return (1, 0, label)
 
 
-@dataclass(frozen=True)
-class _Cycle:
-    ids: tuple[int, ...]  # ring order
-    steps: tuple[tuple[int, int], ...]  # ring edges as (ids[i], ids[i+1])
-    printed: tuple[str, ...]  # canonical "C..." annotation order
-
-
 def _canonical_ring_print(g: LabeledGraph, ids: tuple[int, ...]) -> tuple[str, ...]:
     """Rotate/reflect the ring: start at the least label, then towards the
     greater of its two ring neighbours (label order is numeric-first)."""
@@ -159,34 +173,37 @@ def _is_clique(g: LabeledGraph, ids: tuple[int, ...]) -> bool:
     return all(g.has_edge(a, b) for a, b in itertools.combinations(ids, 2))
 
 
+@dataclass(frozen=True)
+class _Inventory:
+    """The cycles the rules reason over, numbered in scan order, and the
+    cycles each edge lies on."""
+
+    rings: tuple[tuple[int, ...], ...]  # ring order, sorted by (length, ids)
+    triangles: int  # rings[:triangles] are the triangles
+    sizes: bytes  # ring lengths
+    # watch[i] for edge index i: c when ring c steps along it lo -> hi,
+    # ~c when ring c steps along it hi -> lo
+    watch: tuple[array, ...]
+
+
 @lru_cache(maxsize=32)
-def _cycle_inventory(
-    g: LabeledGraph, max_len: int
-) -> tuple[tuple[_Cycle, ...], tuple[_Cycle, ...]]:
+def _cycle_inventory(g: LabeledGraph, max_len: int) -> _Inventory:
     """Every triangle, and every non-clique simple cycle of length
-    4..max_len, once per vertex set ring, each sorted by (length, ids)."""
-    found: list[_Cycle] = []
+    4..max_len, once per vertex set ring."""
+    neighbors = [g.neighbors(v) for v in range(g.n)]
+    found: list[tuple[int, ...]] = []
 
     def extend(path: list[int]) -> None:
         tail = path[-1]
         start = path[0]
-        for w in g.neighbors(tail):
+        for w in neighbors[tail]:
             if w == start and len(path) >= 3:
                 if path[1] > path[-1]:  # one orientation of each ring
                     continue
                 ids = tuple(path)
                 if len(ids) > 3 and _is_clique(g, ids):
                     continue  # clique rings never fire the CycleRule
-                found.append(
-                    _Cycle(
-                        ids=ids,
-                        steps=tuple(
-                            (ids[i], ids[(i + 1) % len(ids)])
-                            for i in range(len(ids))
-                        ),
-                        printed=_canonical_ring_print(g, ids),
-                    )
-                )
+                found.append(ids)
             elif w > start and w not in path and len(path) < max_len:
                 path.append(w)
                 extend(path)
@@ -194,26 +211,102 @@ def _cycle_inventory(
 
     for s in range(g.n):
         extend([s])
-    found.sort(key=lambda c: (len(c.ids), c.ids))
-    triangles = tuple(c for c in found if len(c.ids) == 3)
-    return triangles, tuple(found[len(triangles):])
+    found.sort(key=lambda ids: (len(ids), ids))
+    edge_index = {e: i for i, e in enumerate(sorted(g.edges))}
+    watch = [array("i") for _ in edge_index]
+    for c, ids in enumerate(found):
+        for t, h in zip(ids, ids[1:] + ids[:1]):
+            if t < h:
+                watch[edge_index[(t, h)]].append(c)
+            else:
+                watch[edge_index[(h, t)]].append(~c)
+    triangles = sum(1 for ids in found if len(ids) == 3)
+    return _Inventory(tuple(found), triangles, bytes(map(len, found)), tuple(watch))
 
 
-def _tally(
-    po: PartialOrientation, cyc: _Cycle
-) -> tuple[int, int, list[tuple[int, int]]]:
-    """Ring edges pointing along, against, and the unset ring steps."""
-    along = against = 0
-    unset: list[tuple[int, int]] = []
-    for t, h in cyc.steps:
-        d = po.direction(t, h)
-        if d is None:
-            unset.append((t, h))
-        elif d == t:
-            along += 1
-        else:
-            against += 1
-    return along, against, unset
+class _WatchedOrientation(PartialOrientation):
+    """A partial orientation that counts, per inventory cycle, the ring
+    steps its arcs point along and against, and keeps the set of cycles
+    whose counts let the TriangleRule or the CycleRule fire.
+
+    Arcs are only ever added; the search goes back by ``restore``."""
+
+    __slots__ = ("inventory", "along", "against", "fire")
+
+    def __init__(self, po: PartialOrientation, inventory: _Inventory):
+        super().__init__(po.graph)
+        self.inventory = inventory
+        self.along = bytearray(len(inventory.rings))
+        self.against = bytearray(len(inventory.rings))
+        self.fire: set[int] = set()
+        for t, h in po.arcs():
+            self.set_arc(t, h)
+
+    def set_arc(self, tail: int, head: int) -> None:
+        """Orient one edge and update the counts of every cycle on it."""
+        i = self.edge_index[(tail, head) if tail < head else (head, tail)]
+        fresh = self.state[i] == UNSET
+        super().set_arc(tail, head)
+        if not fresh:
+            return
+        along, against, fire = self.along, self.against, self.fire
+        sizes, triangles = self.inventory.sizes, self.inventory.triangles
+        forward = tail < head
+        for w in self.inventory.watch[i]:
+            c = w if w >= 0 else ~w
+            if (w >= 0) == forward:
+                along[c] += 1
+            else:
+                against[c] += 1
+            al, ag = along[c], against[c]
+            unset = sizes[c] - al - ag
+            if unset > 2:
+                continue
+            # a triangle fires with one edge unset and the other two
+            # pointing the same way; a longer ring fires with one unset
+            # and at most one against the rest, or two unset and none
+            slack = (1 if c < triangles else 2) - unset
+            if unset and (al if al < ag else ag) <= slack:
+                fire.add(c)
+            else:
+                fire.discard(c)
+
+    def unset_steps(self, c: int) -> list[tuple[int, int]]:
+        """The ring steps of cycle ``c`` whose edges are unset."""
+        ring = self.inventory.rings[c]
+        return [
+            (t, h)
+            for t, h in zip(ring, ring[1:] + ring[:1])
+            if self.direction(t, h) is None
+        ]
+
+    def forced_by(self, c: int) -> tuple[tuple[int, int], ...]:
+        """The arcs a firing cycle forces: its unset ring steps, pointed
+        against the way most of its arcs point."""
+        unset = self.unset_steps(c)
+        if self.against[c] > self.along[c]:
+            return tuple(unset)
+        return tuple((h, t) for t, h in unset)
+
+    def snapshot(self) -> tuple[bytes, bytes, bytes]:
+        """Edge states and cycle counts.  Snapshots are taken at a
+        propagation fixpoint, where no cycle fires."""
+        assert not self.fire, "snapshot of a state that still propagates"
+        return bytes(self.state), bytes(self.along), bytes(self.against)
+
+    def restore(self, snapshot: tuple[bytes, bytes, bytes]) -> None:
+        state, along, against = snapshot
+        self.state = list(state)
+        self.along = bytearray(along)
+        self.against = bytearray(against)
+        self.fire = set()
+        out_adj = [0] * self.graph.n
+        for (lo, hi), s in zip(self.edge_order, self.state):
+            if s == FORWARD:
+                out_adj[lo] |= 1 << hi
+            elif s == BACKWARD:
+                out_adj[hi] |= 1 << lo
+        self.out_adj = out_adj
 
 
 # --------------------------------------------------------------------------
@@ -252,54 +345,34 @@ def _scan_defect(po: PartialOrientation) -> tuple[str, ...] | None:
     return None
 
 
-def _find_application(
-    po: PartialOrientation,
-    triangles: tuple[_Cycle, ...],
-    longer: tuple[_Cycle, ...],
-) -> tuple[tuple[tuple[int, int], ...], tuple[int, ...], tuple[str, ...]] | None:
-    """The first force a rule allows: its arcs (one, or the two of a paired
-    force), the ids of the justifying cycle and its printed ring."""
-    g = po.graph
+def _next_force(
+    po: _WatchedOrientation,
+) -> tuple[tuple[tuple[int, int], ...], tuple[int, ...]] | None:
+    """The first force a rule allows in an acyclic state: its arcs (one,
+    or the two of a paired force) and the ring of the justifying cycle.
 
-    # TriangleRule: directed path across a triangle forces the third edge
-    for cyc in triangles:
-        ids = cyc.ids
-        for i in range(3):
-            mid, a, b = ids[i], ids[(i + 1) % 3], ids[(i + 2) % 3]
-            for t, h in ((a, b), (b, a)):
-                if (
-                    po.has_arc(t, mid)
-                    and po.has_arc(mid, h)
-                    and po.direction(t, h) is None
-                ):
-                    return ((t, h),), ids, cyc.printed
+    The rules are tried in order, TriangleRule, PathRule, CycleRule, each
+    scanning its cycles or edges in a fixed order."""
+    inventory = po.inventory
+    first = min(po.fire, default=None)
+    if first is not None and first < inventory.triangles:
+        return po.forced_by(first), inventory.rings[first]
 
     # PathRule: an existing directed path decides an unset edge
-    for a, b in po.unset_edges():
-        for t, h in ((a, b), (b, a)):
-            path = shortest_path(po.out_adj, t, h)
-            if path is not None:
-                ids = tuple(path)
-                return ((t, h),), ids, _canonical_ring_print(g, ids)
+    reach = reach_closure(po.out_adj)
+    for (a, b), s in zip(po.edge_order, po.state):
+        if s != UNSET:
+            continue
+        if reach[a] >> b & 1:
+            t, h = a, b
+        elif reach[b] >> a & 1:
+            t, h = b, a
+        else:
+            continue
+        return ((t, h),), tuple(shortest_path(po.out_adj, t, h))
 
-    # CycleRule: nearly-aligned non-clique cycles force the stragglers
-    for cyc in longer:
-        m = len(cyc.ids)
-        along, against, unset = _tally(po, cyc)
-        # evaluate the ring direction, then its mirror; "against" an
-        # unset step (t, h) means arc (h, t) for the ring direction and
-        # (t, h) for the mirror
-        for fwd, bwd, mirrored in ((along, against, False), (against, along, True)):
-            if len(unset) == 1 and fwd >= m - 2:
-                t, h = unset[0]
-                arc = (t, h) if mirrored else (h, t)
-                return (arc,), cyc.ids, cyc.printed
-            if len(unset) == 2 and fwd == m - 2 and bwd == 0:
-                arcs = tuple(
-                    (t, h) if mirrored else (h, t) for t, h in unset
-                )
-                return arcs, cyc.ids, cyc.printed
-
+    if first is not None:
+        return po.forced_by(first), inventory.rings[first]
     return None
 
 
@@ -338,22 +411,35 @@ def propagate(
     path (a shortcut, or a directed cycle) as soon as the state is dead,
     else None.
     """
+    inventory = _cycle_inventory(po.graph, cycle_len)
+    if isinstance(po, _WatchedOrientation) and po.inventory is inventory:
+        return _fixpoint(po)
+    watched = _WatchedOrientation(po, inventory)
+    result = _fixpoint(watched)
+    po.state[:] = watched.state
+    po.out_adj[:] = watched.out_adj
+    return result
+
+
+def _fixpoint(
+    po: _WatchedOrientation,
+) -> tuple[list[Orient], tuple[str, ...] | None]:
     g = po.graph
-    triangles, longer = _cycle_inventory(g, cycle_len)
     steps: list[Orient] = []
     while True:
         witness = _scan_defect(po)
         if witness is not None:
             return steps, witness
-        hit = _find_application(po, triangles, longer)
+        hit = _next_force(po)
         if hit is None:
             return steps, None
-        arcs, cycle_ids, printed = hit
+        arcs, cycle_ids = hit
         for t, h in arcs:
             po.set_arc(t, h)
         if __debug__:
             for arc in arcs:
                 _assert_flip_defect(po, cycle_ids, arc)
+        printed = _canonical_ring_print(g, cycle_ids)
         for k, (t, h) in enumerate(arcs):
             paired = k == 0 and len(arcs) == 2
             steps.append(Orient((g.labels[t], g.labels[h]), printed, paired))
@@ -363,24 +449,20 @@ def propagate(
 # branching
 
 
-def _almost_forced_counts(
-    po: PartialOrientation, cycles: tuple[_Cycle, ...]
-) -> dict[tuple[int, int], int]:
+def _almost_forced_counts(po: _WatchedOrientation) -> dict[tuple[int, int], int]:
     """How many rule-usable cycles each unset edge could nearly fire."""
     counts: dict[tuple[int, int], int] = {}
-    for cyc in cycles:
-        along, against, unset = _tally(po, cyc)
-        if len(unset) == 3 and (along == 0 or against == 0):
-            for t, h in unset:
+    sizes = po.inventory.sizes
+    for c, (m, al, ag) in enumerate(zip(sizes, po.along, po.against)):
+        if m - al - ag == 3 and (al == 0 or ag == 0):
+            for t, h in po.unset_steps(c):
                 edge = (t, h) if t < h else (h, t)
                 counts[edge] = counts.get(edge, 0) + 1
     return counts
 
 
-def _pick_branch_edge(
-    po: PartialOrientation, cycles: tuple[_Cycle, ...]
-) -> tuple[int, int]:
-    counts = _almost_forced_counts(po, cycles)
+def _pick_branch_edge(po: _WatchedOrientation) -> tuple[int, int]:
+    counts = _almost_forced_counts(po)
     return min(po.unset_edges(), key=lambda e: (-counts.get(e, 0), e))
 
 
@@ -429,17 +511,18 @@ def _solve_component(
 ) -> Verdict:
     if not g.edges:
         return SemiTransitive(Orientation(g, ()))
-    triangles, longer = _cycle_inventory(g, cfg.cycle_len)
-    cycles = triangles + longer
     source = _choose_source(g, cfg)
-    po = fix_source(PartialOrientation(g), source)
+    po = _WatchedOrientation(
+        fix_source(PartialOrientation(g), source),
+        _cycle_inventory(g, cfg.cycle_len),
+    )
     if not budget.spend():  # the root node
         return BudgetExceeded(budget.used)
 
     preamble = Preamble(None, g.labels[source])
     # deferred branches as (copy id, snapshot, arc to apply on resume);
     # ids grow from 2, so the front of the queue is the lowest pending id
-    copies: deque[tuple[int, PartialOrientation, tuple[int, int]]] = deque()
+    copies: deque[tuple[int, tuple[bytes, bytes, bytes], tuple[int, int]]] = deque()
     copy_ids = itertools.count(2)
     lines: list[TraceLine] = []
     opener: Root | MoveCopy = Root()
@@ -462,9 +545,10 @@ def _solve_component(
                 return NonSemiTransitive(trace)
             if not budget.spend():
                 return BudgetExceeded(budget.used)
-            cid, po, (t, h) = copies.popleft()
+            cid, snapshot, (t, h) = copies.popleft()
             opener = MoveCopy(cid, (g.labels[t], g.labels[h]))
             steps = []
+            po.restore(snapshot)
             po.set_arc(t, h)
             continue
 
@@ -473,7 +557,7 @@ def _solve_component(
             assert is_semitransitive(orientation)
             return SemiTransitive(orientation)
 
-        lo, hi = _pick_branch_edge(po, cycles)
+        lo, hi = _pick_branch_edge(po)
         if not budget.spend():
             return BudgetExceeded(budget.used)
         if wlog_pending:
@@ -483,7 +567,7 @@ def _solve_component(
             )
         else:
             cid = next(copy_ids)
-            copies.append((cid, po.copy(), (hi, lo)))
+            copies.append((cid, po.snapshot(), (hi, lo)))
             steps.append(Branch((g.labels[lo], g.labels[hi]), cid))
         po.set_arc(lo, hi)
 

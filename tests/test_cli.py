@@ -288,6 +288,9 @@ W5_DASHED = {
         ("word-search", "--graph", W5, "--kmax", "0"),
         ("represent-check", "--graph", S23, "--word", "00 01"),
         ("check", "--graph", W5_DASHED),
+        # a sampled stage must sample something
+        ("repro", "--samples", "0"),
+        ("repro", "--samples", "-1"),
     ],
 )
 def test_usage_errors_exit_64(capsys, tmp_path, monkeypatch, argv):

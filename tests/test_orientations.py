@@ -281,6 +281,46 @@ def test_witness_replays(case):
         assert not po.has_arc(w.path[i], w.path[j])
 
 
+def _naive_has_shortcut(o):
+    """Some arc u->v closes a directed u->v path of at least two arcs on
+    which some pair other than (u, v) is not joined by a forward arc."""
+    g = o.graph
+    arcs = set(o.arcs)
+    out = {v: [h for t, h in o.arcs if t == v] for v in range(g.n)}
+
+    def paths(path, dst):
+        for w in out[path[-1]]:
+            if w == dst:
+                yield path + [w]
+            elif w not in path:
+                yield from paths(path + [w], dst)
+
+    for u, v in o.arcs:
+        for path in paths([u], v):
+            if len(path) < 3:
+                continue  # the closing arc itself
+            for i, j in itertools.combinations(range(len(path)), 2):
+                if (i, j) != (0, len(path) - 1) and (path[i], path[j]) not in arcs:
+                    return True
+    return False
+
+
+def test_find_shortcut_is_complete_on_graphs_up_to_5_vertices():
+    # every acyclic orientation of every graph on at most 5 vertices:
+    # find_shortcut misses no shortcut and reports none that is not there
+    for n in range(1, 6):
+        for g in _all_graphs(n):
+            edges = sorted(g.edges)
+            for bits in range(2 ** len(edges)):
+                o = Orientation(g, tuple(
+                    (lo, hi) if not bits >> i & 1 else (hi, lo)
+                    for i, (lo, hi) in enumerate(edges)
+                ))
+                if not is_acyclic(o):
+                    continue
+                assert (find_shortcut(o) is None) == (not _naive_has_shortcut(o)), o.arcs
+
+
 def test_dot_export_directed():
     g = triangle()
     o = _orient(g, [(0, 1), (0, 2), (1, 2)])

@@ -7,6 +7,7 @@ first-branch symmetry rule, and trace emission.
 
 import itertools
 import json
+import random
 from pathlib import Path
 
 import pytest
@@ -20,12 +21,17 @@ from wordrep.orientations import (
     PartialOrientation,
     brute_force_semitransitive,
     is_semitransitive,
+    reach_closure,
+    shortest_path,
 )
 from wordrep.solver import (
     BudgetExceeded,
     NonSemiTransitive,
     SemiTransitive,
     SolverConfig,
+    _cycle_inventory,
+    _next_force,
+    _WatchedOrientation,
     fix_source,
     propagate,
     solve,
@@ -402,6 +408,133 @@ def test_emitted_proofs_match_the_golden_files(name):
     assert list(verdict.trace.preamble.wlog_arc) == preamble["wlog"]
     expected = (GOLDEN / f"{name}.txt").read_bytes()
     assert emit_trace(verdict.trace).encode("utf-8") == expected
+
+# ---------------------------------------------------------------------------
+# watched cycle counters against full rescans
+
+
+def _tally(po, ids):
+    """Ring edges pointing along, against, and the unset ring steps."""
+    along = against = 0
+    unset = []
+    for t, h in zip(ids, ids[1:] + ids[:1]):
+        d = po.direction(t, h)
+        if d is None:
+            unset.append((t, h))
+        elif d == t:
+            along += 1
+        else:
+            against += 1
+    return along, against, unset
+
+
+def _rule_force(po, ids, tally):
+    """The arcs the TriangleRule (three ids) or the CycleRule (more) forces
+    on one ring by a full rescan, else None; ``tally`` is the ring's."""
+    if len(ids) == 3:
+        # directed path across a triangle forces the third edge
+        for i in range(3):
+            mid, a, b = ids[i], ids[(i + 1) % 3], ids[(i + 2) % 3]
+            for t, h in ((a, b), (b, a)):
+                if (
+                    po.has_arc(t, mid)
+                    and po.has_arc(mid, h)
+                    and po.direction(t, h) is None
+                ):
+                    return ((t, h),)
+        return None
+    m = len(ids)
+    along, against, unset = tally
+    # evaluate the ring direction, then its mirror; "against" an unset step
+    # (t, h) means arc (h, t) for the ring direction and (t, h) for the mirror
+    for fwd, bwd, mirrored in ((along, against, False), (against, along, True)):
+        if len(unset) == 1 and fwd >= m - 2:
+            t, h = unset[0]
+            return (((t, h) if mirrored else (h, t)),)
+        if len(unset) == 2 and fwd == m - 2 and bwd == 0:
+            return tuple((t, h) if mirrored else (h, t) for t, h in unset)
+    return None
+
+
+def _find_application(po, inventory):
+    """Reference for ``_next_force``: the first force found by scanning
+    every triangle, then every unset edge by BFS, then every longer ring."""
+    rings, triangles = inventory.rings, inventory.triangles
+    for ids in rings[:triangles]:
+        arcs = _rule_force(po, ids, None)
+        if arcs is not None:
+            return arcs, ids
+    for a, b in po.unset_edges():
+        for t, h in ((a, b), (b, a)):
+            path = shortest_path(po.out_adj, t, h)
+            if path is not None:
+                return ((t, h),), tuple(path)
+    for ids in rings[triangles:]:
+        arcs = _rule_force(po, ids, _tally(po, ids))
+        if arcs is not None:
+            return arcs, ids
+    return None
+
+
+def _check_counters(po):
+    inventory = po.inventory
+    tallies = [_tally(po, ids) for ids in inventory.rings]
+    assert list(po.along) == [al for al, _, _ in tallies]
+    assert list(po.against) == [ag for _, ag, _ in tallies]
+    assert po.fire == {
+        c
+        for c, (ids, tally) in enumerate(zip(inventory.rings, tallies))
+        if _rule_force(po, ids, tally)
+    }
+    if reach_closure(po.out_adj) is not None:
+        assert _next_force(po) == _find_application(po, inventory)
+    if not po.fire:
+        before = (list(po.state), list(po.out_adj), bytes(po.along), bytes(po.against))
+        po.restore(po.snapshot())
+        after = (list(po.state), list(po.out_adj), bytes(po.along), bytes(po.against))
+        assert after == before and po.fire == set()
+
+
+@pytest.mark.parametrize("cycle_len", [3, 6])
+@pytest.mark.parametrize("name", ["w5", "s23", "s24", "witness"])
+def test_counters_match_a_fresh_recount(name, cycle_len):
+    # seeded random walks mixing rule forces, arbitrary arcs (cyclic and
+    # shortcut states included), branches and resumes; every arc goes
+    # through the watched set_arc and is checked against full rescans.
+    # A walk ends at a dead or full state with nothing left to resume.
+    g = GOLDEN_GRAPHS[name]()
+    inventory = _cycle_inventory(g, cycle_len)
+    arcs_left = 3 * len(g.edges)
+    for seed in itertools.count():
+        if arcs_left <= 0:
+            break
+        rng = random.Random(seed)
+        po = _WatchedOrientation(PartialOrientation(g), inventory)
+        pending = []
+        while arcs_left > 0:
+            unset = po.unset_edges()
+            acyclic = reach_closure(po.out_adj) is not None
+            force = _next_force(po) if acyclic else None
+            if force is not None and rng.random() < 0.8:
+                arcs = force[0]
+            elif not (acyclic and unset) or (pending and rng.random() < 0.2):
+                if not pending:
+                    break
+                snapshot, arc = pending.pop(rng.randrange(len(pending)))
+                po.restore(snapshot)
+                arcs = (arc,)
+            else:
+                a, b = rng.choice(unset)
+                if rng.random() < 0.5:
+                    a, b = b, a
+                if not po.fire and rng.random() < 0.5:
+                    pending.append((po.snapshot(), (b, a)))
+                arcs = ((a, b),)
+            for t, h in arcs:
+                po.set_arc(t, h)
+                _check_counters(po)
+                arcs_left -= 1
+
 
 # ---------------------------------------------------------------------------
 # cross-procedure consistency
