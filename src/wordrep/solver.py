@@ -178,6 +178,7 @@ class _Inventory:
     """The cycles the rules reason over, numbered in scan order, and the
     cycles each edge lies on."""
 
+    max_len: int
     rings: tuple[tuple[int, ...], ...]  # ring order, sorted by (length, ids)
     triangles: int  # rings[:triangles] are the triangles
     sizes: bytes  # ring lengths
@@ -221,7 +222,9 @@ def _cycle_inventory(g: LabeledGraph, max_len: int) -> _Inventory:
             else:
                 watch[edge_index[(h, t)]].append(~c)
     triangles = sum(1 for ids in found if len(ids) == 3)
-    return _Inventory(tuple(found), triangles, bytes(map(len, found)), tuple(watch))
+    return _Inventory(
+        max_len, tuple(found), triangles, bytes(map(len, found)), tuple(watch)
+    )
 
 
 class _WatchedOrientation(PartialOrientation):
@@ -411,10 +414,9 @@ def propagate(
     path (a shortcut, or a directed cycle) as soon as the state is dead,
     else None.
     """
-    inventory = _cycle_inventory(po.graph, cycle_len)
-    if isinstance(po, _WatchedOrientation) and po.inventory is inventory:
+    if isinstance(po, _WatchedOrientation) and po.inventory.max_len == cycle_len:
         return _fixpoint(po)
-    watched = _WatchedOrientation(po, inventory)
+    watched = _WatchedOrientation(po, _cycle_inventory(po.graph, cycle_len))
     result = _fixpoint(watched)
     po.state[:] = watched.state
     po.out_adj[:] = watched.out_adj
