@@ -54,7 +54,7 @@ from __future__ import annotations
 import itertools
 from array import array
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .graphs import LabeledGraph, induced_subgraph, max_degree_vertex
@@ -185,6 +185,9 @@ class _Inventory:
     # watch[i] for edge index i: c when ring c steps along it lo -> hi,
     # ~c when ring c steps along it hi -> lo
     watch: tuple[array, ...]
+    # printed rings, made when a ring first fires and shared by every
+    # proof step it justifies
+    prints: dict[int, tuple[str, ...]] = field(default_factory=dict)
 
 
 @lru_cache(maxsize=32)
@@ -283,13 +286,20 @@ class _WatchedOrientation(PartialOrientation):
             if self.direction(t, h) is None
         ]
 
-    def forced_by(self, c: int) -> tuple[tuple[int, int], ...]:
-        """The arcs a firing cycle forces: its unset ring steps, pointed
-        against the way most of its arcs point."""
+    def forced_by(
+        self, c: int
+    ) -> tuple[tuple[tuple[int, int], ...], tuple[int, ...], tuple[str, ...]]:
+        """The force of a firing cycle: its unset ring steps, pointed
+        against the way most of its arcs point, its ring and its print."""
         unset = self.unset_steps(c)
         if self.against[c] > self.along[c]:
-            return tuple(unset)
-        return tuple((h, t) for t, h in unset)
+            arcs = tuple(unset)
+        else:
+            arcs = tuple((h, t) for t, h in unset)
+        ring, prints = self.inventory.rings[c], self.inventory.prints
+        if c not in prints:
+            prints[c] = _canonical_ring_print(self.graph, ring)
+        return arcs, ring, prints[c]
 
     def snapshot(self) -> tuple[bytes, bytes, bytes]:
         """Edge states and cycle counts.  Snapshots are taken at a
@@ -350,16 +360,17 @@ def _scan_defect(po: PartialOrientation) -> tuple[str, ...] | None:
 
 def _next_force(
     po: _WatchedOrientation,
-) -> tuple[tuple[tuple[int, int], ...], tuple[int, ...]] | None:
+) -> tuple[tuple[tuple[int, int], ...], tuple[int, ...], tuple[str, ...]] | None:
     """The first force a rule allows in an acyclic state: its arcs (one,
-    or the two of a paired force) and the ring of the justifying cycle.
+    or the two of a paired force), the ids of the justifying cycle and its
+    printed ring.
 
     The rules are tried in order, TriangleRule, PathRule, CycleRule, each
     scanning its cycles or edges in a fixed order."""
     inventory = po.inventory
     first = min(po.fire, default=None)
     if first is not None and first < inventory.triangles:
-        return po.forced_by(first), inventory.rings[first]
+        return po.forced_by(first)
 
     # PathRule: an existing directed path decides an unset edge
     reach = reach_closure(po.out_adj)
@@ -372,10 +383,11 @@ def _next_force(
             t, h = b, a
         else:
             continue
-        return ((t, h),), tuple(shortest_path(po.out_adj, t, h))
+        ids = tuple(shortest_path(po.out_adj, t, h))
+        return ((t, h),), ids, _canonical_ring_print(po.graph, ids)
 
     if first is not None:
-        return po.forced_by(first), inventory.rings[first]
+        return po.forced_by(first)
     return None
 
 
@@ -435,13 +447,12 @@ def _fixpoint(
         hit = _next_force(po)
         if hit is None:
             return steps, None
-        arcs, cycle_ids = hit
+        arcs, cycle_ids, printed = hit
         for t, h in arcs:
             po.set_arc(t, h)
         if __debug__:
             for arc in arcs:
                 _assert_flip_defect(po, cycle_ids, arc)
-        printed = _canonical_ring_print(g, cycle_ids)
         for k, (t, h) in enumerate(arcs):
             paired = k == 0 and len(arcs) == 2
             steps.append(Orient((g.labels[t], g.labels[h]), printed, paired))

@@ -29,6 +29,7 @@ from wordrep.solver import (
     NonSemiTransitive,
     SemiTransitive,
     SolverConfig,
+    _canonical_ring_print,
     _cycle_inventory,
     _next_force,
     _WatchedOrientation,
@@ -458,21 +459,24 @@ def _rule_force(po, ids, tally):
 
 def _find_application(po, inventory):
     """Reference for ``_next_force``: the first force found by scanning
-    every triangle, then every unset edge by BFS, then every longer ring."""
+    every triangle, then every unset edge by BFS, then every longer ring;
+    its arcs, the ids of the justifying cycle and its printed ring."""
+    g = po.graph
     rings, triangles = inventory.rings, inventory.triangles
     for ids in rings[:triangles]:
         arcs = _rule_force(po, ids, None)
         if arcs is not None:
-            return arcs, ids
+            return arcs, ids, _canonical_ring_print(g, ids)
     for a, b in po.unset_edges():
         for t, h in ((a, b), (b, a)):
             path = shortest_path(po.out_adj, t, h)
             if path is not None:
-                return ((t, h),), tuple(path)
+                ids = tuple(path)
+                return ((t, h),), ids, _canonical_ring_print(g, ids)
     for ids in rings[triangles:]:
         arcs = _rule_force(po, ids, _tally(po, ids))
         if arcs is not None:
-            return arcs, ids
+            return arcs, ids, _canonical_ring_print(g, ids)
     return None
 
 
