@@ -5,6 +5,7 @@ exhaustive orientation oracle and be invariant under source choice, the
 first-branch symmetry rule, and trace emission.
 """
 
+import hashlib
 import itertools
 import json
 import random
@@ -409,6 +410,24 @@ def test_emitted_proofs_match_the_golden_files(name):
     assert list(verdict.trace.preamble.wlog_arc) == preamble["wlog"]
     expected = (GOLDEN / f"{name}.txt").read_bytes()
     assert emit_trace(verdict.trace).encode("utf-8") == expected
+
+
+# sha256 of repr(arcs), first 16 hex digits, of the orientation solve finds
+GOLDEN_ORIENTATIONS = {
+    (6, 2): "70961b6013234bab",
+    (7, 2): "b2d91f553268da44",
+    (4, 3): "9e74b945ba123151",
+}
+
+
+@pytest.mark.parametrize("n,k", sorted(GOLDEN_ORIENTATIONS))
+def test_found_orientations_match_the_golden_hashes(n, k):
+    # the positive counterpart of the golden proofs: a change to the
+    # search that picks another orientation must show up here
+    verdict = solve(build_simplified(n, k).graph)
+    assert isinstance(verdict, SemiTransitive)
+    digest = hashlib.sha256(repr(verdict.orientation.arcs).encode("utf-8"))
+    assert digest.hexdigest()[:16] == GOLDEN_ORIENTATIONS[(n, k)]
 
 # ---------------------------------------------------------------------------
 # watched cycle counters against full rescans
