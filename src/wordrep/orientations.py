@@ -8,10 +8,14 @@ where x->y is not itself a set arc and (x,y) != (u,v); the witness path is
 assembled from shortest segments, which compose to a simple path in a DAG.
 
 Every traversal of the directed bitmask adjacency (``out_adj[v]`` = heads
-of the arcs leaving v) goes through one of three routines, shared with the
-solver: ``reach_closure`` (reach rows, or None on a directed cycle),
+of the arcs leaving v) goes through one of three routines:
+``reach_closure`` (reach rows, or None on a directed cycle),
 ``shortest_path`` (BFS taking heads lowest id first) and ``directed_cycle``.
-The proof verifier in ``traces`` keeps its own checks on purpose.
+The per-arc witness step, ``shortcut_under``, is shared with the solver:
+``find_shortcut`` runs it under every set arc, in sorted order, while the
+solver keeps its own reach and co-reach rows, grown arc by arc, and runs it
+only under the closing arcs that a new arc can have changed.  The proof
+verifier in ``traces`` keeps its own checks on purpose.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ __all__ = [
     "directed_cycle",
     "is_acyclic",
     "find_shortcut",
+    "shortcut_under",
     "is_semitransitive",
     "brute_force_semitransitive",
     "reverse_orientation",
@@ -264,21 +269,36 @@ def find_shortcut(o: Orientation | PartialOrientation) -> ShortcutWitness | None
         in_adj[v] |= 1 << u
     coreach = reach_closure(in_adj)  # coreach[v]: the vertices reaching v
     for u, v in arcs:
-        pair = _violating_pair(po, reach, reach[u] & coreach[v], u, v)
-        if pair is None:
-            continue
-        x, y = pair
-        seg1 = shortest_path(po.out_adj, u, x)
-        seg2 = shortest_path(po.out_adj, x, y)
-        seg3 = shortest_path(po.out_adj, y, v)
-        # segments cannot share interior vertices: a repeat would close a
-        # directed cycle in the DAG of set arcs
-        path = seg1 + seg2[1:] + seg3[1:]
-        assert len(set(path)) == len(path)
-        witness = ShortcutWitness(tuple(path), (path.index(x), path.index(y)))
-        _assert_witness(po, witness)
-        return witness
+        witness = shortcut_under(po, reach, coreach, u, v)
+        if witness is not None:
+            return witness
     return None
+
+
+def shortcut_under(
+    po: PartialOrientation, reach: list[int], coreach: list[int], u: int, v: int
+) -> ShortcutWitness | None:
+    """The shortcut closed by the set arc u->v, else None.
+
+    ``reach`` and ``coreach`` are the reach rows of the acyclic set arcs
+    and of their transpose (``coreach[v]``: the vertices reaching v).
+    The violating pair is ``_violating_pair``'s, and the path is made of
+    shortest segments u ~> x ~> y ~> v.
+    """
+    pair = _violating_pair(po, reach, reach[u] & coreach[v], u, v)
+    if pair is None:
+        return None
+    x, y = pair
+    seg1 = shortest_path(po.out_adj, u, x)
+    seg2 = shortest_path(po.out_adj, x, y)
+    seg3 = shortest_path(po.out_adj, y, v)
+    # segments cannot share interior vertices: a repeat would close a
+    # directed cycle in the DAG of set arcs
+    path = seg1 + seg2[1:] + seg3[1:]
+    assert len(set(path)) == len(path)
+    witness = ShortcutWitness(tuple(path), (path.index(x), path.index(y)))
+    _assert_witness(po, witness)
+    return witness
 
 
 def _violating_pair(

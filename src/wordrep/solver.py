@@ -47,6 +47,21 @@ PathRule is one reach-row bit test per unset edge, with a BFS only for
 the edge it decides.  A banked copy holds the edge states and the counts
 as bytes; its fire set is empty, because the search branches only at a
 propagation fixpoint, and its arcs are rebuilt on resume.
+
+The orientation also keeps one reach row and one co-reach row per
+vertex, grown on each inserted arc as in Italiano's incremental
+transitive closure (TCS 48, 1986): a new arc t->h closes a directed
+cycle iff h reaches t; otherwise every vertex reaching t gains what h
+reaches, and every vertex h reaches gains what reaches t.  A resume
+rebuilds both rows once.  The PathRule reads the reach rows, and the
+defect scan reads both.  The search abandons every dead state, so the
+state at the last scan that found no defect was clean, as is every
+banked state.  A violation under a closing arc u->v that is new since
+then runs through an arc t->h set since then (the closing arc itself,
+or one on the path), so u reaches t and h reaches v.  The scan tests
+only those closing arcs, in sorted order, with ``find_shortcut``'s own
+per-arc step.  Every other closing arc has no violation, so the first
+witness is the one ``find_shortcut`` would report.
 """
 
 from __future__ import annotations
@@ -62,7 +77,6 @@ from .orientations import (
     BACKWARD,
     FORWARD,
     UNSET,
-    CyclicInput,
     Orientation,
     PartialOrientation,
     directed_cycle,
@@ -70,6 +84,7 @@ from .orientations import (
     is_acyclic,
     is_semitransitive,
     reach_closure,
+    shortcut_under,
     shortest_path,
 )
 from .traces import (
@@ -235,9 +250,17 @@ class _WatchedOrientation(PartialOrientation):
     steps its arcs point along and against, and keeps the set of cycles
     whose counts let the TriangleRule or the CycleRule fire.
 
+    It also keeps the reach rows of its arcs (``reach[v]``: the vertices
+    v reaches, v included) and of their transpose (``coreach[v]``: the
+    vertices reaching v) while they are acyclic, the flag ``cyclic``, and
+    the arcs set since the last scan that found no defect.
+
     Arcs are only ever added; the search goes back by ``restore``."""
 
-    __slots__ = ("inventory", "along", "against", "fire")
+    __slots__ = (
+        "inventory", "along", "against", "fire",
+        "reach", "coreach", "cyclic", "unscanned",
+    )
 
     def __init__(self, po: PartialOrientation, inventory: _Inventory):
         super().__init__(po.graph)
@@ -245,16 +268,41 @@ class _WatchedOrientation(PartialOrientation):
         self.along = bytearray(len(inventory.rings))
         self.against = bytearray(len(inventory.rings))
         self.fire: set[int] = set()
+        self.reach = [1 << v for v in range(po.graph.n)]
+        self.coreach = list(self.reach)
+        self.cyclic = False
+        self.unscanned: list[tuple[int, int]] = []
         for t, h in po.arcs():
             self.set_arc(t, h)
 
     def set_arc(self, tail: int, head: int) -> None:
-        """Orient one edge and update the counts of every cycle on it."""
+        """Orient one edge and update the reach rows and the counts of
+        every cycle on it."""
         i = self.edge_index[(tail, head) if tail < head else (head, tail)]
         fresh = self.state[i] == UNSET
         super().set_arc(tail, head)
         if not fresh:
             return
+        self.unscanned.append((tail, head))
+        if not self.cyclic:
+            reach, coreach = self.reach, self.coreach
+            if reach[head] >> tail & 1:
+                self.cyclic = True
+            else:
+                # every vertex reaching tail now reaches what head
+                # reaches, and every vertex head reaches is now reached
+                # from what reaches tail
+                below, above = reach[head], coreach[tail]
+                rows = above
+                while rows:
+                    low = rows & -rows
+                    reach[low.bit_length() - 1] |= below
+                    rows ^= low
+                rows = below
+                while rows:
+                    low = rows & -rows
+                    coreach[low.bit_length() - 1] |= above
+                    rows ^= low
         along, against, fire = self.along, self.against, self.fire
         sizes, triangles = self.inventory.sizes, self.inventory.triangles
         forward = tail < head
@@ -308,18 +356,29 @@ class _WatchedOrientation(PartialOrientation):
         return bytes(self.state), bytes(self.along), bytes(self.against)
 
     def restore(self, snapshot: tuple[bytes, bytes, bytes]) -> None:
+        """Go back to a snapshot's state, which the search has scanned
+        and found free of defects."""
         state, along, against = snapshot
         self.state = list(state)
         self.along = bytearray(along)
         self.against = bytearray(against)
         self.fire = set()
         out_adj = [0] * self.graph.n
+        in_adj = [0] * self.graph.n
         for (lo, hi), s in zip(self.edge_order, self.state):
             if s == FORWARD:
                 out_adj[lo] |= 1 << hi
+                in_adj[hi] |= 1 << lo
             elif s == BACKWARD:
                 out_adj[hi] |= 1 << lo
+                in_adj[lo] |= 1 << hi
         self.out_adj = out_adj
+        reach = reach_closure(out_adj)
+        self.cyclic = reach is None
+        if reach is not None:
+            self.reach = reach
+            self.coreach = reach_closure(in_adj)
+        self.unscanned = []
 
 
 # --------------------------------------------------------------------------
@@ -342,19 +401,40 @@ def fix_source(po: PartialOrientation, v: int) -> PartialOrientation:
     return out
 
 
-def _scan_defect(po: PartialOrientation) -> tuple[str, ...] | None:
-    """Printable terminal path if the state is dead, else None."""
+def _scan_defect(po: _WatchedOrientation) -> tuple[str, ...] | None:
+    """Printable terminal path if the state is dead, else None: the
+    directed cycle, or the shortcut ``find_shortcut`` would report.
+
+    Only the closing arcs u->v that an arc t->h set since the last clean
+    scan can have changed are tested: u reaches t and h reaches v."""
     g = po.graph
-    try:
-        witness = find_shortcut(po)
-    except CyclicInput:
+    if po.cyclic:
         cyc = directed_cycle(po.out_adj)
         assert cyc is not None
         start = min(range(len(cyc)), key=lambda i: _label_key(g.labels[cyc[i]]))
         ring = cyc[start:] + cyc[:start]
         return tuple(g.labels[v] for v in ring)
-    if witness is not None:
-        return tuple(g.labels[v] for v in witness.path)
+    reach, coreach, out_adj = po.reach, po.coreach, po.out_adj
+    heads: dict[int, int] = {}  # tail u -> the candidate closing arcs' heads
+    for t, h in po.unscanned:
+        below = reach[h]
+        tails = coreach[t]
+        while tails:
+            low = tails & -tails
+            tails ^= low
+            u = low.bit_length() - 1
+            hit = out_adj[u] & below
+            if hit:
+                heads[u] = heads.get(u, 0) | hit
+    for u in sorted(heads):
+        vs = heads[u]
+        while vs:
+            low = vs & -vs
+            vs ^= low
+            witness = shortcut_under(po, reach, coreach, u, low.bit_length() - 1)
+            if witness is not None:
+                return tuple(g.labels[v] for v in witness.path)
+    po.unscanned = []
     return None
 
 
@@ -373,7 +453,7 @@ def _next_force(
         return po.forced_by(first)
 
     # PathRule: an existing directed path decides an unset edge
-    reach = reach_closure(po.out_adj)
+    reach = po.reach
     for (a, b), s in zip(po.edge_order, po.state):
         if s != UNSET:
             continue
@@ -475,8 +555,12 @@ def _almost_forced_counts(po: _WatchedOrientation) -> dict[tuple[int, int], int]
 
 
 def _pick_branch_edge(po: _WatchedOrientation) -> tuple[int, int]:
+    """The unset edge on the most nearly-firing cycles, the lowest edge on
+    ties; with none, the first unset edge in edge order."""
     counts = _almost_forced_counts(po)
-    return min(po.unset_edges(), key=lambda e: (-counts.get(e, 0), e))
+    if counts:
+        return min(counts.items(), key=lambda item: (-item[1], item[0]))[0]
+    return po.edge_order[po.state.index(UNSET)]
 
 
 # --------------------------------------------------------------------------
@@ -567,7 +651,9 @@ def _solve_component(
 
         if po.fully_oriented():
             orientation = Orientation(g, tuple(po.arcs()))
-            assert is_semitransitive(orientation)
+            # checked under -O too: a positive verdict has no other proof
+            if not is_semitransitive(orientation):
+                raise RuntimeError("found orientation failed its self-check")
             return SemiTransitive(orientation)
 
         lo, hi = _pick_branch_edge(po)

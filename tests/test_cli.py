@@ -318,6 +318,14 @@ def test_internal_faults_exit_70(capsys, w5_file, monkeypatch):
     assert err.startswith("error: internal: ") and err.count("\n") == 1
 
 
+def test_failed_positive_self_check_exits_70(capsys, p4_file, monkeypatch):
+    # a positive verdict is checked under -O too: it has no proof to replay
+    monkeypatch.setattr(wordrep.solver, "is_semitransitive", lambda o: False)
+    code, out, err = cli(capsys, "check", "--graph", p4_file)
+    assert code == 70 and out == ""
+    assert err.startswith("error: internal: ") and err.count("\n") == 1
+
+
 def test_bad_source_and_bad_wlog_are_usage_errors(capsys, w5_file, tmp_path):
     code, _, err = cli(capsys, "check", "--graph", w5_file, "--source", "zz")
     assert code == 64 and "source label" in err

@@ -15,12 +15,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wordrep import solver
 from wordrep.debruijn import build_simplified
 from wordrep.graphs import LabeledGraph, build_graph, build_wheel
 from wordrep.orientations import (
+    CyclicInput,
     Orientation,
     PartialOrientation,
     brute_force_semitransitive,
+    directed_cycle,
+    find_shortcut,
     is_semitransitive,
     reach_closure,
     shortest_path,
@@ -32,7 +36,9 @@ from wordrep.solver import (
     SolverConfig,
     _canonical_ring_print,
     _cycle_inventory,
+    _label_key,
     _next_force,
+    _scan_defect,
     _WatchedOrientation,
     fix_source,
     propagate,
@@ -499,7 +505,41 @@ def _find_application(po, inventory):
     return None
 
 
-def _check_counters(po):
+def _full_scan(po):
+    """Reference for ``_scan_defect``: the terminal path of a scan of every
+    set arc, a directed cycle from the least label, else None."""
+    g = po.graph
+    try:
+        witness = find_shortcut(po)
+    except CyclicInput:
+        cyc = directed_cycle(po.out_adj)
+        start = min(range(len(cyc)), key=lambda i: _label_key(g.labels[cyc[i]]))
+        return tuple(g.labels[v] for v in cyc[start:] + cyc[:start])
+    return None if witness is None else tuple(g.labels[v] for v in witness.path)
+
+
+def _check_rows(po):
+    reach = reach_closure(po.out_adj)
+    assert po.cyclic == (reach is None)
+    if reach is not None:
+        in_adj = [0] * po.graph.n
+        for t, h in po.arcs():
+            in_adj[h] |= 1 << t
+        assert po.reach == reach
+        assert po.coreach == reach_closure(in_adj)
+
+
+def _check_counters(po, clean, scan=True):
+    """Check the counters, the fire set, the next force and the rows
+    against full rescans, and a snapshot/restore round trip.  While every
+    scan since the last restore of a clean state was clean (``clean``),
+    also check the restricted scan against a full one, if ``scan``.
+    Returns whether the state is still on such a clean-scan prefix."""
+    _check_rows(po)
+    if clean and scan:
+        expected = _full_scan(po)
+        assert _scan_defect(po) == expected
+        clean = expected is None
     inventory = po.inventory
     tallies = [_tally(po, ids) for ids in inventory.rings]
     assert list(po.along) == [al for al, _, _ in tallies]
@@ -511,11 +551,15 @@ def _check_counters(po):
     }
     if reach_closure(po.out_adj) is not None:
         assert _next_force(po) == _find_application(po, inventory)
-    if not po.fire:
+    # restore forgets the arcs set since the last scan, as a banked state
+    # is always scanned clean, so a state that still owes a scan keeps them
+    if not po.fire and not (clean and po.unscanned):
         before = (list(po.state), list(po.out_adj), bytes(po.along), bytes(po.against))
         po.restore(po.snapshot())
         after = (list(po.state), list(po.out_adj), bytes(po.along), bytes(po.against))
         assert after == before and po.fire == set()
+        _check_rows(po)
+    return clean
 
 
 @pytest.mark.parametrize("cycle_len", [3, 6])
@@ -525,6 +569,10 @@ def test_counters_match_a_fresh_recount(name, cycle_len):
     # shortcut states included), branches and resumes; every arc goes
     # through the watched set_arc and is checked against full rescans.
     # A walk ends at a dead or full state with nothing left to resume.
+    # The walk goes on past dead states, which the search never does, so
+    # the restricted scan is compared only along clean-scan prefixes; a
+    # banked state remembers whether it was scanned clean.  Some scans are
+    # skipped, so that a scan also covers several new arcs at once.
     g = GOLDEN_GRAPHS[name]()
     inventory = _cycle_inventory(g, cycle_len)
     arcs_left = 3 * len(g.edges)
@@ -532,8 +580,10 @@ def test_counters_match_a_fresh_recount(name, cycle_len):
         if arcs_left <= 0:
             break
         rng = random.Random(seed)
+        scan_rng = random.Random(~seed)
         po = _WatchedOrientation(PartialOrientation(g), inventory)
         pending = []
+        clean = True
         while arcs_left > 0:
             unset = po.unset_edges()
             acyclic = reach_closure(po.out_adj) is not None
@@ -543,7 +593,7 @@ def test_counters_match_a_fresh_recount(name, cycle_len):
             elif not (acyclic and unset) or (pending and rng.random() < 0.2):
                 if not pending:
                     break
-                snapshot, arc = pending.pop(rng.randrange(len(pending)))
+                snapshot, arc, clean = pending.pop(rng.randrange(len(pending)))
                 po.restore(snapshot)
                 arcs = (arc,)
             else:
@@ -551,12 +601,33 @@ def test_counters_match_a_fresh_recount(name, cycle_len):
                 if rng.random() < 0.5:
                     a, b = b, a
                 if not po.fire and rng.random() < 0.5:
-                    pending.append((po.snapshot(), (b, a)))
+                    pending.append((po.snapshot(), (b, a), clean and not po.unscanned))
                 arcs = ((a, b),)
             for t, h in arcs:
                 po.set_arc(t, h)
-                _check_counters(po)
+                clean = _check_counters(po, clean, scan_rng.random() < 0.7)
                 arcs_left -= 1
+
+
+@pytest.mark.parametrize("name", ["w5", "s23", "s24", "witness", "s62"])
+def test_restricted_scan_matches_a_full_scan_in_every_solve(name, monkeypatch):
+    # the search abandons every dead state, so each scan it makes may skip
+    # the closing arcs no arc set since the last clean scan can change
+    graph = build_simplified(6, 2).graph if name == "s62" else GOLDEN_GRAPHS[name]()
+    scans = []
+
+    def checked_scan(po):
+        expected = _full_scan(po)
+        assert _scan_defect(po) == expected
+        scans.append(expected)
+        return expected
+
+    monkeypatch.setattr(solver, "_scan_defect", checked_scan)
+    verdict = solve(graph)
+    assert isinstance(verdict, SemiTransitive if name == "s62" else NonSemiTransitive)
+    assert None in scans
+    if name != "s62":
+        assert sum(path is not None for path in scans) == len(verdict.trace.lines)
 
 
 # ---------------------------------------------------------------------------
