@@ -351,8 +351,10 @@ class _WatchedOrientation(PartialOrientation):
 
     def snapshot(self) -> tuple[bytes, bytes, bytes]:
         """Edge states and cycle counts.  Snapshots are taken at a
-        propagation fixpoint, where no cycle fires."""
+        propagation fixpoint, where no cycle fires, scanned clean:
+        ``restore`` keeps no arcs for the next scan to cover."""
         assert not self.fire, "snapshot of a state that still propagates"
+        assert not self.unscanned, "snapshot of a state that owes a scan"
         return bytes(self.state), bytes(self.along), bytes(self.against)
 
     def restore(self, snapshot: tuple[bytes, bytes, bytes]) -> None:

@@ -551,15 +551,25 @@ def _check_counters(po, clean, scan=True):
     }
     if reach_closure(po.out_adj) is not None:
         assert _next_force(po) == _find_application(po, inventory)
-    # restore forgets the arcs set since the last scan, as a banked state
-    # is always scanned clean, so a state that still owes a scan keeps them
-    if not po.fire and not (clean and po.unscanned):
+    if not po.fire:
         before = (list(po.state), list(po.out_adj), bytes(po.along), bytes(po.against))
-        po.restore(po.snapshot())
+        pending_arcs = list(po.unscanned)
+        po.restore(_bank(po))
         after = (list(po.state), list(po.out_adj), bytes(po.along), bytes(po.against))
-        assert after == before and po.fire == set()
+        assert after == before and po.fire == set() and po.unscanned == []
         _check_rows(po)
+        po.unscanned = pending_arcs
     return clean
+
+
+def _bank(po):
+    """``po.snapshot()`` of a state that may still owe a scan.  The search
+    banks only states scanned clean; the walks here bank any fixpoint and
+    keep the arcs a scan still owes themselves."""
+    pending_arcs, po.unscanned = po.unscanned, []
+    snapshot = po.snapshot()
+    po.unscanned = pending_arcs
+    return snapshot
 
 
 @pytest.mark.parametrize("cycle_len", [3, 6])
@@ -601,12 +611,26 @@ def test_counters_match_a_fresh_recount(name, cycle_len):
                 if rng.random() < 0.5:
                     a, b = b, a
                 if not po.fire and rng.random() < 0.5:
-                    pending.append((po.snapshot(), (b, a), clean and not po.unscanned))
+                    pending.append((_bank(po), (b, a), clean and not po.unscanned))
                 arcs = ((a, b),)
             for t, h in arcs:
                 po.set_arc(t, h)
                 clean = _check_counters(po, clean, scan_rng.random() < 0.7)
                 arcs_left -= 1
+
+
+@pytest.mark.skipif(not __debug__, reason="asserts are stripped under -O")
+def test_snapshot_refuses_a_state_that_owes_a_scan():
+    # restore keeps no arcs for the next scan, so a banked state must have
+    # been scanned clean or the restricted scan would miss its defects
+    g = build_wheel(5)
+    po = _WatchedOrientation(PartialOrientation(g), _cycle_inventory(g, 3))
+    po.set_arc(*min(g.edges))
+    assert not po.fire and po.unscanned
+    with pytest.raises(AssertionError, match="owes a scan"):
+        po.snapshot()
+    assert _scan_defect(po) is None
+    po.restore(po.snapshot())
 
 
 @pytest.mark.parametrize("name", ["w5", "s23", "s24", "witness", "s62"])
