@@ -1,7 +1,7 @@
 """Word-representability of graphs via semi-transitive orientations.
 
 Modules:
-  graphs        labeled undirected graphs, JSON/DOT I/O
+  graphs        labeled undirected graphs, JSON I/O
   debruijn      de Bruijn digraphs B(n,k) and simplified graphs S(n,k)
   words         alternation relation and uniform representant search
   coloring      trailing-run 3-coloring of S(n,2), exact chromatic number

@@ -23,7 +23,6 @@ __all__ = [
     "is_proper_coloring",
     "graph_to_json",
     "graph_from_json",
-    "graph_to_dot",
 ]
 
 
@@ -168,18 +167,19 @@ def graph_to_json(g: LabeledGraph) -> dict:
 
 
 def graph_from_json(obj: Mapping) -> LabeledGraph:
-    labels = list(obj["labels"])
+    """The graph of ``{"labels": [str, ...], "edges": [[str, str], ...]}``.
+
+    Anything else raises GraphError: a string or an object where an array
+    belongs would otherwise be read as its characters or its keys."""
+    labels, edges = obj["labels"], obj["edges"]
+    if not isinstance(labels, list) or not isinstance(edges, list):
+        raise GraphError("labels and edges must be arrays")
     for lab in labels:
         if not isinstance(lab, str):
             raise GraphError(f"label {lab!r} is not a string")
-    return build_graph(labels, [tuple(e) for e in obj["edges"]])
-
-
-def graph_to_dot(g: LabeledGraph, name: str = "g") -> str:
-    lines = [f"graph {name} {{"]
-    for i, lab in enumerate(g.labels):
-        lines.append(f'  v{i} [label="{lab}"];')
-    for a, b in g.edge_list():
-        lines.append(f"  v{a} -- v{b};")
-    lines.append("}")
-    return "\n".join(lines)
+    for e in edges:
+        if not (
+            isinstance(e, list) and len(e) == 2 and all(isinstance(x, str) for x in e)
+        ):
+            raise GraphError(f"edge {e!r} is not an array of two labels")
+    return build_graph(labels, [tuple(e) for e in edges])

@@ -39,8 +39,6 @@ __all__ = [
     "shortcut_under",
     "is_semitransitive",
     "brute_force_semitransitive",
-    "reverse_orientation",
-    "orientation_to_dot",
 ]
 
 
@@ -353,10 +351,6 @@ def is_semitransitive(o: Orientation | PartialOrientation) -> bool:
         return False
 
 
-def reverse_orientation(o: Orientation) -> Orientation:
-    return Orientation(o.graph, tuple((h, t) for t, h in o.arcs))
-
-
 @dataclass(frozen=True)
 class BruteForceResult:
     verdict: str  # "exists" | "notexists" | "budget"
@@ -444,14 +438,3 @@ def _brute_force_pruned(g: LabeledGraph, edges: list[tuple[int, int]]) -> BruteF
     if cert is not None:
         return BruteForceResult("exists", cert, examined=examined)
     return BruteForceResult("notexists", examined=examined)
-
-
-def orientation_to_dot(o: Orientation, name: str = "o") -> str:
-    g = o.graph
-    lines = [f"digraph {name} {{"]
-    for i, lab in enumerate(g.labels):
-        lines.append(f'  v{i} [label="{lab}"];')
-    for t, h in sorted(o.arcs):
-        lines.append(f"  v{t} -> v{h};")
-    lines.append("}")
-    return "\n".join(lines)

@@ -99,13 +99,17 @@ from .traces import (
     verify_trace,
 )
 
+# No code here calls ``find_shortcut`` or ``is_acyclic``.  The benchmark's
+# perfbench/probe.py counts defect scans by wrapping these two names on
+# this module, so they stay imported until the probe counts scans another
+# way (ROADMAP item 6).
+
 __all__ = [
     "SolverConfig",
     "SemiTransitive",
     "NonSemiTransitive",
     "BudgetExceeded",
     "fix_source",
-    "propagate",
     "solve",
     "DEFAULT_CYCLE_LEN",
     "DEFAULT_NODE_BUDGET",
@@ -473,53 +477,18 @@ def _next_force(
     return None
 
 
-def _assert_flip_defect(
-    po: PartialOrientation, cycle_ids: tuple[int, ...], arc: tuple[int, int]
-) -> None:
-    """Debug check: with the forced arc reversed, the justification
-    cycle's induced sub-orientation is defective."""
-    g = po.graph
-    kept = sorted(cycle_ids)
-    sub = induced_subgraph(g, kept)
-    remap = {v: i for i, v in enumerate(kept)}
-    mini = PartialOrientation(sub)
-    for a, b in itertools.combinations(kept, 2):
-        if not g.has_edge(a, b):
-            continue
-        d = po.direction(a, b)
-        if d is None:
-            continue
-        t, h = (a, b) if d == a else (b, a)
-        if (t, h) == arc:
-            t, h = h, t
-        mini.set_arc(remap[t], remap[h])
-    assert not is_acyclic(mini) or find_shortcut(mini) is not None, (
-        "forced arc is not justified by its cycle"
-    )
-
-
 def propagate(
-    po: PartialOrientation, cycle_len: int = DEFAULT_CYCLE_LEN
+    po: _WatchedOrientation,
 ) -> tuple[list[Orient], tuple[str, ...] | None]:
-    """Apply the three rules to fixpoint, mutating ``po``.
+    """Apply the three rules over ``po``'s cycle inventory to fixpoint,
+    mutating ``po``.
 
     Returns the Orient steps applied, in order (the first arc of a
     two-arc force paired with the second), and the printable terminal
     path (a shortcut, or a directed cycle) as soon as the state is dead,
-    else None.
+    else None.  No force is checked here: the verifier re-checks every
+    Orient step when ``_solve_component`` replays the proof.
     """
-    if isinstance(po, _WatchedOrientation) and po.inventory.max_len == cycle_len:
-        return _fixpoint(po)
-    watched = _WatchedOrientation(po, _cycle_inventory(po.graph, cycle_len))
-    result = _fixpoint(watched)
-    po.state[:] = watched.state
-    po.out_adj[:] = watched.out_adj
-    return result
-
-
-def _fixpoint(
-    po: _WatchedOrientation,
-) -> tuple[list[Orient], tuple[str, ...] | None]:
     g = po.graph
     steps: list[Orient] = []
     while True:
@@ -529,13 +498,9 @@ def _fixpoint(
         hit = _next_force(po)
         if hit is None:
             return steps, None
-        arcs, cycle_ids, printed = hit
-        for t, h in arcs:
-            po.set_arc(t, h)
-        if __debug__:
-            for arc in arcs:
-                _assert_flip_defect(po, cycle_ids, arc)
+        arcs, _, printed = hit
         for k, (t, h) in enumerate(arcs):
+            po.set_arc(t, h)
             paired = k == 0 and len(arcs) == 2
             steps.append(Orient((g.labels[t], g.labels[h]), printed, paired))
 
@@ -629,7 +594,7 @@ def _solve_component(
     wlog_pending = cfg.wlog_rule
 
     while True:
-        forced, witness = propagate(po, cfg.cycle_len)
+        forced, witness = propagate(po)
         steps.extend(forced)
         if witness is not None:
             lines.append(
@@ -637,10 +602,9 @@ def _solve_component(
             )
             if not copies:
                 trace = ProofTrace(preamble, tuple(lines))
-                if __debug__:
-                    assert verify_trace(g, trace).accepted, (
-                        "emitted trace failed self-verification"
-                    )
+                # the verdict rests on this proof: replay it, under -O too
+                if not verify_trace(g, trace).accepted:
+                    raise RuntimeError("emitted trace failed its self-check")
                 return NonSemiTransitive(trace)
             if not budget.spend():
                 return BudgetExceeded(budget.used)

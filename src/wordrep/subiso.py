@@ -25,7 +25,6 @@ from .graphs import LabeledGraph
 __all__ = [
     "Embedding",
     "find_induced_embedding",
-    "contains_induced",
 ]
 
 
@@ -154,8 +153,3 @@ def find_induced_embedding(
     found = Embedding(pattern, host, tuple(mapping))
     assert found.is_induced()
     return found
-
-
-def contains_induced(pattern: LabeledGraph, host: LabeledGraph) -> bool:
-    """Whether ``pattern`` occurs in ``host`` as an induced subgraph."""
-    return find_induced_embedding(pattern, host) is not None

@@ -45,7 +45,6 @@ __all__ = [
     "ProofTrace",
     "LineStatus",
     "VerificationReport",
-    "normalize_latex",
     "parse_trace",
     "emit_trace",
     "extract_graph",
@@ -141,20 +140,6 @@ class VerificationReport:
 
 # --------------------------------------------------------------------------
 # surface text
-
-
-def normalize_latex(text: str) -> str:
-    """Reduce LaTeX trace source to plain instruction lines.
-
-    Unwraps ``{\\bf ...}`` groups, rewrites ``$\\rightarrow$`` to ``->``,
-    drops layout commands and blank lines, and collapses whitespace.
-    """
-    text = re.sub(r"\{\\bf\s*([^{}]*)\}", r"\1", text)
-    text = text.replace(r"$\rightarrow$", "->")
-    text = re.sub(r"\\(?:noindent|begin\{tiny\}|end\{tiny\})", " ", text)
-    text = text.replace("\\\\", " ")
-    lines = [" ".join(raw.split()) for raw in text.splitlines()]
-    return "\n".join(line for line in lines if line)
 
 
 # the vertex label grammar of the trace language; a graph whose labels do

@@ -22,7 +22,6 @@ __all__ = [
     "MissingLetter",
     "BudgetExceeded",
     "alternate",
-    "graph_of_word",
     "represents",
     "find_uniform_representant",
 ]
@@ -53,21 +52,6 @@ def alternate(w: Word, x: int, y: int) -> bool:
                 return False
             prev = letter
     return True
-
-
-def graph_of_word(w: Word, n_vertices: int) -> LabeledGraph:
-    """Graph on 0..n-1 whose edges are exactly the alternating pairs of w."""
-    seen = set(w)
-    for v in range(n_vertices):
-        if v not in seen:
-            raise MissingLetter(v)
-    edges = [
-        (x, y)
-        for x in range(n_vertices)
-        for y in range(x + 1, n_vertices)
-        if alternate(w, x, y)
-    ]
-    return LabeledGraph([str(v) for v in range(n_vertices)], edges)
 
 
 def represents(w: Word, g: LabeledGraph) -> bool:

@@ -22,7 +22,6 @@ from wordrep.orientations import (
     Orientation,
     brute_force_semitransitive,
     is_semitransitive,
-    reverse_orientation,
 )
 from wordrep.solver import (
     NonSemiTransitive,
@@ -30,7 +29,7 @@ from wordrep.solver import (
     SolverConfig,
     solve,
 )
-from wordrep.subiso import contains_induced, find_induced_embedding
+from wordrep.subiso import find_induced_embedding
 from wordrep.traces import (
     Preamble,
     ProofTrace,
@@ -39,6 +38,8 @@ from wordrep.traces import (
     verify_trace,
 )
 from wordrep.words import BudgetExceeded, find_uniform_representant
+
+from helpers import contains_induced, reverse_orientation
 
 
 def _line(criterion: int, detail: str, elapsed: float, bound: float | None):

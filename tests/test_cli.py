@@ -291,6 +291,10 @@ W5_DASHED = {
         # a sampled stage must sample something
         ("repro", "--samples", "0"),
         ("repro", "--samples", "-1"),
+        # graph files with strings and objects where arrays belong
+        ("check", "--graph", {"labels": ["a", "b", "c"], "edges": ["ab", "bc"]}),
+        ("check", "--graph", {"labels": "ab", "edges": [["a", "b"]]}),
+        ("check", "--graph", {"labels": {"a": 1, "b": 2}, "edges": [["a", "b"]]}),
     ],
 )
 def test_usage_errors_exit_64(capsys, tmp_path, monkeypatch, argv):
@@ -307,9 +311,9 @@ def test_usage_errors_exit_64(capsys, tmp_path, monkeypatch, argv):
     assert code == 64 and "error:" in err
 
 
-@pytest.mark.skipif(not __debug__, reason="the solver self-checks only in debug mode")
 def test_internal_faults_exit_70(capsys, w5_file, monkeypatch):
-    # a failed self-check is a fault of the program, not a negative verdict
+    # a failed self-check is a fault of the program, not a negative verdict;
+    # the proof is replayed under -O too
     monkeypatch.setattr(
         wordrep.solver, "verify_trace", lambda g, trace: SimpleNamespace(accepted=False)
     )

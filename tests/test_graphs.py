@@ -9,12 +9,13 @@ from wordrep.graphs import (
     build_graph,
     build_wheel,
     graph_from_json,
-    graph_to_dot,
     graph_to_json,
     induced_subgraph,
     is_proper_coloring,
     max_degree_vertex,
 )
+
+from helpers import graph_to_dot
 
 
 def test_build_graph_smallest():

@@ -13,9 +13,9 @@ from wordrep.orientations import (
     find_shortcut,
     is_acyclic,
     is_semitransitive,
-    orientation_to_dot,
-    reverse_orientation,
 )
+
+from helpers import orientation_to_dot, reverse_orientation
 
 
 def _orient(g, arcs):

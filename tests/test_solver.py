@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from wordrep import solver
 from wordrep.debruijn import build_simplified
-from wordrep.graphs import LabeledGraph, build_graph, build_wheel
+from wordrep.graphs import LabeledGraph, build_graph, build_wheel, induced_subgraph
 from wordrep.orientations import (
     CyclicInput,
     Orientation,
@@ -25,6 +25,7 @@ from wordrep.orientations import (
     brute_force_semitransitive,
     directed_cycle,
     find_shortcut,
+    is_acyclic,
     is_semitransitive,
     reach_closure,
     shortest_path,
@@ -151,8 +152,13 @@ def test_fix_source_on_the_witness_graph_source_13():
 # propagate
 
 
+def watched(po, cycle_len=solver.DEFAULT_CYCLE_LEN):
+    """``po`` as the search holds it, with the cycles up to ``cycle_len``."""
+    return _WatchedOrientation(po, _cycle_inventory(po.graph, cycle_len))
+
+
 def test_propagate_triangle_forces_the_transitive_arc():
-    po = PartialOrientation(triangle())
+    po = watched(PartialOrientation(triangle()))
     po.set_arc(0, 1)
     po.set_arc(1, 2)
     assert propagate(po) == ([Orient(("a", "c"), ("a", "c", "b"))], None)
@@ -160,7 +166,7 @@ def test_propagate_triangle_forces_the_transitive_arc():
 
 
 def test_propagate_c4_forces_both_remaining_edges_opposite():
-    po = PartialOrientation(c4())
+    po = watched(PartialOrientation(c4()))
     po.set_arc(0, 1)
     po.set_arc(1, 2)
     steps, witness = propagate(po)
@@ -175,7 +181,7 @@ def test_propagate_c4_forces_both_remaining_edges_opposite():
 
 def test_propagate_replays_the_first_two_forced_arcs_of_the_witness_line_1():
     g = extract_graph(load_witness_trace())
-    po = fix_source(PartialOrientation(g), g.index["13"])
+    po = watched(fix_source(PartialOrientation(g), g.index["13"]))
     po.set_arc(g.index["14"], g.index["16"])
     steps, _ = propagate(po)
     assert steps[:2] == [
@@ -185,7 +191,7 @@ def test_propagate_replays_the_first_two_forced_arcs_of_the_witness_line_1():
 
 
 def test_propagate_reports_fixpoint_when_nothing_applies():
-    po = PartialOrientation(c4())
+    po = watched(PartialOrientation(c4()))
     po.set_arc(0, 1)
     assert propagate(po) == ([], None)
 
@@ -198,7 +204,7 @@ def test_propagate_reports_contradiction_with_a_terminal_path():
         ["a", "b", "c", "d"],
         [("a", "b"), ("b", "c"), ("c", "d"), ("d", "a"), ("a", "c")],
     )
-    po = PartialOrientation(g)
+    po = watched(PartialOrientation(g))
     po.set_arc(0, 1)
     po.set_arc(1, 2)
     po.set_arc(2, 3)
@@ -214,23 +220,60 @@ def test_propagate_path_rule_decides_edges_on_existing_paths():
     # then completes a shortcut over the non-edge (a, c)
     ring = ["a", "b", "c", "d", "e"]
     g = build_graph(ring, list(zip(ring, ring[1:] + ring[:1])))
-    po = PartialOrientation(g)
+    po = watched(PartialOrientation(g), cycle_len=3)
     for i in range(4):
         po.set_arc(i, i + 1)  # a->b->c->d->e
-    assert propagate(po, cycle_len=3) == (
+    assert propagate(po) == (
         [Orient(("a", "e"), ("a", "e", "d", "c", "b"))],
         ("a", "b", "c", "d", "e"),
     )
 
 
-def test_forced_arcs_survive_their_own_flip_check():
-    # propagate aggressively asserts in debug mode; a long random-ish
-    # cascade exercises it
-    w5 = build_wheel(5)
-    po = fix_source(PartialOrientation(w5), w5.index["h"])
-    po.set_arc(w5.index["c0"], w5.index["c1"])
-    steps, witness = propagate(po)
-    assert steps or witness is not None
+def _flip_is_defective(g, arcs, cycle, arc):
+    """With ``arc`` reversed, the sub-orientation that ``arcs`` induce on
+    the vertices of ``cycle`` (labels) has a directed cycle or a shortcut."""
+    kept = sorted(g.index[label] for label in cycle)
+    remap = {v: i for i, v in enumerate(kept)}
+    mini = PartialOrientation(induced_subgraph(g, kept))
+    for t, h in arcs:
+        if t in remap and h in remap:
+            if (t, h) == arc:
+                t, h = h, t
+            mini.set_arc(remap[t], remap[h])
+    return not is_acyclic(mini) or find_shortcut(mini) is not None
+
+
+def test_forced_arcs_survive_their_own_flip_check(monkeypatch):
+    # each force is justified by its cycle: once the force's arcs are set,
+    # reversing any one of them leaves the cycle's induced sub-orientation
+    # defective.  The solver does not check this itself (the verifier
+    # re-checks every Orient step of a proof), so every force of two
+    # whole searches is checked here.
+    calls = []
+
+    def recorded(po):
+        arcs = list(po.arcs())
+        steps, witness = propagate(po)
+        calls.append((po.graph, arcs, steps))
+        return steps, witness
+
+    monkeypatch.setattr(solver, "propagate", recorded)
+    for g in (build_wheel(5), extract_graph(load_witness_trace())):
+        assert isinstance(solve(g), NonSemiTransitive)
+    checked = set()
+    for g, arcs, steps in calls:
+        force = []
+        for step in steps:
+            arcs.append((g.index[step.arc[0]], g.index[step.arc[1]]))
+            force.append(arcs[-1])
+            if step.paired_with_next:
+                continue
+            for arc in force:
+                assert _flip_is_defective(g, arcs, step.cycle, arc)
+            checked.add((len(force), len(step.cycle)))
+            force = []
+    # one-arc and paired forces, over triangles and longer cycles
+    assert {1, 2} <= {n for n, _ in checked} and {3, 4} <= {m for _, m in checked}
 
 
 # ---------------------------------------------------------------------------

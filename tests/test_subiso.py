@@ -9,8 +9,10 @@ from hypothesis import strategies as st
 from wordrep.debruijn import build_simplified
 from wordrep.graphs import LabeledGraph, build_graph, build_wheel, induced_subgraph
 from wordrep.solver import NonSemiTransitive, solve
-from wordrep.subiso import Embedding, contains_induced, find_induced_embedding
+from wordrep.subiso import Embedding, find_induced_embedding
 from wordrep.traces import extract_graph, load_witness_trace, verify_trace
+
+from helpers import contains_induced
 
 
 def k(n):

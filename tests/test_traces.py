@@ -29,10 +29,11 @@ from wordrep.traces import (
     emit_trace,
     extract_graph,
     load_witness_trace,
-    normalize_latex,
     parse_trace,
     verify_trace,
 )
+
+from helpers import normalize_latex
 
 # ---------------------------------------------------------------------------
 # fixtures

@@ -8,9 +8,10 @@ from wordrep.words import (
     MissingLetter,
     alternate,
     find_uniform_representant,
-    graph_of_word,
     represents,
 )
+
+from helpers import graph_of_word
 
 A, B, C = 0, 1, 2
 
