@@ -12,6 +12,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from wordrep.graphs import build_wheel, graph_to_json
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -28,11 +30,16 @@ def _probe(*args):
     return json.loads(proc.stdout)
 
 
-def test_probe_layers_find_every_hooked_function(tmp_path):
-    graph = tmp_path / "w5.json"
-    graph.write_text(json.dumps(graph_to_json(build_wheel(5))))
+@pytest.fixture
+def w5_file(tmp_path):
+    path = tmp_path / "w5.json"
+    path.write_text(json.dumps(graph_to_json(build_wheel(5))))
+    return str(path)
+
+
+def test_probe_layers_find_every_hooked_function(w5_file, tmp_path):
     out = _probe(
-        "layers", "--graph", str(graph), "--proof", str(tmp_path / "w5.txt"),
+        "layers", "--graph", w5_file, "--proof", str(tmp_path / "w5.txt"),
         "--phase", "check", "--phase", "verify", "--phase", "oracle",
     )
     phases = out["phases"]
@@ -47,8 +54,6 @@ def test_probe_layers_find_every_hooked_function(tmp_path):
     assert phases["check"]["spans"]["propagate"]["calls"] > 0
 
 
-def test_probe_pure_oracle_examines_every_leaf(tmp_path):
-    graph = tmp_path / "w5.json"
-    graph.write_text(json.dumps(graph_to_json(build_wheel(5))))
-    out = _probe("pure", "--graph", str(graph))
+def test_probe_pure_oracle_examines_every_leaf(w5_file):
+    out = _probe("pure", "--graph", w5_file)
     assert out == {"verdict": "notexists", "examined": 2**10}
