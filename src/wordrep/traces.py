@@ -480,23 +480,24 @@ class _Replay:
                 self.set_arc(*self.arc_ids(step.arc))
                 i += 1
 
-    def _cycle_ids(self, cycle: tuple[str, ...]) -> list[int]:
+    def _cycle_ids(
+        self, cycle: tuple[str, ...]
+    ) -> tuple[list[int], list[tuple[int, int]]]:
+        """The cycle's vertex ids and its ring: the steps (a, b) of one
+        traversal, closing step last."""
         ids = [self.vid(label) for label in cycle]
         if len(set(ids)) != len(ids):
             raise _Reject(f"cycle C{'-'.join(cycle)} repeats a vertex")
         if len(ids) < 3:
             raise _Reject(f"cycle C{'-'.join(cycle)} is too short")
-        for a, b in self._ring_edges(ids):
+        ring = list(zip(ids, ids[1:] + ids[:1]))
+        for a, b in ring:
             if not self.g.has_edge(a, b):
                 raise _Reject(
                     f"cycle C{'-'.join(cycle)} uses the non-edge "
                     f"{self.g.labels[a]}-{self.g.labels[b]}"
                 )
-        return ids
-
-    @staticmethod
-    def _ring_edges(ids: list[int]) -> list[tuple[int, int]]:
-        return list(zip(ids, ids[1:])) + [(ids[-1], ids[0])]
+        return ids, ring
 
     def _non_clique(self, ids: list[int]) -> None:
         if all(
@@ -512,20 +513,21 @@ class _Replay:
             )
 
     def _check_one_orient(self, arc: Arc, cycle: tuple[str, ...]) -> None:
-        ids = self._cycle_ids(cycle)
+        ids, ring = self._cycle_ids(cycle)
         t, h = self.arc_ids(arc)
-        if {t, h} not in [{a, b} for a, b in self._ring_edges(ids)]:
+        if (t, h) not in ring and (h, t) not in ring:
             raise _Reject(
                 f"forced edge {arc[0]}-{arc[1]} is not on cycle "
                 f"C{'-'.join(cycle)}"
             )
-        if self.po.has_arc(h, t):
+        has_arc = self.po.has_arc
+        if has_arc(h, t):
             raise _Reject(
                 f"edge {arc[0]}-{arc[1]} is already oriented the other way"
             )
         if len(ids) == 3:
             (w,) = [v for v in ids if v not in (t, h)]
-            if not (self.po.has_arc(t, w) and self.po.has_arc(w, h)):
+            if not (has_arc(t, w) and has_arc(w, h)):
                 raise _Reject(
                     f"triangle C{'-'.join(cycle)} lacks the directed path "
                     f"{arc[0]}->{self.g.labels[w]}->{arc[1]}"
@@ -533,23 +535,22 @@ class _Replay:
             return
         # longer cycle: every other edge is oriented, at least m-2 of them
         # along one traversal direction, and the forced arc goes against it
-        others = [
-            (a, b)
-            for a, b in self._ring_edges(ids)
-            if {a, b} != {t, h}
-        ]
-        for a, b in others:
-            if self.po.direction(a, b) is None:
+        for a, b in ring:
+            if (a, b) not in ((t, h), (h, t)) and not (
+                has_arc(a, b) or has_arc(b, a)
+            ):
                 raise _Reject(
                     f"cycle C{'-'.join(cycle)} edge "
                     f"{self.g.labels[a]}-{self.g.labels[b]} is not oriented"
                 )
-        for ring in (self._ring_edges(ids), self._ring_edges(ids[::-1])):
-            along = sum(1 for a, b in ring if self.po.has_arc(a, b))
-            step = next((a, b) for a, b in ring if {a, b} == {t, h})
-            if along >= len(ids) - 2 and step == (h, t):
-                self._non_clique(ids)
-                return
+        # the reverse traversal steps (b, a) for each ring step (a, b)
+        along = sum(1 for a, b in ring if has_arc(a, b))
+        against = sum(1 for a, b in ring if has_arc(b, a))
+        if (along >= len(ids) - 2 and (h, t) in ring) or (
+            against >= len(ids) - 2 and (t, h) in ring
+        ):
+            self._non_clique(ids)
+            return
         raise _Reject(
             f"cycle C{'-'.join(cycle)} does not force {arc[0]}->{arc[1]}"
         )
@@ -557,7 +558,7 @@ class _Replay:
     def _check_two_orient(
         self, arc1: Arc, arc2: Arc, cycle: tuple[str, ...]
     ) -> None:
-        ids = self._cycle_ids(cycle)
+        ids, ring = self._cycle_ids(cycle)
         if len(ids) < 4:
             raise _Reject(
                 f"two orientations need a cycle of length >= 4, got "
@@ -565,49 +566,36 @@ class _Replay:
             )
         t1, h1 = self.arc_ids(arc1)
         t2, h2 = self.arc_ids(arc2)
-        ring = self._ring_edges(ids)
-        ring_sets = [{a, b} for a, b in ring]
-        if {t1, h1} not in ring_sets or {t2, h2} not in ring_sets:
+        forced = ((t1, h1), (h1, t1), (t2, h2), (h2, t2))
+        if not (forced[0] in ring or forced[1] in ring) or not (
+            forced[2] in ring or forced[3] in ring
+        ):
             raise _Reject(
                 f"forced edges must lie on cycle C{'-'.join(cycle)}"
             )
         if {t1, h1} == {t2, h2}:
             raise _Reject("the two forced arcs name the same edge")
+        has_arc = self.po.has_arc
         for t, h, arc in ((t1, h1, arc1), (t2, h2, arc2)):
-            if self.po.has_arc(h, t):
+            if has_arc(h, t):
                 raise _Reject(
                     f"edge {arc[0]}-{arc[1]} is already oriented the other way"
                 )
-        others = [
-            (a, b)
-            for a, b in ring
-            if {a, b} != {t1, h1} and {a, b} != {t2, h2}
-        ]
+        others = [(a, b) for a, b in ring if (a, b) not in forced]
         for a, b in others:
-            if self.po.direction(a, b) is None:
+            if not (has_arc(a, b) or has_arc(b, a)):
                 raise _Reject(
                     f"cycle C{'-'.join(cycle)} edge "
                     f"{self.g.labels[a]}-{self.g.labels[b]} is not oriented"
                 )
-        for oriented_ids in (ids, ids[::-1]):
-            ring_d = self._ring_edges(oriented_ids)
-            along = [
-                (a, b)
-                for a, b in ring_d
-                if {a, b} not in ({t1, h1}, {t2, h2})
-                and self.po.has_arc(a, b)
-            ]
-            steps = {
-                frozenset((a, b)): (a, b)
-                for a, b in ring_d
-            }
-            if (
-                len(along) == len(ids) - 2
-                and steps[frozenset((t1, h1))] == (h1, t1)
-                and steps[frozenset((t2, h2))] == (h2, t2)
-            ):
-                self._non_clique(ids)
-                return
+        # the m-2 other edges all run one way round, both forced arcs the
+        # other way; the reverse traversal steps (b, a) for each (a, b)
+        along = sum(1 for a, b in others if has_arc(a, b))
+        if (along == len(others) and (h1, t1) in ring and (h2, t2) in ring) or (
+            along == 0 and (t1, h1) in ring and (t2, h2) in ring
+        ):
+            self._non_clique(ids)
+            return
         raise _Reject(
             f"cycle C{'-'.join(cycle)} does not force both "
             f"{arc1[0]}->{arc1[1]} and {arc2[0]}->{arc2[1]}"

@@ -174,6 +174,62 @@ def test_pruned_equals_pure_on_all_4_vertex_graphs():
         assert (a.verdict, a.certificate) == (b.verdict, b.certificate), g.edge_list()
 
 
+def _pure_reference(g):
+    """The pure oracle decoded in full: every edge is rewritten at every leaf."""
+    edges = sorted(g.edges)
+    m = len(edges)
+    po = PartialOrientation(g)
+    for counter in range(2**m):
+        for i, (lo, hi) in enumerate(edges):
+            po.unset_arc(lo, hi)
+            if counter >> i & 1:
+                po.set_arc(hi, lo)
+            else:
+                po.set_arc(lo, hi)
+        if is_semitransitive(po):
+            return ("exists", Orientation(g, tuple(po.arcs())), counter + 1)
+    return ("notexists", None, 2**m)
+
+
+def test_pure_flip_walk_equals_full_decode_reference():
+    # every graph on 1..4 vertices, the edgeless ones (m = 0, one leaf)
+    # included, and a first certificate at counter 160 = 0b10100000, whose
+    # step from 159 = 0b10011111 flips six bits
+    graphs = [g for n in range(1, 5) for g in _all_graphs(n)]
+    for g in [*graphs, UNSET_CHORD_GRAPH]:
+        r = brute_force_semitransitive(g, pure=True)
+        assert (r.verdict, r.certificate, r.examined) == _pure_reference(g), g.edge_list()
+    r = brute_force_semitransitive(UNSET_CHORD_GRAPH, pure=True)
+    assert (r.verdict, r.examined) == ("exists", 161)
+    for g in (LabeledGraph(list("abc"), []), LabeledGraph(["a"], [])):
+        assert brute_force_semitransitive(g, pure=True).examined == 1
+
+
+def test_pure_leaf_k_holds_counter_k(monkeypatch):
+    from wordrep import orientations
+
+    w5 = build_wheel(5)
+    edges = sorted(w5.edges)
+    seen = []
+    check = orientations.is_semitransitive
+
+    def leaf(po):
+        assert orientations.UNSET not in po.state
+        counter = sum(1 << i for i, s in enumerate(po.state) if s == orientations.BACKWARD)
+        out_adj = [0] * w5.n
+        for i, (lo, hi) in enumerate(edges):
+            tail, head = (hi, lo) if counter >> i & 1 else (lo, hi)
+            out_adj[tail] |= 1 << head
+        assert po.out_adj == out_adj
+        seen.append(counter)
+        return check(po)
+
+    monkeypatch.setattr(orientations, "is_semitransitive", leaf)
+    r = brute_force_semitransitive(w5, pure=True)
+    assert (r.verdict, r.examined) == ("notexists", 1024)
+    assert seen == list(range(1024))
+
+
 def test_reversal_symmetry_exhaustive_small():
     # every orientation of every <= 4-vertex graph (5-vertex case runs in
     # the acceptance suite)
