@@ -6,12 +6,16 @@ verify with a balanced branch ledger.  Hand-built eliminations of the
 5-wheel cross-check the verifier against the brute-force oracle.
 """
 
+import json
 import time
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from wordrep.debruijn import build_simplified
 from wordrep.graphs import build_graph, build_wheel, max_degree_vertex
 from wordrep.orientations import brute_force_semitransitive
 from wordrep.traces import (
@@ -404,6 +408,140 @@ def test_one_orient_step_needs_its_cycle_to_force_the_arc():
     )
     report = verify_trace(wheel5(), trace)
     assert not report.line_statuses[0].accepted
+
+
+def k4():
+    return build_graph(
+        ["a", "b", "c", "d"],
+        [(x, y) for i, x in enumerate("abcd") for y in "abcd"[i + 1 :]],
+    )
+
+
+@pytest.mark.parametrize(
+    "graph, text, reason",
+    [
+        # a pair justified by a triangle
+        (
+            wheel5,
+            "1. Oa->b Ob->c (Ca-b-h) S:h-a-b",
+            "two orientations need a cycle of length >= 4, got Ca-b-h",
+        ),
+        # a forced edge that is not on the cycle, single and paired
+        (wheel5, "1. Oc->d (Ca-b-h) S:h-a-b", "forced edge c-d is not on cycle Ca-b-h"),
+        (
+            wheel5,
+            "1. Oa->b Oc->d (Ca-b-c-h) S:h-a-b",
+            "forced edges must lie on cycle Ca-b-c-h",
+        ),
+        # a pair that names one edge twice
+        (
+            wheel5,
+            "1. Oa->b Ob->a (Ca-b-c-h) S:h-a-b",
+            "the two forced arcs name the same edge",
+        ),
+        # an edge the source already oriented the other way, single and paired
+        (
+            wheel5,
+            "1. Oa->h (Ca-b-h) S:h-a-b",
+            "edge a-h is already oriented the other way",
+        ),
+        (
+            wheel5,
+            "1. Ob->c Oa->h (Ca-b-c-h) S:h-a-b",
+            "edge a-h is already oriented the other way",
+        ),
+        # a triangle without the directed path across it
+        (
+            wheel5,
+            "1. Oa->b (Ca-b-h) S:h-a-b",
+            "triangle Ca-b-h lacks the directed path a->h->b",
+        ),
+        # another ring edge left unset, single and paired
+        (
+            wheel5,
+            "1. Oa->b (Ca-b-c-h) S:h-a-b",
+            "cycle Ca-b-c-h edge b-c is not oriented",
+        ),
+        (
+            wheel5,
+            "1. Oa->b Ob->c (Ca-b-c-d-h) S:h-a-b",
+            "cycle Ca-b-c-d-h edge c-d is not oriented",
+        ),
+        # a cycle that forces the other direction, single and paired
+        (
+            wheel5,
+            "1. Ba->b (Copy 2) Ob->c (Ca-b-c-h) S:h-a-b",
+            "cycle Ca-b-c-h does not force b->c",
+        ),
+        (
+            wheel5,
+            "1. Bc->d (Copy 2) Ob->a Oc->b (Ca-b-c-d-h) S:h-a-b",
+            "cycle Ca-b-c-d-h does not force both b->a and c->b",
+        ),
+        # a clique ring, single and paired
+        (
+            k4,
+            "1. Ba->b (Copy 2) Bb->c (Copy 3) Bc->d (Copy 4) Oa->d (Ca-b-c-d) S:a-b-c",
+            "cycle vertices a-b-c-d induce a clique, so the two-edges-opposite "
+            "rule does not apply",
+        ),
+        (
+            k4,
+            "1. Ba->b (Copy 2) Bb->c (Copy 3) Od->c Oa->d (Ca-b-c-d) S:a-b-c",
+            "cycle vertices a-b-c-d induce a clique, so the two-edges-opposite "
+            "rule does not apply",
+        ),
+    ],
+)
+def test_force_check_rejection_reasons(graph, text, reason):
+    # W5 replays with its hub h as the source, K4 from no preamble
+    g = graph()
+    source = "h" if "h" in g.index else None
+    trace = ProofTrace(Preamble(source_vertex=source), parse_trace(text).lines)
+    (status,) = verify_trace(g, trace).line_statuses
+    assert (status.accepted, status.reason) == (False, reason)
+
+
+GOLDEN = Path(__file__).parent / "data" / "golden"
+GOLDEN_GRAPHS = {
+    "w5": lambda: build_wheel(5),
+    "s23": lambda: build_simplified(2, 3).graph,
+    "s24": lambda: build_simplified(2, 4).graph,
+    "witness": lambda: extract_graph(load_witness_trace()),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_GRAPHS))
+def test_force_check_rejects_every_reversed_o_step_of_the_golden_proofs(name):
+    # each line is replayed after only the lines that made the copies it
+    # resumes, which give it the same state as the whole trace does
+    g = GOLDEN_GRAPHS[name]()
+    pre = json.loads((GOLDEN / "preambles.json").read_text(encoding="utf-8"))[name]
+    preamble = Preamble(tuple(pre["wlog"]), pre["source"])
+    lines = parse_trace((GOLDEN / f"{name}.txt").read_text(encoding="utf-8")).lines
+    assert verify_trace(g, ProofTrace(preamble, lines)).accepted
+    creator = {
+        step.copy_id: line
+        for line in lines
+        for step in line.steps
+        if isinstance(step, Branch)
+    }
+    reversed_steps = 0
+    for line in lines:
+        chain = [line]
+        while isinstance(chain[-1].opener, MoveCopy):
+            chain.append(creator[chain[-1].opener.copy_id])
+        before = tuple(reversed(chain[1:]))
+        for j, step in enumerate(line.steps):
+            if not isinstance(step, Orient):
+                continue
+            steps = list(line.steps)
+            steps[j] = replace(step, arc=step.arc[::-1])
+            mutated = replace(line, steps=tuple(steps))
+            report = verify_trace(g, ProofTrace(preamble, before + (mutated,)))
+            assert not report.line_statuses[-1].accepted, (line.line_number, j)
+            reversed_steps += 1
+    assert reversed_steps > 0
 
 
 def test_mc_statement_must_match_the_deferred_arc():
