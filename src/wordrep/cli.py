@@ -147,12 +147,20 @@ def _read_text(path: str) -> str:
         raise _UsageError(f"cannot read {path}: {exc}") from None
 
 
+def _write_text(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise _UsageError(f"cannot write {path}: {exc}") from None
+
+
 def _parse_arc(text: str) -> tuple[str, str]:
     cleaned = text.replace("→", "->")
-    head, sep, tail = cleaned.partition("->")
-    if not sep or not head.strip() or not tail.strip():
-        raise _UsageError(f"arc {text!r} must look like HEAD->TAIL")
-    return head.strip(), tail.strip()
+    tail, sep, head = cleaned.partition("->")
+    if not sep or not tail.strip() or not head.strip():
+        raise _UsageError(f"arc {text!r} must look like TAIL->HEAD")
+    return tail.strip(), head.strip()
 
 
 def _arc_labels(arc: tuple[str, str] | None) -> str | None:
@@ -278,8 +286,7 @@ def _cmd_check(ns) -> int:
             "wlog": _arc_labels(trace.preamble.wlog_arc),
         }
         if ns.trace:
-            with open(ns.trace, "w", encoding="utf-8") as fh:
-                fh.write(emit_trace(trace))
+            _write_text(ns.trace, emit_trace(trace))
             payload["trace_file"] = ns.trace
         _emit(payload)
         _say(f"not semi-transitive ({len(trace.lines)} proof lines)")
@@ -350,9 +357,7 @@ def _cmd_extract_graph(ns) -> int:
     g = extract_graph(trace)
     payload = graph_to_json(g)
     if ns.out:
-        with open(ns.out, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
+        _write_text(ns.out, json.dumps(payload, indent=2) + "\n")
     else:
         _emit(payload)
     _say(f"{g.n} vertices, {len(g.edges)} edges")

@@ -11,11 +11,13 @@ Every traversal of the directed bitmask adjacency (``out_adj[v]`` = heads
 of the arcs leaving v) goes through one of three routines:
 ``reach_closure`` (reach rows, or None on a directed cycle),
 ``shortest_path`` (BFS taking heads lowest id first) and ``directed_cycle``.
-The per-arc witness step, ``shortcut_under``, is shared with the solver:
+Reach and co-reach rows are built only by ``reach_rows`` and grown only by
+``add_arc_rows``, one arc at a time; ``find_shortcut``, the pruned oracle
+and the solver all keep their rows through these two.  The per-arc
+witness step, ``shortcut_under``, is shared with the solver:
 ``find_shortcut`` runs it under every set arc, in sorted order, while the
-solver keeps its own reach and co-reach rows, grown arc by arc, and runs it
-only under the closing arcs that a new arc can have changed.  The proof
-verifier in ``traces`` keeps its own checks on purpose.
+solver runs it only under the closing arcs that a new arc can have
+changed.  The proof verifier in ``traces`` keeps its own checks on purpose.
 """
 
 from __future__ import annotations
@@ -32,6 +34,8 @@ __all__ = [
     "ShortcutWitness",
     "BruteForceResult",
     "reach_closure",
+    "reach_rows",
+    "add_arc_rows",
     "shortest_path",
     "directed_cycle",
     "is_acyclic",
@@ -116,9 +120,6 @@ class PartialOrientation:
             elif s == BACKWARD:
                 yield (hi, lo)
 
-    def unset_edges(self) -> list[tuple[int, int]]:
-        return [e for e, s in zip(self.edge_order, self.state) if s == UNSET]
-
     def fully_oriented(self) -> bool:
         return UNSET not in self.state
 
@@ -146,10 +147,6 @@ class Orientation:
 class ShortcutWitness:
     path: tuple[int, ...]  # directed path v0 -> ... -> vk, closing arc v0 -> vk
     violation: tuple[int, int]  # indices (i, j) into path, i < j, (i,j) != (0,k)
-
-    @property
-    def closing_arc(self) -> tuple[int, int]:
-        return (self.path[0], self.path[-1])
 
 
 def reach_closure(out_adj: list[int]) -> list[int] | None:
@@ -187,6 +184,45 @@ def reach_closure(out_adj: list[int]) -> list[int] | None:
             targets ^= low
         reach[v] = mask
     return reach
+
+
+def reach_rows(out_adj: list[int]) -> tuple[list[int], list[int]] | None:
+    """The reach rows of the arcs and the co-reach rows, their transpose
+    (``coreach[v]``: the vertices reaching v, v included); None when the
+    arcs contain a directed cycle."""
+    reach = reach_closure(out_adj)
+    if reach is None:
+        return None
+    coreach = [0] * len(reach)
+    for u, row in enumerate(reach):
+        while row:
+            low = row & -row
+            coreach[low.bit_length() - 1] |= 1 << u
+            row ^= low
+    return reach, coreach
+
+
+def add_arc_rows(reach: list[int], coreach: list[int], tail: int, head: int) -> bool:
+    """Grow acyclic reach and co-reach rows in place by the arc tail->head,
+    as in Italiano's incremental transitive closure (TCS 48, 1986): every
+    vertex reaching tail now reaches what head reaches, and every vertex
+    head reaches is reached from what reaches tail.  False, with the rows
+    untouched, when head reaches tail: the arc closes a directed cycle."""
+    below = reach[head]
+    if below >> tail & 1:
+        return False
+    above = coreach[tail]
+    rows = above
+    while rows:
+        low = rows & -rows
+        reach[low.bit_length() - 1] |= below
+        rows ^= low
+    rows = below
+    while rows:
+        low = rows & -rows
+        coreach[low.bit_length() - 1] |= above
+        rows ^= low
+    return True
 
 
 def shortest_path(out_adj: list[int], src: int, dst: int) -> list[int] | None:
@@ -258,15 +294,11 @@ def find_shortcut(o: Orientation | PartialOrientation) -> ShortcutWitness | None
     exactly the defects that persist in every completion.
     """
     po = o.as_partial() if isinstance(o, Orientation) else o
-    reach = reach_closure(po.out_adj)
-    if reach is None:
+    rows = reach_rows(po.out_adj)
+    if rows is None:
         raise CyclicInput("orientation has a directed cycle")
-    arcs = sorted(po.arcs())
-    in_adj = [0] * len(reach)
-    for u, v in arcs:
-        in_adj[v] |= 1 << u
-    coreach = reach_closure(in_adj)  # coreach[v]: the vertices reaching v
-    for u, v in arcs:
+    reach, coreach = rows
+    for u, v in sorted(po.arcs()):
         witness = shortcut_under(po, reach, coreach, u, v)
         if witness is not None:
             return witness
@@ -411,17 +443,17 @@ def _brute_force_pruned(g: LabeledGraph, edges: list[tuple[int, int]]) -> BruteF
     """DFS over edge indices m-1 .. 0 (high counter bit first), lo->hi
     before hi->lo, so leaves are visited in increasing counter order.
 
-    Each node carries the reach rows of its (acyclic) arcs. A new arc
-    tail->head closes a cycle iff head reaches tail; otherwise every row
-    that reaches tail gains reach[head]. The prune then asks only whether
-    the new arc closes a shortcut; a shortcut under an older closing arc
-    is caught at the leaf by the exact check, so the verdict is unaffected.
+    Each node carries the reach and co-reach rows of its (acyclic) arcs,
+    grown by ``add_arc_rows``; an arc that closes a cycle is skipped. The
+    prune then asks only whether the new arc closes a shortcut; a shortcut
+    under an older closing arc is caught at the leaf by the exact check,
+    so the verdict is unaffected.
     """
     m = len(edges)
     po = PartialOrientation(g)
     examined = 0
 
-    def dfs(i: int, reach: list[int]) -> Orientation | None:
+    def dfs(i: int, reach: list[int], coreach: list[int]) -> Orientation | None:
         nonlocal examined
         if i < 0:
             examined += 1
@@ -430,23 +462,19 @@ def _brute_force_pruned(g: LabeledGraph, edges: list[tuple[int, int]]) -> BruteF
             return None
         lo, hi = edges[i]
         for tail, head in ((lo, hi), (hi, lo)):
-            if reach[head] >> tail & 1:
+            grown, cogrown = list(reach), list(coreach)
+            if not add_arc_rows(grown, cogrown, tail, head):
                 continue
             po.set_arc(tail, head)
-            grown = [r | reach[head] if r >> tail & 1 else r for r in reach]
-            between = 0
-            for x, row in enumerate(grown):
-                if row >> head & 1:
-                    between |= 1 << x
-            between &= grown[tail]
+            between = grown[tail] & cogrown[head]
             if _violating_pair(po, grown, between, tail, head) is None:
-                found = dfs(i - 1, grown)
+                found = dfs(i - 1, grown, cogrown)
                 if found is not None:
                     return found
             po.unset_arc(tail, head)
         return None
 
-    cert = dfs(m - 1, [1 << v for v in range(g.n)])
+    cert = dfs(m - 1, *reach_rows([0] * g.n))
     if cert is not None:
         return BruteForceResult("exists", cert, examined=examined)
     return BruteForceResult("notexists", examined=examined)

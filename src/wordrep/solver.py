@@ -49,11 +49,9 @@ as bytes; its fire set is empty, because the search branches only at a
 propagation fixpoint, and its arcs are rebuilt on resume.
 
 The orientation also keeps one reach row and one co-reach row per
-vertex, grown on each inserted arc as in Italiano's incremental
-transitive closure (TCS 48, 1986): a new arc t->h closes a directed
-cycle iff h reaches t; otherwise every vertex reaching t gains what h
-reaches, and every vertex h reaches gains what reaches t.  A resume
-rebuilds both rows once.  The PathRule reads the reach rows, and the
+vertex, grown on each inserted arc by ``add_arc_rows`` (Italiano's
+incremental transitive closure) and rebuilt once per resume by
+``reach_rows``.  The PathRule reads the reach rows, and the
 defect scan reads both.  The search abandons every dead state, so the
 state at the last scan that found no defect was clean, as is every
 banked state.  A violation under a closing arc u->v that is new since
@@ -79,11 +77,12 @@ from .orientations import (
     UNSET,
     Orientation,
     PartialOrientation,
+    add_arc_rows,
     directed_cycle,
     find_shortcut,
     is_acyclic,
     is_semitransitive,
-    reach_closure,
+    reach_rows,
     shortcut_under,
     shortest_path,
 )
@@ -109,7 +108,6 @@ __all__ = [
     "SemiTransitive",
     "NonSemiTransitive",
     "BudgetExceeded",
-    "fix_source",
     "solve",
     "DEFAULT_CYCLE_LEN",
     "DEFAULT_NODE_BUDGET",
@@ -266,18 +264,15 @@ class _WatchedOrientation(PartialOrientation):
         "reach", "coreach", "cyclic", "unscanned",
     )
 
-    def __init__(self, po: PartialOrientation, inventory: _Inventory):
-        super().__init__(po.graph)
+    def __init__(self, graph: LabeledGraph, inventory: _Inventory):
+        super().__init__(graph)
         self.inventory = inventory
         self.along = bytearray(len(inventory.rings))
         self.against = bytearray(len(inventory.rings))
         self.fire: set[int] = set()
-        self.reach = [1 << v for v in range(po.graph.n)]
-        self.coreach = list(self.reach)
+        self.reach, self.coreach = reach_rows([0] * graph.n)
         self.cyclic = False
         self.unscanned: list[tuple[int, int]] = []
-        for t, h in po.arcs():
-            self.set_arc(t, h)
 
     def set_arc(self, tail: int, head: int) -> None:
         """Orient one edge and update the reach rows and the counts of
@@ -289,24 +284,7 @@ class _WatchedOrientation(PartialOrientation):
             return
         self.unscanned.append((tail, head))
         if not self.cyclic:
-            reach, coreach = self.reach, self.coreach
-            if reach[head] >> tail & 1:
-                self.cyclic = True
-            else:
-                # every vertex reaching tail now reaches what head
-                # reaches, and every vertex head reaches is now reached
-                # from what reaches tail
-                below, above = reach[head], coreach[tail]
-                rows = above
-                while rows:
-                    low = rows & -rows
-                    reach[low.bit_length() - 1] |= below
-                    rows ^= low
-                rows = below
-                while rows:
-                    low = rows & -rows
-                    coreach[low.bit_length() - 1] |= above
-                    rows ^= low
+            self.cyclic = not add_arc_rows(self.reach, self.coreach, tail, head)
         along, against, fire = self.along, self.against, self.fire
         sizes, triangles = self.inventory.sizes, self.inventory.triangles
         forward = tail < head
@@ -370,41 +348,21 @@ class _WatchedOrientation(PartialOrientation):
         self.against = bytearray(against)
         self.fire = set()
         out_adj = [0] * self.graph.n
-        in_adj = [0] * self.graph.n
         for (lo, hi), s in zip(self.edge_order, self.state):
             if s == FORWARD:
                 out_adj[lo] |= 1 << hi
-                in_adj[hi] |= 1 << lo
             elif s == BACKWARD:
                 out_adj[hi] |= 1 << lo
-                in_adj[lo] |= 1 << hi
         self.out_adj = out_adj
-        reach = reach_closure(out_adj)
-        self.cyclic = reach is None
-        if reach is not None:
-            self.reach = reach
-            self.coreach = reach_closure(in_adj)
+        rows = reach_rows(out_adj)
+        self.cyclic = rows is None
+        if rows is not None:
+            self.reach, self.coreach = rows
         self.unscanned = []
 
 
 # --------------------------------------------------------------------------
 # operations
-
-
-def fix_source(po: PartialOrientation, v: int) -> PartialOrientation:
-    """A copy of ``po`` with every edge at ``v`` oriented outward."""
-    g = po.graph
-    if not 0 <= v < g.n:
-        raise ValueError(f"vertex id {v} out of range")
-    for u in g.neighbors(v):
-        if po.direction(v, u) is not None:
-            raise ValueError(
-                f"edge {g.labels[v]}-{g.labels[u]} is already oriented"
-            )
-    out = po.copy()
-    for u in g.neighbors(v):
-        out.set_arc(v, u)
-    return out
 
 
 def _scan_defect(po: _WatchedOrientation) -> tuple[str, ...] | None:
@@ -576,10 +534,9 @@ def _solve_component(
     if not g.edges:
         return SemiTransitive(Orientation(g, ()))
     source = _choose_source(g, cfg)
-    po = _WatchedOrientation(
-        fix_source(PartialOrientation(g), source),
-        _cycle_inventory(g, cfg.cycle_len),
-    )
+    po = _WatchedOrientation(g, _cycle_inventory(g, cfg.cycle_len))
+    for u in g.neighbors(source):
+        po.set_arc(source, u)
     if not budget.spend():  # the root node
         return BudgetExceeded(budget.used)
 

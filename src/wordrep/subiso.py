@@ -49,10 +49,6 @@ class Embedding:
         if any(not 0 <= h < self.host.n for h in self.mapping):
             raise ValueError("mapping image out of host range")
 
-    def image_of(self, label: str) -> str:
-        """The host label a pattern label maps to."""
-        return self.host.labels[self.mapping[self.pattern.index[label]]]
-
     def as_label_map(self) -> dict[str, str]:
         return {
             self.pattern.labels[p]: self.host.labels[h]

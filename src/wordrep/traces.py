@@ -27,6 +27,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from importlib import resources
+from itertools import combinations
 
 from .graphs import LabeledGraph, build_graph
 from .orientations import PartialOrientation
@@ -469,16 +470,21 @@ class _Replay:
                 )
                 self.set_arc(t, h)
                 i += 1
-            elif step.paired_with_next:
-                nxt = steps[i + 1]
-                self._check_two_orient(step.arc, nxt.arc, step.cycle)
-                self.set_arc(*self.arc_ids(step.arc))
-                self.set_arc(*self.arc_ids(nxt.arc))
+                continue
+            if step.paired_with_next:
+                nxt = steps[i + 1] if i + 1 < len(steps) else None
+                if not isinstance(nxt, Orient):
+                    raise _Reject(
+                        f"orient step {step.arc[0]}->{step.arc[1]} is paired "
+                        "with no second orient step"
+                    )
+                forced = self._check_force((step.arc, nxt.arc), step.cycle)
                 i += 2
             else:
-                self._check_one_orient(step.arc, step.cycle)
-                self.set_arc(*self.arc_ids(step.arc))
+                forced = self._check_force((step.arc,), step.cycle)
                 i += 1
+            for t, h in forced:
+                self.set_arc(t, h)
 
     def _cycle_ids(
         self, cycle: tuple[str, ...]
@@ -499,107 +505,74 @@ class _Replay:
                 )
         return ids, ring
 
-    def _non_clique(self, ids: list[int]) -> None:
-        if all(
-            self.g.has_edge(a, b)
-            for k, a in enumerate(ids)
-            for b in ids[k + 1 :]
-        ):
-            raise _Reject(
-                "cycle vertices "
-                + "-".join(self.g.labels[v] for v in ids)
-                + " induce a clique, so the two-edges-opposite rule "
-                "does not apply"
-            )
-
-    def _check_one_orient(self, arc: Arc, cycle: tuple[str, ...]) -> None:
+    def _check_force(
+        self, arcs: tuple[Arc, ...], cycle: tuple[str, ...]
+    ) -> list[tuple[int, int]]:
+        """The arc of one O step, or the two of a pair, as vertex ids once
+        ``cycle`` is shown to force them: a triangle by a directed path
+        across it, a longer non-clique ring by m-2 of its other edges
+        pointing one way round, the rest set, and the arcs the other way."""
         ids, ring = self._cycle_ids(cycle)
-        t, h = self.arc_ids(arc)
-        if (t, h) not in ring and (h, t) not in ring:
-            raise _Reject(
-                f"forced edge {arc[0]}-{arc[1]} is not on cycle "
-                f"C{'-'.join(cycle)}"
-            )
-        has_arc = self.po.has_arc
-        if has_arc(h, t):
-            raise _Reject(
-                f"edge {arc[0]}-{arc[1]} is already oriented the other way"
-            )
-        if len(ids) == 3:
-            (w,) = [v for v in ids if v not in (t, h)]
-            if not (has_arc(t, w) and has_arc(w, h)):
-                raise _Reject(
-                    f"triangle C{'-'.join(cycle)} lacks the directed path "
-                    f"{arc[0]}->{self.g.labels[w]}->{arc[1]}"
-                )
-            return
-        # longer cycle: every other edge is oriented, at least m-2 of them
-        # along one traversal direction, and the forced arc goes against it
-        for a, b in ring:
-            if (a, b) not in ((t, h), (h, t)) and not (
-                has_arc(a, b) or has_arc(b, a)
-            ):
-                raise _Reject(
-                    f"cycle C{'-'.join(cycle)} edge "
-                    f"{self.g.labels[a]}-{self.g.labels[b]} is not oriented"
-                )
-        # the reverse traversal steps (b, a) for each ring step (a, b)
-        along = sum(1 for a, b in ring if has_arc(a, b))
-        against = sum(1 for a, b in ring if has_arc(b, a))
-        if (along >= len(ids) - 2 and (h, t) in ring) or (
-            against >= len(ids) - 2 and (t, h) in ring
-        ):
-            self._non_clique(ids)
-            return
-        raise _Reject(
-            f"cycle C{'-'.join(cycle)} does not force {arc[0]}->{arc[1]}"
-        )
-
-    def _check_two_orient(
-        self, arc1: Arc, arc2: Arc, cycle: tuple[str, ...]
-    ) -> None:
-        ids, ring = self._cycle_ids(cycle)
-        if len(ids) < 4:
+        pair = len(arcs) == 2
+        if pair and len(ids) < 4:
             raise _Reject(
                 f"two orientations need a cycle of length >= 4, got "
                 f"C{'-'.join(cycle)}"
             )
-        t1, h1 = self.arc_ids(arc1)
-        t2, h2 = self.arc_ids(arc2)
-        forced = ((t1, h1), (h1, t1), (t2, h2), (h2, t2))
-        if not (forced[0] in ring or forced[1] in ring) or not (
-            forced[2] in ring or forced[3] in ring
-        ):
-            raise _Reject(
-                f"forced edges must lie on cycle C{'-'.join(cycle)}"
-            )
-        if {t1, h1} == {t2, h2}:
+        forced = [self.arc_ids(arc) for arc in arcs]
+        for t, h in forced:
+            if (t, h) not in ring and (h, t) not in ring:
+                raise _Reject(
+                    f"forced edges must lie on cycle C{'-'.join(cycle)}"
+                    if pair
+                    else f"forced edge {arcs[0][0]}-{arcs[0][1]} is not on "
+                    f"cycle C{'-'.join(cycle)}"
+                )
+        edges = [step for t, h in forced for step in ((t, h), (h, t))]
+        if pair and edges[0] in edges[2:]:
             raise _Reject("the two forced arcs name the same edge")
         has_arc = self.po.has_arc
-        for t, h, arc in ((t1, h1, arc1), (t2, h2, arc2)):
+        for (t, h), arc in zip(forced, arcs):
             if has_arc(h, t):
                 raise _Reject(
                     f"edge {arc[0]}-{arc[1]} is already oriented the other way"
                 )
-        others = [(a, b) for a, b in ring if (a, b) not in forced]
+        if len(ids) == 3:
+            ((t, h),) = forced
+            (w,) = [v for v in ids if v not in (t, h)]
+            if not (has_arc(t, w) and has_arc(w, h)):
+                raise _Reject(
+                    f"triangle C{'-'.join(cycle)} lacks the directed path "
+                    f"{arcs[0][0]}->{self.g.labels[w]}->{arcs[0][1]}"
+                )
+            return forced
+        # every other ring edge is oriented, and with a single forced arc
+        # one of them may point its way
+        others = [(a, b) for a, b in ring if (a, b) not in edges]
         for a, b in others:
             if not (has_arc(a, b) or has_arc(b, a)):
                 raise _Reject(
                     f"cycle C{'-'.join(cycle)} edge "
                     f"{self.g.labels[a]}-{self.g.labels[b]} is not oriented"
                 )
-        # the m-2 other edges all run one way round, both forced arcs the
-        # other way; the reverse traversal steps (b, a) for each (a, b)
         along = sum(1 for a, b in others if has_arc(a, b))
-        if (along == len(others) and (h1, t1) in ring and (h2, t2) in ring) or (
-            along == 0 and (t1, h1) in ring and (t2, h2) in ring
+        backward = sum(1 for t, h in forced if (h, t) in ring)
+        m = len(ids)
+        if not (
+            (along >= m - 2 and backward == len(forced))
+            or (len(others) - along >= m - 2 and not backward)
         ):
-            self._non_clique(ids)
-            return
-        raise _Reject(
-            f"cycle C{'-'.join(cycle)} does not force both "
-            f"{arc1[0]}->{arc1[1]} and {arc2[0]}->{arc2[1]}"
-        )
+            both = "both " if pair else ""
+            named = " and ".join(f"{a}->{b}" for a, b in arcs)
+            raise _Reject(f"cycle C{'-'.join(cycle)} does not force {both}{named}")
+        if all(self.g.has_edge(a, b) for a, b in combinations(ids, 2)):
+            raise _Reject(
+                "cycle vertices "
+                + "-".join(self.g.labels[v] for v in ids)
+                + " induce a clique, so the two-edges-opposite rule "
+                "does not apply"
+            )
+        return forced
 
     def _terminal(self, terminal: Shortcut) -> None:
         ids = [self.vid(label) for label in terminal.path]

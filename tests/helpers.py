@@ -3,14 +3,22 @@
 They were part of the library, but no library code or command calls
 them: DOT writers for eyeballing a graph or an orientation, the reversal
 of an orientation, the graph a word defines, induced containment as a
-yes/no, and the reduction of a LaTeX proof listing to plain trace lines.
+yes/no, the reduction of a LaTeX proof listing to plain trace lines, a
+copy of a partial orientation with one vertex made a source, its unset
+edges, the closing arc of a shortcut witness and the host label an
+embedding maps a pattern label to.
 """
 
 import re
 
 from wordrep.graphs import LabeledGraph
-from wordrep.orientations import Orientation
-from wordrep.subiso import find_induced_embedding
+from wordrep.orientations import (
+    UNSET,
+    Orientation,
+    PartialOrientation,
+    ShortcutWitness,
+)
+from wordrep.subiso import Embedding, find_induced_embedding
 from wordrep.words import MissingLetter, alternate
 
 
@@ -71,3 +79,32 @@ def normalize_latex(text: str) -> str:
     text = text.replace("\\\\", " ")
     lines = [" ".join(raw.split()) for raw in text.splitlines()]
     return "\n".join(line for line in lines if line)
+
+
+def fix_source(po: PartialOrientation, v: int) -> PartialOrientation:
+    """A copy of ``po`` with every edge at ``v`` oriented outward."""
+    g = po.graph
+    if not 0 <= v < g.n:
+        raise ValueError(f"vertex id {v} out of range")
+    for u in g.neighbors(v):
+        if po.direction(v, u) is not None:
+            raise ValueError(
+                f"edge {g.labels[v]}-{g.labels[u]} is already oriented"
+            )
+    out = po.copy()
+    for u in g.neighbors(v):
+        out.set_arc(v, u)
+    return out
+
+
+def unset_edges(po: PartialOrientation) -> list[tuple[int, int]]:
+    return [e for e, s in zip(po.edge_order, po.state) if s == UNSET]
+
+
+def closing_arc(w: ShortcutWitness) -> tuple[int, int]:
+    return (w.path[0], w.path[-1])
+
+
+def image_of(e: Embedding, label: str) -> str:
+    """The host label a pattern label maps to."""
+    return e.host.labels[e.mapping[e.pattern.index[label]]]

@@ -3,6 +3,7 @@ exit codes 0 (positive) / 1 (negative) / 2 (budget) / 64 (usage) /
 70 (internal fault)."""
 
 import json
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -255,6 +256,7 @@ def test_word_search(capsys, p4_file, w5_file):
 
 
 W5 = graph_to_json(build_wheel(5))
+W5_PROOF = Path(__file__).parent / "data" / "golden" / "w5.txt"
 S23 = graph_to_json(build_simplified(2, 3).graph)
 # W5 with labels outside the trace label grammar: a proof naming them
 # could not be parsed back
@@ -295,6 +297,9 @@ W5_DASHED = {
         ("check", "--graph", {"labels": ["a", "b", "c"], "edges": ["ab", "bc"]}),
         ("check", "--graph", {"labels": "ab", "edges": [["a", "b"]]}),
         ("check", "--graph", {"labels": {"a": 1, "b": 2}, "edges": [["a", "b"]]}),
+        # output paths that cannot be written
+        ("check", "--graph", S23, "--trace", "/nonexistent/dir/p.txt"),
+        ("extract-graph", "--trace", str(W5_PROOF), "-o", "/nonexistent/g.json"),
     ],
 )
 def test_usage_errors_exit_64(capsys, tmp_path, monkeypatch, argv):
@@ -339,7 +344,7 @@ def test_bad_source_and_bad_wlog_are_usage_errors(capsys, w5_file, tmp_path):
         capsys, "verify-trace", "--graph", w5_file, "--trace", str(trace),
         "--wlog", "h",
     )
-    assert code == 64 and "HEAD->TAIL" in err
+    assert code == 64 and "TAIL->HEAD" in err
 
 
 def test_malformed_trace_is_a_usage_error(capsys, w5_file, tmp_path):

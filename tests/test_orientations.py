@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,13 +10,16 @@ from wordrep.orientations import (
     CyclicInput,
     Orientation,
     PartialOrientation,
+    add_arc_rows,
     brute_force_semitransitive,
     find_shortcut,
     is_acyclic,
     is_semitransitive,
+    reach_rows,
+    shortest_path,
 )
 
-from helpers import orientation_to_dot, reverse_orientation
+from helpers import closing_arc, orientation_to_dot, reverse_orientation, unset_edges
 
 
 def _orient(g, arcs):
@@ -51,6 +55,34 @@ def test_tree_orientations_all_acyclic():
         assert is_acyclic(_orient(g, arcs))
 
 
+def test_add_arc_rows_matches_reach_rows_on_random_arc_sequences():
+    # each arc grows the rows to those of the arcs so far, or is refused,
+    # with the rows untouched, exactly when it would close a directed cycle
+    rng = random.Random(16)
+    for _ in range(300):
+        n = rng.randint(1, 8)
+        edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < 0.6]
+        rng.shuffle(edges)
+        out_adj = [0] * n
+        reach, coreach = reach_rows(out_adj)
+        for a, b in edges:
+            tail, head = (a, b) if rng.random() < 0.5 else (b, a)
+            before = (list(reach), list(coreach))
+            closes = shortest_path(out_adj, head, tail) is not None
+            assert add_arc_rows(reach, coreach, tail, head) == (not closes)
+            if closes:
+                assert (reach, coreach) == before
+                cyclic = list(out_adj)
+                cyclic[tail] |= 1 << head
+                assert reach_rows(cyclic) is None
+                continue
+            out_adj[tail] |= 1 << head
+            assert (reach, coreach) == reach_rows(out_adj)
+        for u, v in itertools.product(range(n), repeat=2):
+            path = shortest_path(out_adj, u, v) is not None
+            assert bool(reach[u] >> v & 1) == path == bool(coreach[v] >> u & 1)
+
+
 def test_find_shortcut_square_with_chord():
     # a->b->c->d plus the chord a->d; the witness pair is (b, d)
     g = build_graph(list("abcd"), [("a", "b"), ("b", "c"), ("c", "d"), ("a", "d")])
@@ -59,7 +91,7 @@ def test_find_shortcut_square_with_chord():
     assert w is not None
     assert w.path == (0, 1, 2, 3)
     assert w.violation == (1, 3)
-    assert w.closing_arc == (0, 3)
+    assert closing_arc(w) == (0, 3)
     assert not is_semitransitive(o)
 
 
@@ -106,7 +138,7 @@ def test_partial_orientation_round_trip():
     assert po.has_arc(2, 0) and not po.has_arc(0, 2)
     po.unset_arc(0, 2)
     assert po.direction(0, 2) is None
-    assert po.unset_edges() == sorted(triangle().edges)
+    assert unset_edges(po) == sorted(triangle().edges)
 
 
 def test_partial_orientation_conflict():
@@ -331,7 +363,7 @@ def test_witness_replays(case):
         po = o.as_partial()
         k = len(w.path) - 1
         assert all(po.has_arc(w.path[t], w.path[t + 1]) for t in range(k))
-        assert po.has_arc(*w.closing_arc)
+        assert po.has_arc(*closing_arc(w))
         i, j = w.violation
         assert (i, j) != (0, k) and i < j
         assert not po.has_arc(w.path[i], w.path[j])

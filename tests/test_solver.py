@@ -41,7 +41,6 @@ from wordrep.solver import (
     _next_force,
     _scan_defect,
     _WatchedOrientation,
-    fix_source,
     propagate,
     solve,
 )
@@ -56,6 +55,8 @@ from wordrep.traces import (
 )
 from wordrep.words import BudgetExceeded as WordSearchBudgetExceeded
 from wordrep.words import find_uniform_representant
+
+from helpers import fix_source, unset_edges
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
 
@@ -125,7 +126,7 @@ def test_fix_source_wheel_hub_leaves_rim_unset():
     po = fix_source(PartialOrientation(w5), hub)
     assert len(list(po.arcs())) == 5
     assert all(t == hub for t, _ in po.arcs())
-    assert len(po.unset_edges()) == 5
+    assert len(unset_edges(po)) == 5
 
 
 def test_fix_source_is_pure_and_rejects_oriented_edges():
@@ -154,7 +155,10 @@ def test_fix_source_on_the_witness_graph_source_13():
 
 def watched(po, cycle_len=solver.DEFAULT_CYCLE_LEN):
     """``po`` as the search holds it, with the cycles up to ``cycle_len``."""
-    return _WatchedOrientation(po, _cycle_inventory(po.graph, cycle_len))
+    out = _WatchedOrientation(po.graph, _cycle_inventory(po.graph, cycle_len))
+    for t, h in po.arcs():
+        out.set_arc(t, h)
+    return out
 
 
 def test_propagate_triangle_forces_the_transitive_arc():
@@ -535,7 +539,7 @@ def _find_application(po, inventory):
         arcs = _rule_force(po, ids, None)
         if arcs is not None:
             return arcs, ids, _canonical_ring_print(g, ids)
-    for a, b in po.unset_edges():
+    for a, b in unset_edges(po):
         for t, h in ((a, b), (b, a)):
             path = shortest_path(po.out_adj, t, h)
             if path is not None:
@@ -634,11 +638,11 @@ def test_counters_match_a_fresh_recount(name, cycle_len):
             break
         rng = random.Random(seed)
         scan_rng = random.Random(~seed)
-        po = _WatchedOrientation(PartialOrientation(g), inventory)
+        po = _WatchedOrientation(g, inventory)
         pending = []
         clean = True
         while arcs_left > 0:
-            unset = po.unset_edges()
+            unset = unset_edges(po)
             acyclic = reach_closure(po.out_adj) is not None
             force = _next_force(po) if acyclic else None
             if force is not None and rng.random() < 0.8:
@@ -667,7 +671,7 @@ def test_snapshot_refuses_a_state_that_owes_a_scan():
     # restore keeps no arcs for the next scan, so a banked state must have
     # been scanned clean or the restricted scan would miss its defects
     g = build_wheel(5)
-    po = _WatchedOrientation(PartialOrientation(g), _cycle_inventory(g, 3))
+    po = _WatchedOrientation(g, _cycle_inventory(g, 3))
     po.set_arc(*min(g.edges))
     assert not po.fire and po.unscanned
     with pytest.raises(AssertionError, match="owes a scan"):

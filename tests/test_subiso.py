@@ -12,7 +12,7 @@ from wordrep.solver import NonSemiTransitive, solve
 from wordrep.subiso import Embedding, find_induced_embedding
 from wordrep.traces import extract_graph, load_witness_trace, verify_trace
 
-from helpers import contains_induced
+from helpers import contains_induced, image_of
 
 
 def k(n):
@@ -43,7 +43,7 @@ def test_embedding_validates_shape():
 
 def test_embedding_label_views():
     e = Embedding(k(2), k(3), (2, 0))
-    assert e.image_of("a") == "c"
+    assert image_of(e, "a") == "c"
     assert e.as_label_map() == {"a": "c", "b": "a"}
 
 
@@ -98,7 +98,7 @@ def test_inconsistent_anchors_find_nothing():
 def test_anchored_results_extend_the_anchors():
     e = find_induced_embedding(k(3), k(4), {"a": "d", "c": "b"})
     assert e is not None
-    assert e.image_of("a") == "d" and e.image_of("c") == "b"
+    assert image_of(e, "a") == "d" and image_of(e, "c") == "b"
     assert e.is_induced()
 
 
@@ -144,7 +144,7 @@ def test_witness_graph_embeds_in_s33_with_both_anchors_pinned():
     s33 = build_simplified(3, 3).graph
     e = find_induced_embedding(witness, s33, {"1": "102", "2": "210"})
     assert e is not None and e.is_induced()
-    assert e.image_of("1") == "102" and e.image_of("2") == "210"
+    assert image_of(e, "1") == "102" and image_of(e, "2") == "210"
     assert e.as_label_map() == {
         "1": "102",
         "2": "210",

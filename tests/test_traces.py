@@ -544,6 +544,30 @@ def test_force_check_rejects_every_reversed_o_step_of_the_golden_proofs(name):
     assert reversed_steps > 0
 
 
+@pytest.mark.parametrize(
+    "name, step, arc",
+    [
+        ("w5", 3, "c2->c3"),  # the last step of the line: no partner at all
+        ("s23", 1, "20->02"),  # a branch after it, which would make no copy
+    ],
+)
+def test_force_check_rejects_a_pair_flag_without_an_orient_partner(name, step, arc):
+    g = GOLDEN_GRAPHS[name]()
+    pre = json.loads((GOLDEN / "preambles.json").read_text(encoding="utf-8"))[name]
+    first = parse_trace((GOLDEN / f"{name}.txt").read_text(encoding="utf-8")).lines[0]
+    steps = list(first.steps)
+    steps[step] = replace(steps[step], paired_with_next=True)
+    trace = ProofTrace(
+        Preamble(tuple(pre["wlog"]), pre["source"]),
+        (replace(first, steps=tuple(steps)),),
+    )
+    status = verify_trace(g, trace).line_statuses[0]
+    assert (status.accepted, status.reason) == (
+        False,
+        f"orient step {arc} is paired with no second orient step",
+    )
+
+
 def test_mc_statement_must_match_the_deferred_arc():
     text = "1. Ba->b (Copy 2) Bb->c (Copy 3) S:h-a-b-c\n2. MC3 a->b S:h-a-b\n"
     trace = ProofTrace(Preamble(source_vertex="h"), parse_trace(text).lines)
