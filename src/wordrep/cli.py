@@ -17,22 +17,13 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import random
 import re
 import sys
-import traceback
 from collections.abc import Sequence
-from concurrent.futures import ProcessPoolExecutor
+from typing import TYPE_CHECKING
 
-from .coloring import COLOR_NAMES, color_s_n_2, exact_chromatic_number
-from .debruijn import (
-    DEFAULT_SIZE_LIMIT,
-    DeBruijnDigraph,
-    SizeLimitExceeded,
-    build_debruijn,
-    build_simplified,
-    simplified_to_dot,
-)
+# Modules that only some subcommands use are imported inside those
+# subcommands, so a process loads only the code its command runs.
 from .graphs import (
     GraphError,
     LabeledGraph,
@@ -50,7 +41,6 @@ from .solver import (
     SolverConfig,
     solve,
 )
-from .subiso import find_induced_embedding
 from .traces import (
     LABEL_PATTERN,
     Preamble,
@@ -62,8 +52,9 @@ from .traces import (
     parse_trace,
     verify_trace,
 )
-from .words import BudgetExceeded as WordBudgetExceeded
-from .words import MissingLetter, find_uniform_representant, represents
+
+if TYPE_CHECKING:
+    from .debruijn import DeBruijnDigraph
 
 __all__ = ["run", "main"]
 
@@ -182,9 +173,18 @@ def _digraph_to_dot(b: DeBruijnDigraph, name: str = "b") -> str:
 
 
 def _cmd_debruijn(ns) -> int:
+    from .debruijn import (
+        DEFAULT_SIZE_LIMIT,
+        SizeLimitExceeded,
+        build_debruijn,
+        build_simplified,
+        simplified_to_dot,
+    )
+
+    limit = DEFAULT_SIZE_LIMIT if ns.size_limit is None else ns.size_limit
     try:
         if ns.simplified:
-            s = build_simplified(ns.n, ns.k, ns.size_limit)
+            s = build_simplified(ns.n, ns.k, limit)
             graph = s.graph
             _say(
                 f"S({ns.n},{ns.k}): {graph.n} vertices, {len(graph.edges)} edges"
@@ -194,7 +194,7 @@ def _cmd_debruijn(ns) -> int:
             else:
                 _emit(graph_to_json(graph))
         else:
-            b = build_debruijn(ns.n, ns.k, ns.size_limit)
+            b = build_debruijn(ns.n, ns.k, limit)
             _say(f"B({ns.n},{ns.k}): {len(b.vertices)} vertices, {len(b.arcs)} arcs")
             if ns.format == "dot":
                 print(_digraph_to_dot(b), end="")
@@ -215,6 +215,9 @@ def _cmd_debruijn(ns) -> int:
 
 
 def _cmd_color3(ns) -> int:
+    from .coloring import COLOR_NAMES, color_s_n_2
+    from .debruijn import SizeLimitExceeded
+
     try:
         s, colors = color_s_n_2(ns.n)
     except (ValueError, SizeLimitExceeded) as exc:
@@ -240,6 +243,9 @@ def _cmd_color3(ns) -> int:
 
 
 def _cmd_chromatic(ns) -> int:
+    from .coloring import exact_chromatic_number
+    from .debruijn import SizeLimitExceeded
+
     g = _load_graph(ns.graph)
     try:
         number = exact_chromatic_number(g, ns.max)
@@ -365,6 +371,8 @@ def _cmd_extract_graph(ns) -> int:
 
 
 def _cmd_findsub(ns) -> int:
+    from .subiso import find_induced_embedding
+
     pattern = _load_graph(ns.pattern)
     host = _load_graph(ns.host)
     anchors: dict[str, str] = {}
@@ -387,6 +395,8 @@ def _cmd_findsub(ns) -> int:
 
 
 def _cmd_represent_check(ns) -> int:
+    from .words import MissingLetter, represents
+
     g = _load_graph(ns.graph)
     word: list[int] = []
     for token in ns.word.split():
@@ -404,6 +414,9 @@ def _cmd_represent_check(ns) -> int:
 
 
 def _cmd_word_search(ns) -> int:
+    from .words import BudgetExceeded as WordBudgetExceeded
+    from .words import find_uniform_representant
+
     g = _load_graph(ns.graph)
     budget = _resolve_budget(ns.budget, 5_000_000)
     try:
@@ -429,6 +442,8 @@ def _cmd_word_search(ns) -> int:
 
 
 def _stage_coloring(n: int) -> dict:
+    from .coloring import color_s_n_2
+
     s, colors = color_s_n_2(n)
     return {
         "n": n,
@@ -440,6 +455,8 @@ def _stage_coloring(n: int) -> dict:
 def _repro_stage_colorings(jobs: int) -> tuple[bool, dict]:
     ns = range(1, 11)
     if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             rows = list(pool.map(_stage_coloring, ns))
     else:
@@ -448,6 +465,8 @@ def _repro_stage_colorings(jobs: int) -> tuple[bool, dict]:
 
 
 def _repro_stage_small_witnesses() -> tuple[bool, dict]:
+    from .debruijn import build_simplified
+
     detail = {}
     ok = True
     for name, g in (("W5", build_wheel(5)), ("S(2,3)", build_simplified(2, 3).graph)):
@@ -465,6 +484,9 @@ def _repro_stage_small_witnesses() -> tuple[bool, dict]:
 
 
 def _repro_stage_bundled_trace() -> tuple[bool, dict]:
+    from .debruijn import build_simplified
+    from .subiso import find_induced_embedding
+
     trace = load_witness_trace()
     witness = extract_graph(trace)
     verified = verify_trace(witness, trace).accepted
@@ -498,6 +520,8 @@ def _repro_stage_bundled_trace() -> tuple[bool, dict]:
 
 
 def _repro_stage_sampled(seed: int, samples: int) -> tuple[bool, dict]:
+    import random
+
     rng = random.Random(seed)
     agree = 0
     for _ in range(samples):
@@ -559,7 +583,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--simplified", action="store_true")
     p.add_argument("--format", choices=("json", "dot"), default="json")
-    p.add_argument("--size-limit", type=int, default=DEFAULT_SIZE_LIMIT)
+    # None means debruijn.DEFAULT_SIZE_LIMIT, read when the command runs
+    p.add_argument("--size-limit", type=int)
     p.set_defaults(func=_cmd_debruijn)
 
     p = sub.add_parser("color3", help="3-color S(n,2) and verify properness")
@@ -637,6 +662,8 @@ def run(argv: Sequence[str] | None = None) -> int:
         _say(f"error: {exc}")
         return EXIT_USAGE
     except Exception as exc:  # a fault, not a verdict: never exit 1
+        import traceback
+
         frame = traceback.extract_tb(exc.__traceback__)[-1]
         where = f"{os.path.basename(frame.filename)}:{frame.lineno}"
         _say(f"error: internal: {exc!r} at {where}")

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from importlib import resources
 from itertools import combinations
 
 from .graphs import LabeledGraph, build_graph
@@ -280,7 +279,11 @@ def parse_trace(text: str) -> ProofTrace:
 
 
 def emit_trace(trace: ProofTrace) -> str:
-    """Numbered instruction lines; the preamble is not serialized."""
+    """Numbered instruction lines; the preamble is not serialized.
+
+    Raises ``ValueError`` for an orient step paired with no orient step
+    after it, which no text can express and the verifier rejects.
+    """
     out = []
     for line in trace.lines:
         parts = [f"{line.line_number}."]
@@ -297,7 +300,12 @@ def emit_trace(trace: ProofTrace) -> str:
                 i += 1
             elif step.paired_with_next:
                 a, b = step.arc
-                nxt = steps[i + 1]
+                nxt = steps[i + 1] if i + 1 < len(steps) else None
+                if not isinstance(nxt, Orient):
+                    raise ValueError(
+                        f"line {line.line_number}: orient step {a}->{b} is "
+                        "paired with no second orient step"
+                    )
                 c, d = nxt.arc
                 parts.append(
                     f"O{a}->{b} O{c}->{d} (C{'-'.join(step.cycle)})"
@@ -628,6 +636,8 @@ def load_witness_trace() -> ProofTrace:
     maximum-degree vertex) is a source, so pair it with
     ``WITNESS_PREAMBLE`` for verification.
     """
+    from importlib import resources
+
     text = (
         resources.files("wordrep.data")
         .joinpath("s33_witness_trace.txt")

@@ -544,27 +544,46 @@ def test_force_check_rejects_every_reversed_o_step_of_the_golden_proofs(name):
     assert reversed_steps > 0
 
 
-@pytest.mark.parametrize(
+UNPARTNERED_PAIR_FLAGS = pytest.mark.parametrize(
     "name, step, arc",
     [
         ("w5", 3, "c2->c3"),  # the last step of the line: no partner at all
         ("s23", 1, "20->02"),  # a branch after it, which would make no copy
     ],
 )
-def test_force_check_rejects_a_pair_flag_without_an_orient_partner(name, step, arc):
-    g = GOLDEN_GRAPHS[name]()
+
+
+def _golden_with_pair_flag(name: str, step: int) -> ProofTrace:
+    """Line 1 of a golden proof, with the pair flag set on one step."""
     pre = json.loads((GOLDEN / "preambles.json").read_text(encoding="utf-8"))[name]
     first = parse_trace((GOLDEN / f"{name}.txt").read_text(encoding="utf-8")).lines[0]
     steps = list(first.steps)
     steps[step] = replace(steps[step], paired_with_next=True)
-    trace = ProofTrace(
+    return ProofTrace(
         Preamble(tuple(pre["wlog"]), pre["source"]),
         (replace(first, steps=tuple(steps)),),
     )
-    status = verify_trace(g, trace).line_statuses[0]
+
+
+@UNPARTNERED_PAIR_FLAGS
+def test_force_check_rejects_a_pair_flag_without_an_orient_partner(name, step, arc):
+    trace = _golden_with_pair_flag(name, step)
+    status = verify_trace(GOLDEN_GRAPHS[name](), trace).line_statuses[0]
     assert (status.accepted, status.reason) == (
         False,
         f"orient step {arc} is paired with no second orient step",
+    )
+
+
+@UNPARTNERED_PAIR_FLAGS
+def test_emit_rejects_a_pair_flag_without_an_orient_partner(name, step, arc):
+    # the text has no way to say it: a last step would have no second arc,
+    # and a branch would be printed as a second O without its copy
+    trace = _golden_with_pair_flag(name, step)
+    with pytest.raises(ValueError) as info:
+        emit_trace(trace)
+    assert str(info.value) == (
+        f"line 1: orient step {arc} is paired with no second orient step"
     )
 
 
