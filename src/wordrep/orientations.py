@@ -3,8 +3,9 @@
 An orientation is semi-transitive when it is acyclic and no arc u->v
 shortcuts a directed u->v path (a path with a missing or backward chord).
 ``find_shortcut`` is exact: in an acyclic orientation a shortcut exists iff
-some arc (u,v) admits vertices x != y with u ->* x -> y ->* v over set arcs
-where x->y is not itself a set arc and (x,y) != (u,v); the witness path is
+some arc (u,v) admits vertices x != y with u ->* x ->* y ->* v over set arcs
+where x->y is not itself a set arc and (x,y) != (u,v) (an unset edge x-y is
+no defect: every acyclic completion orients it x->y); the witness path is
 assembled from shortest segments, which compose to a simple path in a DAG.
 
 Every traversal of the directed bitmask adjacency (``out_adj[v]`` = heads
@@ -17,7 +18,10 @@ and the solver all keep their rows through these two.  The per-arc
 witness step, ``shortcut_under``, is shared with the solver:
 ``find_shortcut`` runs it under every set arc, in sorted order, while the
 solver runs it only under the closing arcs that a new arc can have
-changed.  The proof verifier in ``traces`` keeps its own checks on purpose.
+changed.  The proof verifier in ``traces`` keeps its own checks on purpose,
+and so does the pure oracle: ``_leaf_verdicts`` decides whole batches of
+orientations with boolean matrices, so the tests that hold the pruned
+oracle and the solver to it compare two independent exact tests.
 """
 
 from __future__ import annotations
@@ -396,13 +400,16 @@ def brute_force_semitransitive(
     """Decide existence of a semi-transitive orientation by exhaustion.
 
     Canonical enumeration: edges sorted (lo, hi); bit i of the counter
-    orients edge i (0 = lo->hi). ``pure`` walks every counter value in
-    increasing order, each leaf differing from the last only in the edges
-    whose bits the increment flips; the default runs a DFS visiting leaves
-    in the same counter order but prunes subtrees whose partial state
-    already holds a defect that persists in every completion (a directed
-    cycle, or a closed shortcut whose chord is a non-edge). Both modes
-    return the same verdict and the same first certificate.
+    orients edge i (0 = lo->hi). ``pure`` decides every counter value, 2^k
+    consecutive values per pass of bit-sliced boolean matrix algebra
+    (``_leaf_verdicts``), and stops at the first batch that holds a
+    semi-transitive leaf; the default runs a DFS visiting leaves in counter
+    order but prunes subtrees whose partial state already holds a defect
+    that persists in every completion (a directed cycle, or a closed
+    shortcut whose chord is a non-edge), and checks each leaf with
+    ``find_shortcut``. Both modes return the same verdict and the same
+    first certificate; ``examined`` counts the leaves up to and including
+    the certificate, or all 2^m of them for the pure oracle.
     """
     m = len(g.edges)
     if 2**m > budget:
@@ -413,30 +420,96 @@ def brute_force_semitransitive(
     return _brute_force_pruned(g, edges)
 
 
-def _brute_force_pure(g: LabeledGraph, edges: list[tuple[int, int]]) -> BruteForceResult:
-    """Check every leaf, counter 0 .. 2^m - 1, with the exact leaf test.
+_BATCH_BITS = 12  # the pure oracle decides 2^12 leaves per pass
 
-    Invariant: at each leaf, edge i is hi->lo exactly when bit i of the
-    counter is set. Counter 0 orients every edge lo->hi; going from c - 1
-    to c re-orients only the edges whose bits are in ``c ^ (c - 1)``, the
-    trailing ones of c - 1 and the bit above them, about two per step.
+
+def _brute_force_pure(g: LabeledGraph, edges: list[tuple[int, int]]) -> BruteForceResult:
+    """Decide every leaf, counter 0 .. 2^m - 1, in batches of 2^k
+    consecutive counters, k = min(_BATCH_BITS, m), with ``_leaf_verdicts``.
+
+    The first semi-transitive leaf in counter order is the certificate, and
+    ``is_semitransitive`` must accept it before it is returned.
     """
     m = len(edges)
-    po = PartialOrientation(g)
-    for lo, hi in edges:
-        po.set_arc(lo, hi)
-    for counter in range(2**m):
-        if counter:  # 0 ^ -1 == -1: counter 0 is the initial state
-            for i in range((counter ^ (counter - 1)).bit_length()):
-                lo, hi = edges[i]
-                po.unset_arc(lo, hi)
-                if counter >> i & 1:
-                    po.set_arc(hi, lo)
-                else:
-                    po.set_arc(lo, hi)
-        if is_semitransitive(po):
-            return BruteForceResult("exists", Orientation(g, tuple(po.arcs())), counter + 1)
+    k = min(_BATCH_BITS, m)
+    for high in range(0, 2**m, 2**k):
+        good = _leaf_verdicts(edges, high, k)
+        if good:
+            counter = high | (good & -good).bit_length() - 1
+            cert = Orientation(g, tuple(
+                (hi, lo) if counter >> i & 1 else (lo, hi)
+                for i, (lo, hi) in enumerate(edges)
+            ))
+            if not is_semitransitive(cert):
+                raise RuntimeError(f"batched leaf check accepted counter {counter}")
+            return BruteForceResult("exists", cert, counter + 1)
     return BruteForceResult("notexists", examined=2**m)
+
+
+def _leaf_verdicts(edges: list[tuple[int, int]], high: int, k: int) -> int:
+    """Bit j set exactly when leaf ``high | j`` (j < 2^k) is semi-transitive.
+
+    Leaf c orients edge i hi->lo when bit i of c is set.  Each entry of
+    the boolean matrices below, over the vertices that the edges touch, is
+    a 2^k-bit mask, bit j for leaf ``high | j`` (bit slicing, Biham, FSE
+    1997), so one pass of boolean matrix algebra decides the whole batch:
+
+    - ``arc[u][v]``: the leaf has the arc u->v.  Each of the low k edges
+      has a fixed bit pattern; a higher edge is all ones or all zeros.
+    - ``reach``: Warshall's closure of ``arc`` (JACM 9, 1962); a leaf is
+      cyclic when some diagonal entry holds its bit.  The shortcut test
+      below would also reject it (an arc u->v on a cycle has v ->* u and
+      no arc v->u), but marking it first spares the test its arcs.
+    - On an acyclic leaf, with ``reach`` made reflexive, the arc u->v is
+      a shortcut when u ->* x ->* y ->* v for some x != y with no arc
+      x->y, i.e. ``(reach . P . reach)[u][v]`` with ``P = reach & ~arc``
+      off the diagonal.  At a leaf with the arc u->v, P[u][v] is clear, so
+      (x, y) != (u, v) holds by itself.
+
+    The test shares no code with ``find_shortcut``.
+    """
+    full = (1 << (1 << k)) - 1
+    live = sorted({v for e in edges for v in e})
+    at = {v: i for i, v in enumerate(live)}
+    size = len(live)
+    arc = [[0] * size for _ in range(size)]
+    for i, (lo, hi) in enumerate(edges):
+        if i < k:  # bit i of j: runs of 2^i zeros, then 2^i ones
+            period = (1 << (2 << i)) - 1
+            back = full // period * (period ^ period >> (1 << i))
+        else:
+            back = full if high >> i & 1 else 0
+        arc[at[hi]][at[lo]] = back
+        arc[at[lo]][at[hi]] = full ^ back
+    reach = [list(row) for row in arc]
+    for w in range(size):
+        row_w = reach[w]
+        for i, row in enumerate(reach):
+            via = row[w]
+            if via:
+                reach[i] = [r | via & s for r, s in zip(row, row_w)]
+    bad = 0
+    for v in range(size):
+        bad |= reach[v][v]
+        reach[v][v] = full
+    if bad == full:  # the high edges alone close a cycle
+        return 0
+    # later = P . reach: some y != x with no arc x->y has x ->* y ->* v
+    later = []
+    for x in range(size):
+        row = [0] * size
+        for y in range(size):
+            p = reach[x][y] & ~arc[x][y] if y != x else 0
+            if p:
+                row = [r | p & s for r, s in zip(row, reach[y])]
+        later.append(row)
+    for u in range(size):
+        for v in range(size):
+            closing = arc[u][v] & ~bad
+            if closing:
+                for x in range(size):
+                    bad |= closing & reach[u][x] & later[x][v]
+    return full & ~bad
 
 
 def _brute_force_pruned(g: LabeledGraph, edges: list[tuple[int, int]]) -> BruteForceResult:

@@ -7,6 +7,8 @@ from hypothesis import given, settings, strategies as st
 from wordrep.graphs import LabeledGraph, build_graph, build_wheel, induced_subgraph
 from wordrep.debruijn import build_simplified
 from wordrep.orientations import (
+    _BATCH_BITS,
+    _leaf_verdicts,
     CyclicInput,
     Orientation,
     PartialOrientation,
@@ -199,8 +201,9 @@ UNSET_CHORD_GRAPH = LabeledGraph(
 )
 
 
-def test_pruned_equals_pure_on_all_4_vertex_graphs():
-    for g in [*_all_graphs(4), UNSET_CHORD_GRAPH]:
+def test_pruned_equals_pure_on_all_graphs_up_to_5_vertices():
+    graphs = [g for n in (4, 5) for g in _all_graphs(n)]
+    for g in [*graphs, build_wheel(5), UNSET_CHORD_GRAPH]:
         a = brute_force_semitransitive(g)
         b = brute_force_semitransitive(g, pure=True)
         assert (a.verdict, a.certificate) == (b.verdict, b.certificate), g.edge_list()
@@ -223,43 +226,105 @@ def _pure_reference(g):
     return ("notexists", None, 2**m)
 
 
-def test_pure_flip_walk_equals_full_decode_reference():
+# a path 0-...-9 with the chords (0,2), (1,3), (2,4), and a square on
+# 10..13: 16 edges, and the first certificate is counter 4096, the first
+# leaf of the second batch
+SECOND_BATCH_GRAPH = LabeledGraph(
+    [str(i) for i in range(14)],
+    [(i, i + 1) for i in range(9)] + [(0, 2), (1, 3), (2, 4)]
+    + [(10, 11), (11, 12), (12, 13), (10, 13)],
+)
+
+
+def test_pure_batches_equal_full_decode_reference():
     # every graph on 1..4 vertices, the edgeless ones (m = 0, one leaf)
-    # included, and a first certificate at counter 160 = 0b10100000, whose
-    # step from 159 = 0b10011111 flips six bits
+    # included; a first certificate at counter 160; W7, whose 14 edges make
+    # four batches and no certificate; and a first certificate on the first
+    # leaf of a later batch
     graphs = [g for n in range(1, 5) for g in _all_graphs(n)]
-    for g in [*graphs, UNSET_CHORD_GRAPH]:
+    for g in [*graphs, UNSET_CHORD_GRAPH, build_wheel(7), SECOND_BATCH_GRAPH]:
         r = brute_force_semitransitive(g, pure=True)
         assert (r.verdict, r.certificate, r.examined) == _pure_reference(g), g.edge_list()
     r = brute_force_semitransitive(UNSET_CHORD_GRAPH, pure=True)
     assert (r.verdict, r.examined) == ("exists", 161)
+    assert 2 ** len(build_wheel(7).edges) == 4 << _BATCH_BITS
+    r = brute_force_semitransitive(SECOND_BATCH_GRAPH, pure=True)
+    assert (r.verdict, r.examined) == ("exists", (1 << _BATCH_BITS) + 1)
     for g in (LabeledGraph(list("abc"), []), LabeledGraph(["a"], [])):
         assert brute_force_semitransitive(g, pure=True).examined == 1
 
 
-def test_pure_leaf_k_holds_counter_k(monkeypatch):
+def test_pure_raises_when_is_semitransitive_refuses_its_certificate(monkeypatch):
     from wordrep import orientations
 
-    w5 = build_wheel(5)
-    edges = sorted(w5.edges)
-    seen = []
-    check = orientations.is_semitransitive
+    monkeypatch.setattr(orientations, "_leaf_verdicts", lambda edges, high, k: 1)
+    with pytest.raises(RuntimeError, match="counter 0"):
+        brute_force_semitransitive(build_wheel(5), pure=True)
 
-    def leaf(po):
-        assert orientations.UNSET not in po.state
-        counter = sum(1 << i for i, s in enumerate(po.state) if s == orientations.BACKWARD)
-        out_adj = [0] * w5.n
-        for i, (lo, hi) in enumerate(edges):
-            tail, head = (hi, lo) if counter >> i & 1 else (lo, hi)
-            out_adj[tail] |= 1 << head
-        assert po.out_adj == out_adj
-        seen.append(counter)
-        return check(po)
 
-    monkeypatch.setattr(orientations, "is_semitransitive", leaf)
-    r = brute_force_semitransitive(w5, pure=True)
-    assert (r.verdict, r.examined) == ("notexists", 1024)
-    assert seen == list(range(1024))
+def _decode(g, edges, counter):
+    po = PartialOrientation(g)
+    for i, (lo, hi) in enumerate(edges):
+        po.set_arc(*((hi, lo) if counter >> i & 1 else (lo, hi)))
+    return po
+
+
+def test_pure_leaf_verdicts_match_is_semitransitive():
+    # bit j of batch `high` is the exact leaf check of counter high | j, on
+    # every orientation of every graph on 1..5 vertices, of W5, and of W6
+    # with the tail 0-7-8, whose 14 edges make four batches
+    w6 = build_wheel(6)
+    tailed_w6 = LabeledGraph([*w6.labels, "t1", "t2"], [*w6.edges, (0, 7), (7, 8)])
+    graphs = [g for n in range(1, 6) for g in _all_graphs(n)]
+    for g in [*graphs, build_wheel(5), tailed_w6]:
+        edges = sorted(g.edges)
+        m = len(edges)
+        k = min(_BATCH_BITS, m)
+        for high in range(0, 2**m, 2**k):
+            good = _leaf_verdicts(edges, high, k)
+            assert good >> 2**k == 0
+            for j in range(2**k):
+                po = _decode(g, edges, high | j)
+                assert bool(good >> j & 1) == is_semitransitive(po), (g.edge_list(), high | j)
+
+
+def _semitransitive_sources(g):
+    """The vertices that are the source (no in-arc) of some semi-transitive
+    orientation of g, read off the batched leaf verdicts."""
+    edges = sorted(g.edges)
+    m = len(edges)
+    k = min(_BATCH_BITS, m)
+    sources = set()
+    for high in range(0, 2**m, 2**k):
+        good = _leaf_verdicts(edges, high, k)
+        for v in range(g.n):
+            # v is a source when each edge at v points away from it: bit i
+            # set exactly for the edges (lo, hi) with v == hi
+            care = sum(1 << i for i, e in enumerate(edges) if v in e)
+            need = sum(1 << i for i, (_, hi) in enumerate(edges) if v == hi)
+            at_source = sum(1 << j for j in range(2**k) if (high | j) & care == need)
+            if good & at_source:
+                sources.add(v)
+    return sources
+
+
+def test_any_vertex_is_a_source_on_graphs_up_to_5_vertices():
+    # Halldorsson, Kitaev & Pyatkin (2016): a semi-transitive orientation,
+    # if any exists, can be chosen with any given vertex as a source
+    for n in range(1, 6):
+        for g in _all_graphs(n):
+            sources = _semitransitive_sources(g)
+            assert sources in (set(), set(range(n))), g.edge_list()
+    assert _semitransitive_sources(build_wheel(5)) == set()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sets(st.sampled_from(list(itertools.combinations(range(6), 2)))))
+def test_any_vertex_is_a_source_on_random_6_vertex_graphs(edges):
+    g = LabeledGraph([str(i) for i in range(6)], edges)
+    sources = _semitransitive_sources(g)
+    assert sources in (set(), set(range(6)))
+    assert (sources == set()) == (brute_force_semitransitive(g).verdict == "notexists")
 
 
 def test_reversal_symmetry_exhaustive_small():
