@@ -13,15 +13,15 @@ of the arcs leaving v) goes through one of three routines:
 ``reach_closure`` (reach rows, or None on a directed cycle),
 ``shortest_path`` (BFS taking heads lowest id first) and ``directed_cycle``.
 Reach and co-reach rows are built only by ``reach_rows`` and grown only by
-``add_arc_rows``, one arc at a time; ``find_shortcut``, the pruned oracle
-and the solver all keep their rows through these two.  The per-arc
-witness step, ``shortcut_under``, is shared with the solver:
-``find_shortcut`` runs it under every set arc, in sorted order, while the
-solver runs it only under the closing arcs that a new arc can have
-changed.  The proof verifier in ``traces`` keeps its own checks on purpose,
-and so does the pure oracle: ``_leaf_verdicts`` decides whole batches of
-orientations with boolean matrices, so the tests that hold the pruned
-oracle and the solver to it compare two independent exact tests.
+``add_arc_rows``, one arc at a time; ``find_shortcut`` and the solver keep
+their rows through these two.  The per-arc witness step,
+``shortcut_under``, is shared with the solver: ``find_shortcut`` runs it
+under every set arc, in sorted order, while the solver runs it only under
+the closing arcs that a new arc can have changed.  The proof verifier in
+``traces`` keeps its own checks on purpose, and so does the exhaustive
+oracle: ``_leaf_verdicts`` decides whole batches of orientations with
+boolean matrices, so the tests that hold the solver and ``find_shortcut``
+to the oracle compare two independent exact tests.
 """
 
 from __future__ import annotations
@@ -106,16 +106,6 @@ class PartialOrientation:
             )
         self.state[i] = new
         self.out_adj[tail] |= 1 << head
-
-    def unset_arc(self, a: int, b: int) -> None:
-        lo, hi = (a, b) if a < b else (b, a)
-        i = self.edge_index[(lo, hi)]
-        s = self.state[i]
-        if s == UNSET:
-            return
-        tail, head = (lo, hi) if s == FORWARD else (hi, lo)
-        self.state[i] = UNSET
-        self.out_adj[tail] &= ~(1 << head)
 
     def arcs(self) -> Iterator[tuple[int, int]]:
         for (lo, hi), s in zip(self.edge_order, self.state):
@@ -394,43 +384,31 @@ class BruteForceResult:
     examined: int = 0
 
 
+_BATCH_BITS = 12  # the oracle decides 2^12 leaves per pass
+
+
 def brute_force_semitransitive(
     g: LabeledGraph, budget: int = 20_000_000, pure: bool = False
 ) -> BruteForceResult:
     """Decide existence of a semi-transitive orientation by exhaustion.
 
     Canonical enumeration: edges sorted (lo, hi); bit i of the counter
-    orients edge i (0 = lo->hi). ``pure`` decides every counter value, 2^k
-    consecutive values per pass of bit-sliced boolean matrix algebra
-    (``_leaf_verdicts``), and stops at the first batch that holds a
-    semi-transitive leaf; the default runs a DFS visiting leaves in counter
-    order but prunes subtrees whose partial state already holds a defect
-    that persists in every completion (a directed cycle, or a closed
-    shortcut whose chord is a non-edge), and checks each leaf with
-    ``find_shortcut``. Both modes return the same verdict and the same
-    first certificate; ``examined`` counts the leaves up to and including
-    the certificate, or all 2^m of them for the pure oracle.
+    orients edge i (0 = lo->hi).  Every counter value 0 .. 2^m - 1 is
+    decided, 2^k consecutive values per pass of bit-sliced boolean matrix
+    algebra (``_leaf_verdicts``, k = min(_BATCH_BITS, m)), and the walk
+    stops at the first batch that holds a semi-transitive leaf.  The first
+    such leaf in counter order is the certificate, and
+    ``is_semitransitive`` must accept it before it is returned; otherwise
+    ``RuntimeError`` is raised.  ``examined`` is one more than the
+    certificate's counter, or all 2^m leaves when there is none.
+
+    ``pure`` does nothing.  It is kept only because the benchmark's probe
+    (``perfbench/probe.py``) passes ``pure=True``.
     """
     m = len(g.edges)
     if 2**m > budget:
         return BruteForceResult("budget", examined=0)
     edges = sorted(g.edges)
-    if pure:
-        return _brute_force_pure(g, edges)
-    return _brute_force_pruned(g, edges)
-
-
-_BATCH_BITS = 12  # the pure oracle decides 2^12 leaves per pass
-
-
-def _brute_force_pure(g: LabeledGraph, edges: list[tuple[int, int]]) -> BruteForceResult:
-    """Decide every leaf, counter 0 .. 2^m - 1, in batches of 2^k
-    consecutive counters, k = min(_BATCH_BITS, m), with ``_leaf_verdicts``.
-
-    The first semi-transitive leaf in counter order is the certificate, and
-    ``is_semitransitive`` must accept it before it is returned.
-    """
-    m = len(edges)
     k = min(_BATCH_BITS, m)
     for high in range(0, 2**m, 2**k):
         good = _leaf_verdicts(edges, high, k)
@@ -510,44 +488,3 @@ def _leaf_verdicts(edges: list[tuple[int, int]], high: int, k: int) -> int:
                 for x in range(size):
                     bad |= closing & reach[u][x] & later[x][v]
     return full & ~bad
-
-
-def _brute_force_pruned(g: LabeledGraph, edges: list[tuple[int, int]]) -> BruteForceResult:
-    """DFS over edge indices m-1 .. 0 (high counter bit first), lo->hi
-    before hi->lo, so leaves are visited in increasing counter order.
-
-    Each node carries the reach and co-reach rows of its (acyclic) arcs,
-    grown by ``add_arc_rows``; an arc that closes a cycle is skipped. The
-    prune then asks only whether the new arc closes a shortcut; a shortcut
-    under an older closing arc is caught at the leaf by the exact check,
-    so the verdict is unaffected.
-    """
-    m = len(edges)
-    po = PartialOrientation(g)
-    examined = 0
-
-    def dfs(i: int, reach: list[int], coreach: list[int]) -> Orientation | None:
-        nonlocal examined
-        if i < 0:
-            examined += 1
-            if find_shortcut(po) is None:
-                return Orientation(g, tuple(po.arcs()))
-            return None
-        lo, hi = edges[i]
-        for tail, head in ((lo, hi), (hi, lo)):
-            grown, cogrown = list(reach), list(coreach)
-            if not add_arc_rows(grown, cogrown, tail, head):
-                continue
-            po.set_arc(tail, head)
-            between = grown[tail] & cogrown[head]
-            if _violating_pair(po, grown, between, tail, head) is None:
-                found = dfs(i - 1, grown, cogrown)
-                if found is not None:
-                    return found
-            po.unset_arc(tail, head)
-        return None
-
-    cert = dfs(m - 1, *reach_rows([0] * g.n))
-    if cert is not None:
-        return BruteForceResult("exists", cert, examined=examined)
-    return BruteForceResult("notexists", examined=examined)

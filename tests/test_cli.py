@@ -12,6 +12,7 @@ import wordrep.solver
 from wordrep.cli import run
 from wordrep.debruijn import build_simplified
 from wordrep.graphs import (
+    LabeledGraph,
     build_graph,
     build_wheel,
     graph_from_json,
@@ -50,6 +51,17 @@ def p4_file(tmp_path):
 def s23_file(tmp_path):
     path = tmp_path / "s23.json"
     path.write_text(json.dumps(graph_to_json(build_simplified(2, 3).graph)))
+    return str(path)
+
+
+@pytest.fixture
+def w5_path_file(tmp_path):
+    # W5 with a 10-edge path hanging off its hub (id 5): 16 vertices, 20 edges
+    w5 = build_wheel(5)
+    labels = [*w5.labels, *(f"p{i}" for i in range(1, 11))]
+    g = LabeledGraph(labels, [*w5.edges, *((i, i + 1) for i in range(5, 15))])
+    path = tmp_path / "w5_path.json"
+    path.write_text(json.dumps(graph_to_json(g)))
     return str(path)
 
 
@@ -163,10 +175,19 @@ def test_check_with_explicit_source(capsys, w5_file):
     assert code == 1 and obj["source"] == "c2"
 
 
-def test_oracle_verdicts_and_exit_codes(capsys, w5_file, p4_file, s23_file):
+def test_oracle_verdicts_and_exit_codes(
+    capsys, w5_file, p4_file, s23_file, w5_path_file
+):
     code, obj, _ = cli_json(capsys, "oracle", "--graph", w5_file)
     assert code == 1 and obj["verdict"] == "notexists"
     assert obj["certificate"] is None
+    assert obj["examined"] == 2**10
+
+    # the pendant path multiplies the orientations by 2^10, and the oracle
+    # decides every one of them
+    code, obj, _ = cli_json(capsys, "oracle", "--graph", w5_path_file)
+    assert code == 1 and obj["verdict"] == "notexists"
+    assert obj["examined"] == 2**20
 
     code, obj, _ = cli_json(capsys, "oracle", "--graph", p4_file)
     assert code == 0 and obj["verdict"] == "exists"

@@ -20,6 +20,7 @@ from wordrep.orientations import (
     reach_rows,
     shortest_path,
 )
+from wordrep.solver import SemiTransitive, solve
 
 from helpers import closing_arc, orientation_to_dot, reverse_orientation, unset_edges
 
@@ -135,12 +136,12 @@ def test_orientation_validates_edge_cover():
 
 def test_partial_orientation_round_trip():
     po = PartialOrientation(triangle())
+    assert po.direction(0, 2) is None
+    assert unset_edges(po) == sorted(triangle().edges)
     po.set_arc(2, 0)
     assert po.direction(0, 2) == 2
     assert po.has_arc(2, 0) and not po.has_arc(0, 2)
-    po.unset_arc(0, 2)
-    assert po.direction(0, 2) is None
-    assert unset_edges(po) == sorted(triangle().edges)
+    assert unset_edges(po) == [(0, 1), (1, 2)]
 
 
 def test_partial_orientation_conflict():
@@ -158,16 +159,6 @@ def test_brute_force_single_edge():
     assert r.certificate.arcs == ((0, 1),)
 
 
-def test_brute_force_w5_notexists_pure_and_pruned():
-    w5 = build_wheel(5)
-    pure = brute_force_semitransitive(w5, pure=True)
-    assert pure.verdict == "notexists"
-    assert pure.examined == 1024
-    pruned = brute_force_semitransitive(w5)
-    assert pruned.verdict == "notexists"
-    assert pruned.examined < 1024
-
-
 def test_brute_force_budget():
     w5 = build_wheel(5)
     assert brute_force_semitransitive(w5, budget=1000).verdict == "budget"
@@ -176,8 +167,6 @@ def test_brute_force_budget():
 def test_brute_force_first_certificate_is_canonical():
     g = triangle()
     r = brute_force_semitransitive(g)
-    rp = brute_force_semitransitive(g, pure=True)
-    assert r.certificate == rp.certificate
     # counter 0: every edge lo->hi; transitive triangle is semi-transitive
     assert r.certificate.arcs == ((0, 1), (0, 2), (1, 2))
 
@@ -191,9 +180,7 @@ def _all_graphs(n):
         )
 
 
-# a closed path whose chord is still unset is no persistent defect: every
-# acyclic completion orients the chord forward.  Here the subtree under
-# such a path holds the first certificate (counter 160).
+# the first certificate is counter 160, inside the first batch
 UNSET_CHORD_GRAPH = LabeledGraph(
     [str(i) for i in range(6)],
     [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 5), (2, 3), (2, 5),
@@ -201,26 +188,19 @@ UNSET_CHORD_GRAPH = LabeledGraph(
 )
 
 
-def test_pruned_equals_pure_on_all_graphs_up_to_5_vertices():
-    graphs = [g for n in (4, 5) for g in _all_graphs(n)]
-    for g in [*graphs, build_wheel(5), UNSET_CHORD_GRAPH]:
-        a = brute_force_semitransitive(g)
-        b = brute_force_semitransitive(g, pure=True)
-        assert (a.verdict, a.certificate) == (b.verdict, b.certificate), g.edge_list()
+def _decode(g, edges, counter):
+    po = PartialOrientation(g)
+    for i, (lo, hi) in enumerate(edges):
+        po.set_arc(*((hi, lo) if counter >> i & 1 else (lo, hi)))
+    return po
 
 
 def _pure_reference(g):
-    """The pure oracle decoded in full: every edge is rewritten at every leaf."""
+    """The oracle decoded in full: every leaf is a fresh orientation."""
     edges = sorted(g.edges)
     m = len(edges)
-    po = PartialOrientation(g)
     for counter in range(2**m):
-        for i, (lo, hi) in enumerate(edges):
-            po.unset_arc(lo, hi)
-            if counter >> i & 1:
-                po.set_arc(hi, lo)
-            else:
-                po.set_arc(lo, hi)
+        po = _decode(g, edges, counter)
         if is_semitransitive(po):
             return ("exists", Orientation(g, tuple(po.arcs())), counter + 1)
     return ("notexists", None, 2**m)
@@ -243,15 +223,24 @@ def test_pure_batches_equal_full_decode_reference():
     # leaf of a later batch
     graphs = [g for n in range(1, 5) for g in _all_graphs(n)]
     for g in [*graphs, UNSET_CHORD_GRAPH, build_wheel(7), SECOND_BATCH_GRAPH]:
-        r = brute_force_semitransitive(g, pure=True)
+        r = brute_force_semitransitive(g)
         assert (r.verdict, r.certificate, r.examined) == _pure_reference(g), g.edge_list()
-    r = brute_force_semitransitive(UNSET_CHORD_GRAPH, pure=True)
+    r = brute_force_semitransitive(UNSET_CHORD_GRAPH)
     assert (r.verdict, r.examined) == ("exists", 161)
     assert 2 ** len(build_wheel(7).edges) == 4 << _BATCH_BITS
-    r = brute_force_semitransitive(SECOND_BATCH_GRAPH, pure=True)
+    r = brute_force_semitransitive(SECOND_BATCH_GRAPH)
     assert (r.verdict, r.examined) == ("exists", (1 << _BATCH_BITS) + 1)
     for g in (LabeledGraph(list("abc"), []), LabeledGraph(["a"], [])):
-        assert brute_force_semitransitive(g, pure=True).examined == 1
+        assert brute_force_semitransitive(g).examined == 1
+
+
+def test_brute_force_pure_keyword_is_inert():
+    # the keyword is accepted and changes nothing: the same verdict, first
+    # certificate and count with no certificate (W5), with one inside the
+    # first batch, and with one on the first leaf of the second batch
+    for g in (build_wheel(5), UNSET_CHORD_GRAPH, SECOND_BATCH_GRAPH):
+        assert brute_force_semitransitive(g) == brute_force_semitransitive(g, pure=True)
+    assert brute_force_semitransitive(build_wheel(5)).examined == 1024
 
 
 def test_pure_raises_when_is_semitransitive_refuses_its_certificate(monkeypatch):
@@ -259,14 +248,7 @@ def test_pure_raises_when_is_semitransitive_refuses_its_certificate(monkeypatch)
 
     monkeypatch.setattr(orientations, "_leaf_verdicts", lambda edges, high, k: 1)
     with pytest.raises(RuntimeError, match="counter 0"):
-        brute_force_semitransitive(build_wheel(5), pure=True)
-
-
-def _decode(g, edges, counter):
-    po = PartialOrientation(g)
-    for i, (lo, hi) in enumerate(edges):
-        po.set_arc(*((hi, lo) if counter >> i & 1 else (lo, hi)))
-    return po
+        brute_force_semitransitive(build_wheel(5))
 
 
 def test_pure_leaf_verdicts_match_is_semitransitive():
@@ -324,7 +306,9 @@ def test_any_vertex_is_a_source_on_random_6_vertex_graphs(edges):
     g = LabeledGraph([str(i) for i in range(6)], edges)
     sources = _semitransitive_sources(g)
     assert sources in (set(), set(range(6)))
-    assert (sources == set()) == (brute_force_semitransitive(g).verdict == "notexists")
+    # the solver's verdict, not the oracle's: the sources are read off the
+    # oracle's own leaf verdicts
+    assert (sources != set()) == isinstance(solve(g), SemiTransitive)
 
 
 def test_reversal_symmetry_exhaustive_small():
