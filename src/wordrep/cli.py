@@ -262,15 +262,18 @@ def _cmd_chromatic(ns) -> int:
 def _cmd_check(ns) -> int:
     g = _load_graph(ns.graph)
     source = None if ns.source == "maxdeg" else ns.source
+    if source is not None and source not in g.index:
+        raise _UsageError(f"source label {source!r} is not a vertex")
     try:
         cfg = SolverConfig(
             source=source,
             budget=_resolve_budget(ns.budget, SolverConfig().budget),
             cycle_len=ns.cycle_len,
         )
-        verdict = solve(g, cfg)
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
+    # a ValueError from the search is a fault of the program: exit 70
+    verdict = solve(g, cfg)
 
     if isinstance(verdict, SemiTransitive):
         arcs = verdict.orientation.arcs

@@ -42,24 +42,31 @@ walks only that edge's list, bumping each cycle's along or against count
 whose counts let the TriangleRule or the CycleRule fire.  The rules fire
 the lowest-numbered cycle of that set, which is exactly the cycle the
 in-order scans would find first, so every proof is unchanged; a ring is
-walked only to find the unset steps of the cycle that fires.  The
-PathRule is one reach-row bit test per unset edge, with a BFS only for
-the edge it decides.  A banked copy holds the edge states and the counts
-as bytes; its fire set is empty, because the search branches only at a
-propagation fixpoint, and its arcs are rebuilt on resume.
+walked only to find the unset steps of the cycle that fires.  A banked
+copy holds the edge states and the counts as bytes; its fire set is
+empty, because the search branches only at a propagation fixpoint, and
+its arcs are rebuilt on resume.
 
 The orientation also keeps one reach row and one co-reach row per
 vertex, grown on each inserted arc by ``add_arc_rows`` (Italiano's
 incremental transitive closure) and rebuilt once per resume by
-``reach_rows``.  The PathRule reads the reach rows, and the
-defect scan reads both.  The search abandons every dead state, so the
-state at the last scan that found no defect was clean, as is every
-banked state.  A violation under a closing arc u->v that is new since
-then runs through an arc t->h set since then (the closing arc itself,
-or one on the path), so u reaches t and h reaches v.  The scan tests
-only those closing arcs, in sorted order, with ``find_shortcut``'s own
-per-arc step.  Every other closing arc has no violation, so the first
-witness is the one ``find_shortcut`` would report.
+``reach_rows``.  Reach only grows between resumes, so the edges a
+directed path decides are collected as they appear: before an arc t->h
+grows the rows, every vertex x reaching t comes to reach the neighbours
+y that h reaches and x did not, and each such unset edge x-y goes on a
+heap of edge indices.  A resume refills the heap in one pass over the
+edges.  The PathRule pops set edges off the heap and forces the lowest
+unset one, which is the first decided edge in edge order, with a BFS
+only for that edge.
+
+The defect scan reads both rows.  The search abandons every dead state,
+so the state at the last scan that found no defect was clean, as is
+every banked state.  A violation under a closing arc u->v that is new
+since then runs through an arc t->h set since then (the closing arc
+itself, or one on the path), so u reaches t and h reaches v.  The scan
+tests only those closing arcs, in sorted order, with ``find_shortcut``'s
+own per-arc step.  Every other closing arc has no violation, so the
+first witness is the one ``find_shortcut`` would report.
 """
 
 from __future__ import annotations
@@ -69,6 +76,7 @@ from array import array
 from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache
+from heapq import heappop, heappush
 
 from .graphs import LabeledGraph, induced_subgraph, max_degree_vertex
 from .orientations import (
@@ -254,14 +262,17 @@ class _WatchedOrientation(PartialOrientation):
 
     It also keeps the reach rows of its arcs (``reach[v]``: the vertices
     v reaches, v included) and of their transpose (``coreach[v]``: the
-    vertices reaching v) while they are acyclic, the flag ``cyclic``, and
-    the arcs set since the last scan that found no defect.
+    vertices reaching v) while they are acyclic, the flag ``cyclic``, the
+    arcs set since the last scan that found no defect, and ``decided``: a
+    heap of edge indices that holds every unset edge one of whose ends
+    reaches the other, and may still hold edges set since they were
+    pushed.
 
     Arcs are only ever added; the search goes back by ``restore``."""
 
     __slots__ = (
         "inventory", "along", "against", "fire",
-        "reach", "coreach", "cyclic", "unscanned",
+        "reach", "coreach", "cyclic", "unscanned", "decided",
     )
 
     def __init__(self, graph: LabeledGraph, inventory: _Inventory):
@@ -273,10 +284,11 @@ class _WatchedOrientation(PartialOrientation):
         self.reach, self.coreach = reach_rows([0] * graph.n)
         self.cyclic = False
         self.unscanned: list[tuple[int, int]] = []
+        self.decided: list[int] = []
 
     def set_arc(self, tail: int, head: int) -> None:
-        """Orient one edge and update the reach rows and the counts of
-        every cycle on it."""
+        """Orient one edge and update the reach rows, the decided edges and
+        the counts of every cycle on it."""
         i = self.edge_index[(tail, head) if tail < head else (head, tail)]
         fresh = self.state[i] == UNSET
         super().set_arc(tail, head)
@@ -284,7 +296,25 @@ class _WatchedOrientation(PartialOrientation):
             return
         self.unscanned.append((tail, head))
         if not self.cyclic:
-            self.cyclic = not add_arc_rows(self.reach, self.coreach, tail, head)
+            # the rows before they grow: each x reaching tail comes to
+            # reach its neighbours that head reaches and it did not
+            reach, adj, state = self.reach, self.graph.adj, self.state
+            edge_index, decided = self.edge_index, self.decided
+            below = reach[head]
+            above = self.coreach[tail]
+            while above:
+                low = above & -above
+                above ^= low
+                x = low.bit_length() - 1
+                ys = below & adj[x] & ~reach[x]
+                while ys:
+                    bit = ys & -ys
+                    ys ^= bit
+                    y = bit.bit_length() - 1
+                    j = edge_index[(x, y) if x < y else (y, x)]
+                    if state[j] == UNSET:
+                        heappush(decided, j)
+            self.cyclic = not add_arc_rows(reach, self.coreach, tail, head)
         along, against, fire = self.along, self.against, self.fire
         sizes, triangles = self.inventory.sizes, self.inventory.triangles
         forward = tail < head
@@ -356,8 +386,16 @@ class _WatchedOrientation(PartialOrientation):
         self.out_adj = out_adj
         rows = reach_rows(out_adj)
         self.cyclic = rows is None
+        self.decided = []
         if rows is not None:
             self.reach, self.coreach = rows
+            reach = self.reach
+            # in index order, so already a heap
+            self.decided = [
+                i
+                for i, ((lo, hi), s) in enumerate(zip(self.edge_order, self.state))
+                if s == UNSET and (reach[lo] >> hi & 1 or reach[hi] >> lo & 1)
+            ]
         self.unscanned = []
 
 
@@ -416,17 +454,14 @@ def _next_force(
     if first is not None and first < inventory.triangles:
         return po.forced_by(first)
 
-    # PathRule: an existing directed path decides an unset edge
-    reach = po.reach
-    for (a, b), s in zip(po.edge_order, po.state):
-        if s != UNSET:
-            continue
-        if reach[a] >> b & 1:
-            t, h = a, b
-        elif reach[b] >> a & 1:
-            t, h = b, a
-        else:
-            continue
+    # PathRule: an existing directed path decides an unset edge; the
+    # lowest unset decided edge is the first one an edge-order scan finds
+    decided, state = po.decided, po.state
+    while decided and state[decided[0]] != UNSET:
+        heappop(decided)
+    if decided:
+        a, b = po.edge_order[decided[0]]
+        t, h = (a, b) if po.reach[a] >> b & 1 else (b, a)
         ids = tuple(shortest_path(po.out_adj, t, h))
         return ((t, h),), ids, _canonical_ring_print(po.graph, ids)
 

@@ -356,6 +356,17 @@ def test_failed_positive_self_check_exits_70(capsys, p4_file, monkeypatch):
     assert err.startswith("error: internal: ") and err.count("\n") == 1
 
 
+def test_a_value_error_inside_the_search_exits_70(capsys, s23_file, monkeypatch):
+    # only bad input exits 64; a ValueError the search raises is a fault
+    def broken(po):
+        raise ValueError("edge 02-10 already oriented the other way")
+
+    monkeypatch.setattr(wordrep.solver, "_next_force", broken)
+    code, out, err = cli(capsys, "check", "--graph", s23_file)
+    assert code == 70 and out == ""
+    assert err.startswith("error: internal: ValueError(")
+
+
 def test_bad_source_and_bad_wlog_are_usage_errors(capsys, w5_file, tmp_path):
     code, _, err = cli(capsys, "check", "--graph", w5_file, "--source", "zz")
     assert code == 64 and "source label" in err

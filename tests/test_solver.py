@@ -19,6 +19,7 @@ from wordrep import solver
 from wordrep.debruijn import build_simplified
 from wordrep.graphs import LabeledGraph, build_graph, build_wheel, induced_subgraph
 from wordrep.orientations import (
+    UNSET,
     CyclicInput,
     Orientation,
     PartialOrientation,
@@ -470,6 +471,7 @@ GOLDEN_ORIENTATIONS = {
     (6, 2): "70961b6013234bab",
     (7, 2): "b2d91f553268da44",
     (4, 3): "9e74b945ba123151",
+    (8, 2): "c05831d38487c7de",
 }
 
 
@@ -701,6 +703,46 @@ def test_restricted_scan_matches_a_full_scan_in_every_solve(name, monkeypatch):
         assert isinstance(verdict, SemiTransitive)
     else:
         assert dead == len(verdict.trace.lines)
+
+
+@pytest.mark.parametrize("name", ["w5", "s23", "witness", "s62", "s72"])
+def test_decided_edges_match_a_full_scan_in_every_solve(name, monkeypatch):
+    # the PathRule reads a heap of the edges the growing reach rows decide:
+    # every force must be the one a full scan finds, and every resume must
+    # refill the heap with exactly the unset edges its rebuilt rows decide
+    # (none here, as the search banks only propagation fixpoints; the
+    # random walks above bank other states too)
+    graph = {
+        **GOLDEN_GRAPHS,
+        "s62": lambda: build_simplified(6, 2).graph,
+        "s72": lambda: build_simplified(7, 2).graph,
+    }[name]()
+    next_force, restore = solver._next_force, _WatchedOrientation.restore
+    forces, resumes = [], []
+
+    def checked_next_force(po):
+        hit = next_force(po)
+        assert hit == _find_application(po, po.inventory)
+        forces.append(hit)
+        return hit
+
+    def checked_restore(po, snapshot):
+        restore(po, snapshot)
+        reach = reach_closure(po.out_adj)
+        assert sorted(po.decided) == [
+            i
+            for i, (a, b) in enumerate(po.edge_order)
+            if po.state[i] == UNSET and (reach[a] >> b & 1 or reach[b] >> a & 1)
+        ]
+        resumes.append(len(po.decided))
+
+    monkeypatch.setattr(solver, "_next_force", checked_next_force)
+    monkeypatch.setattr(_WatchedOrientation, "restore", checked_restore)
+    verdict = solve(graph)
+    assert None in forces
+    if isinstance(verdict, NonSemiTransitive):
+        moves = sum(isinstance(line.opener, MoveCopy) for line in verdict.trace.lines)
+        assert len(resumes) == moves
 
 
 # ---------------------------------------------------------------------------
