@@ -34,18 +34,19 @@ both cases at once.
 
 Propagation reads counters instead of rescanning cycles.  Each cycle of
 the inventory is numbered in scan order (triangles first, then longer
-rings by length and ids), and each edge keeps a watch list of the cycles
-it lies on, signed by the direction the ring takes it, in the manner of
-Chaff's watched literals (Moskewicz et al., DAC 2001).  Setting an arc
-walks only that edge's list, bumping each cycle's along or against count
-(unset = ring length - along - against), and keeps the set of cycles
-whose counts let the TriangleRule or the CycleRule fire.  The rules fire
-the lowest-numbered cycle of that set, which is exactly the cycle the
-in-order scans would find first, so every proof is unchanged; a ring is
-walked only to find the unset steps of the cycle that fires.  A banked
-copy holds the edge states and the counts as bytes; its fire set is
-empty, because the search branches only at a propagation fixpoint, and
-its arcs are rebuilt on resume.
+rings by length and ids).  In the manner of Chaff's watched literals
+(Moskewicz et al., DAC 2001), each edge keeps two watch lists, split by
+the direction the ring steps along it: setting an arc t->h bumps the
+along count of each cycle stepping t->h and the against count of each
+stepping h->t (unset = ring length - along - against), and keeps the set
+of cycles whose counts let the TriangleRule or the CycleRule fire.  The
+rules fire the lowest-numbered cycle of that set, which is exactly the
+cycle the in-order scans would find first, so every proof is unchanged;
+a ring is walked only to find the unset steps of the cycle that fires.
+A banked copy holds the edge states and the counts as bytes; its fire
+set is empty, because the search branches only at a propagation
+fixpoint, and its arcs are rebuilt on resume.  Branch choice finds the
+nearly firing cycles in one big-int pass, one byte lane per cycle.
 
 The orientation also keeps one reach row and one co-reach row per
 vertex, grown on each inserted arc by ``add_arc_rows`` (Italiano's
@@ -194,10 +195,6 @@ def _canonical_ring_print(g: LabeledGraph, ids: tuple[int, ...]) -> tuple[str, .
     return tuple(g.labels[v] for v in ring)
 
 
-def _is_clique(g: LabeledGraph, ids: tuple[int, ...]) -> bool:
-    return all(g.has_edge(a, b) for a, b in itertools.combinations(ids, 2))
-
-
 @dataclass(frozen=True)
 class _Inventory:
     """The cycles the rules reason over, numbered in scan order, and the
@@ -207,9 +204,8 @@ class _Inventory:
     rings: tuple[tuple[int, ...], ...]  # ring order, sorted by (length, ids)
     triangles: int  # rings[:triangles] are the triangles
     sizes: bytes  # ring lengths
-    # watch[i] for edge index i: c when ring c steps along it lo -> hi,
-    # ~c when ring c steps along it hi -> lo
-    watch: tuple[array, ...]
+    # watch[t, h] for each edge, both ways: the rings that step t -> h
+    watch: dict[tuple[int, int], array]
     # printed rings, made when a ring first fires and shared by every
     # proof step it justifies
     prints: dict[int, tuple[str, ...]] = field(default_factory=dict)
@@ -218,41 +214,50 @@ class _Inventory:
 @lru_cache(maxsize=32)
 def _cycle_inventory(g: LabeledGraph, max_len: int) -> _Inventory:
     """Every triangle, and every non-clique simple cycle of length
-    4..max_len, once per vertex set ring."""
-    neighbors = [g.neighbors(v) for v in range(g.n)]
+    4..max_len, once per vertex set ring: a bitmask DFS grows each path
+    from the ring's least vertex s through vertices near enough to s for
+    the ring to close within max_len."""
+    adj, cap = g.adj, min(max_len, g.n)  # no ring is longer than g.n
     found: list[tuple[int, ...]] = []
 
-    def extend(path: list[int]) -> None:
-        tail = path[-1]
-        start = path[0]
-        for w in neighbors[tail]:
-            if w == start and len(path) >= 3:
-                if path[1] > path[-1]:  # one orientation of each ring
-                    continue
-                ids = tuple(path)
-                if len(ids) > 3 and _is_clique(g, ids):
-                    continue  # clique rings never fire the CycleRule
-                found.append(ids)
-            elif w > start and w not in path and len(path) < max_len:
-                path.append(w)
-                extend(path)
-                path.pop()
+    def extend(tail: int, used: int) -> None:
+        depth = len(path)
+        # one orientation of each ring; clique rings never fire the CycleRule
+        if depth > 2 and adj[tail] >> s & 1 and path[1] < tail:
+            if depth == 3 or any((adj[v] | 1 << v) & used != used for v in path):
+                found.append(tuple(path))
+        ws = adj[tail] & allowed[depth] & ~used
+        while ws:
+            low = ws & -ws
+            ws ^= low
+            path.append(low.bit_length() - 1)
+            extend(path[-1], used | low)
+            path.pop()
 
     for s in range(g.n):
-        extend([s])
+        # near[r]: the vertices above s within r steps of s through such
+        # vertices.  A vertex that extends a path of d vertices towards a
+        # ring of length at most cap is within min(cap - d, cap // 2) steps.
+        near, seen, frontier, above = [0], 1 << s, 1 << s, -2 << s
+        while frontier and len(near) <= cap // 2:
+            step = 0
+            while frontier:
+                low = frontier & -frontier
+                frontier ^= low
+                step |= adj[low.bit_length() - 1]
+            frontier = step & above & ~seen
+            seen |= frontier
+            near.append(seen & above)
+        allowed = [near[min(cap - d, cap // 2, len(near) - 1)] for d in range(cap + 1)]
+        path = [s]
+        extend(s, 1 << s)
     found.sort(key=lambda ids: (len(ids), ids))
-    edge_index = {e: i for i, e in enumerate(sorted(g.edges))}
-    watch = [array("i") for _ in edge_index]
+    watch = {step: array("i") for a, b in g.edges for step in ((a, b), (b, a))}
     for c, ids in enumerate(found):
-        for t, h in zip(ids, ids[1:] + ids[:1]):
-            if t < h:
-                watch[edge_index[(t, h)]].append(c)
-            else:
-                watch[edge_index[(h, t)]].append(~c)
-    triangles = sum(1 for ids in found if len(ids) == 3)
-    return _Inventory(
-        max_len, tuple(found), triangles, bytes(map(len, found)), tuple(watch)
-    )
+        for step in zip(ids, ids[1:] + ids[:1]):
+            watch[step].append(c)
+    sizes = bytes(map(len, found))
+    return _Inventory(max_len, tuple(found), sizes.count(3), sizes, watch)
 
 
 class _WatchedOrientation(PartialOrientation):
@@ -316,26 +321,28 @@ class _WatchedOrientation(PartialOrientation):
                         heappush(decided, j)
             self.cyclic = not add_arc_rows(reach, self.coreach, tail, head)
         along, against, fire = self.along, self.against, self.fire
-        sizes, triangles = self.inventory.sizes, self.inventory.triangles
-        forward = tail < head
-        for w in self.inventory.watch[i]:
-            c = w if w >= 0 else ~w
-            if (w >= 0) == forward:
-                along[c] += 1
-            else:
-                against[c] += 1
-            al, ag = along[c], against[c]
-            unset = sizes[c] - al - ag
-            if unset > 2:
-                continue
-            # a triangle fires with one edge unset and the other two
-            # pointing the same way; a longer ring fires with one unset
-            # and at most one against the rest, or two unset and none
-            slack = (1 if c < triangles else 2) - unset
-            if unset and (al if al < ag else ag) <= slack:
-                fire.add(c)
-            else:
-                fire.discard(c)
+        inventory = self.inventory
+        sizes, triangles, watch = inventory.sizes, inventory.triangles, inventory.watch
+        # rings stepping tail -> head count it along, head -> tail against
+        for rings, counts, others in (
+            (watch[tail, head], along, against),
+            (watch[head, tail], against, along),
+        ):
+            for c in rings:
+                count = counts[c] + 1
+                counts[c] = count
+                other = others[c]
+                unset = sizes[c] - count - other
+                if unset > 2:
+                    continue
+                # a triangle fires with one edge unset and the other two
+                # pointing the same way; a longer ring fires with one unset
+                # and at most one against the rest, or two unset and none
+                slack = (1 if c < triangles else 2) - unset
+                if unset and (count if count < other else other) <= slack:
+                    fire.add(c)
+                else:
+                    fire.discard(c)
 
     def unset_steps(self, c: int) -> list[tuple[int, int]]:
         """The ring steps of cycle ``c`` whose edges are unset."""
@@ -503,14 +510,29 @@ def propagate(
 
 
 def _almost_forced_counts(po: _WatchedOrientation) -> dict[tuple[int, int], int]:
-    """How many rule-usable cycles each unset edge could nearly fire."""
-    counts: dict[tuple[int, int], int] = {}
+    """How many rule-usable cycles each unset edge could nearly fire: the
+    cycles with three unset steps and none of the rest along, or none
+    against.  One byte lane per cycle, so one pass of big-int arithmetic
+    finds them all; along + against <= size, so no lane borrows."""
     sizes = po.inventory.sizes
-    for c, (m, al, ag) in enumerate(zip(sizes, po.along, po.against)):
-        if m - al - ag == 3 and (al == 0 or ag == 0):
-            for t, h in po.unset_steps(c):
-                edge = (t, h) if t < h else (h, t)
-                counts[edge] = counts.get(edge, 0) + 1
+    ones = int.from_bytes(b"\x01" * len(sizes), "little")
+    low7, high = ones * 0x7F, ones << 7
+
+    def zero(x: int) -> int:  # 0x80 in each lane of x that is 0
+        return ~(((x & low7) + low7) | x | low7) & high
+
+    al = int.from_bytes(po.along, "little")
+    ag = int.from_bytes(po.against, "little")
+    unset = int.from_bytes(sizes, "little") - al - ag
+    hits = zero(unset ^ ones * 3) & (zero(al) | zero(ag))
+    lanes = hits.to_bytes(len(sizes), "little")  # 0x80 at each such cycle
+    counts: dict[tuple[int, int], int] = {}
+    c = lanes.find(0x80)
+    while c >= 0:
+        for t, h in po.unset_steps(c):
+            edge = (t, h) if t < h else (h, t)
+            counts[edge] = counts.get(edge, 0) + 1
+        c = lanes.find(0x80, c + 1)
     return counts
 
 

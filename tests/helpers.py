@@ -5,10 +5,12 @@ them: DOT writers for eyeballing a graph or an orientation, the reversal
 of an orientation, the graph a word defines, induced containment as a
 yes/no, the reduction of a LaTeX proof listing to plain trace lines, a
 copy of a partial orientation with one vertex made a source, its unset
-edges, the closing arc of a shortcut witness and the host label an
-embedding maps a pattern label to.
+edges, the closing arc of a shortcut witness, the host label an
+embedding maps a pattern label to, and a plain recursive enumerator of
+the solver's cycle inventory, the reference for its bitmask DFS.
 """
 
+import itertools
 import re
 
 from wordrep.graphs import LabeledGraph
@@ -108,3 +110,37 @@ def closing_arc(w: ShortcutWitness) -> tuple[int, int]:
 def image_of(e: Embedding, label: str) -> str:
     """The host label a pattern label maps to."""
     return e.host.labels[e.mapping[e.pattern.index[label]]]
+
+
+def is_clique(g: LabeledGraph, ids) -> bool:
+    return all(g.has_edge(a, b) for a, b in itertools.combinations(ids, 2))
+
+
+def reference_rings(g: LabeledGraph, max_len: int) -> list[tuple[int, ...]]:
+    """Every triangle, and every non-clique simple cycle of length
+    4..max_len, once per vertex set ring, sorted by (length, ids): a plain
+    DFS from each ring's least vertex, taking each ring the way its second
+    vertex is below its last."""
+    neighbors = [g.neighbors(v) for v in range(g.n)]
+    found: list[tuple[int, ...]] = []
+
+    def extend(path: list[int]) -> None:
+        tail = path[-1]
+        start = path[0]
+        for w in neighbors[tail]:
+            if w == start and len(path) >= 3:
+                if path[1] > path[-1]:  # one orientation of each ring
+                    continue
+                ids = tuple(path)
+                if len(ids) > 3 and is_clique(g, ids):
+                    continue  # clique rings never fire the CycleRule
+                found.append(ids)
+            elif w > start and w not in path and len(path) < max_len:
+                path.append(w)
+                extend(path)
+                path.pop()
+
+    for s in range(g.n):
+        extend([s])
+    found.sort(key=lambda ids: (len(ids), ids))
+    return found

@@ -9,6 +9,7 @@ import hashlib
 import itertools
 import json
 import random
+import time
 from pathlib import Path
 
 import pytest
@@ -36,6 +37,7 @@ from wordrep.solver import (
     NonSemiTransitive,
     SemiTransitive,
     SolverConfig,
+    _almost_forced_counts,
     _canonical_ring_print,
     _cycle_inventory,
     _label_key,
@@ -57,7 +59,7 @@ from wordrep.traces import (
 from wordrep.words import BudgetExceeded as WordSearchBudgetExceeded
 from wordrep.words import find_uniform_representant
 
-from helpers import fix_source, unset_edges
+from helpers import fix_source, reference_rings, unset_edges
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
 
@@ -484,6 +486,63 @@ def test_found_orientations_match_the_golden_hashes(n, k):
     digest = hashlib.sha256(repr(verdict.orientation.arcs).encode("utf-8"))
     assert digest.hexdigest()[:16] == GOLDEN_ORIENTATIONS[(n, k)]
 
+
+# ---------------------------------------------------------------------------
+# the cycle inventory against the reference enumerator
+
+
+def _inventory_graphs():
+    k4_pendant = LabeledGraph(
+        [str(v) for v in range(5)], [*itertools.combinations(range(4), 2), (3, 4)]
+    )
+    yield "k5", complete(5), range(3, 9)
+    yield "k4+pendant", k4_pendant, range(3, 9)
+    # S(2,4) has 47,422 rings of length <= 8 and S(2,5) 114,844 of length
+    # <= 7: too many for the plain DFS to list in a unit test
+    longest = {"s24": 7, "s25": 6}
+    for name in sorted(GOLDEN_GRAPHS):
+        yield name, GOLDEN_GRAPHS[name](), range(3, longest.get(name, 8) + 1)
+    rng = random.Random(21)
+    for i in range(24):
+        g = random_graph(rng, rng.randint(1, 10), rng.random())
+        yield f"random{i}", g, range(3, 9)
+
+
+def test_cycle_inventory_matches_the_reference_enumerator():
+    # the bitmask DFS must find the rings the plain recursive DFS finds, in
+    # the same order, and list every ring step exactly once, under its
+    # directed step; the cache is bypassed so other tests keep theirs
+    for name, g, lens in _inventory_graphs():
+        for cycle_len in lens:
+            inventory = _cycle_inventory.__wrapped__(g, cycle_len)
+            rings = reference_rings(g, cycle_len)
+            assert list(inventory.rings) == rings, (name, cycle_len)
+            assert inventory.triangles == sum(len(ids) == 3 for ids in rings)
+            assert inventory.sizes == bytes(map(len, rings))
+            expected = {step: [] for a, b in g.edges for step in ((a, b), (b, a))}
+            for c, ids in enumerate(rings):
+                for step in zip(ids, ids[1:] + ids[:1]):
+                    expected[step].append(c)
+            watch = {step: list(cs) for step, cs in inventory.watch.items()}
+            assert watch == expected, (name, cycle_len)
+
+
+@pytest.mark.parametrize("name", ["w5", "witness"])
+def test_cycle_inventory_clamps_a_huge_cycle_len(name):
+    # no ring is longer than the graph, so the BFS layers stop at g.n
+    g = GOLDEN_GRAPHS[name]()
+    huge = _cycle_inventory.__wrapped__(g, 10**7)
+    assert huge.rings == _cycle_inventory.__wrapped__(g, g.n).rings
+
+
+def test_solve_with_a_huge_cycle_len_returns_the_default_proof():
+    w5 = build_wheel(5)
+    start = time.perf_counter()
+    verdict = solve(w5, SolverConfig(cycle_len=10**7))
+    assert time.perf_counter() - start < 1.0
+    assert emit_trace(verdict.trace) == emit_trace(solve(w5).trace)
+
+
 # ---------------------------------------------------------------------------
 # watched cycle counters against full rescans
 
@@ -579,11 +638,12 @@ def _check_rows(po):
 
 
 def _check_counters(po, clean, scan=True):
-    """Check the counters, the fire set, the next force and the rows
-    against full rescans, and a snapshot/restore round trip.  While every
-    scan since the last restore of a clean state was clean (``clean``),
-    also check the restricted scan against a full one, if ``scan``.
-    Returns whether the state is still on such a clean-scan prefix."""
+    """Check the counters, the fire set, the near-firing counts, the next
+    force and the rows against full rescans, and a snapshot/restore round
+    trip.  While every scan since the last restore of a clean state was
+    clean (``clean``), also check the restricted scan against a full one,
+    if ``scan``.  Returns whether the state is still on such a clean-scan
+    prefix."""
     _check_rows(po)
     if clean and scan:
         expected = _full_scan(po)
@@ -598,6 +658,15 @@ def _check_counters(po, clean, scan=True):
         for c, (ids, tally) in enumerate(zip(inventory.rings, tallies))
         if _rule_force(po, ids, tally)
     }
+    # each unset edge of a ring with three unset steps and none of the
+    # rest along, or none against, counts once per such ring
+    near = {}
+    for along, against, unset in tallies:
+        if len(unset) == 3 and (along == 0 or against == 0):
+            for t, h in unset:
+                edge = (t, h) if t < h else (h, t)
+                near[edge] = near.get(edge, 0) + 1
+    assert _almost_forced_counts(po) == near
     if reach_closure(po.out_adj) is not None:
         assert _next_force(po) == _find_application(po, inventory)
     if not po.fire:
