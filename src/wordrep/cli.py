@@ -336,6 +336,11 @@ def _cmd_verify_trace(ns) -> int:
         for label in wlog:
             if label not in g.index:
                 raise _UsageError(f"wlog endpoint {label!r} is not a vertex")
+        tail, head = (g.index[label] for label in wlog)
+        if tail == head:
+            raise _UsageError(f"wlog arc {ns.wlog!r} is a self-loop")
+        if not g.has_edge(tail, head):
+            raise _UsageError(f"wlog arc {ns.wlog!r} is not an edge of the graph")
     if ns.source is not None and ns.source not in g.index:
         raise _UsageError(f"source {ns.source!r} is not a vertex")
     try:

@@ -10,7 +10,7 @@ every surviving edge remembers the (n+1)-words that induced it.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .graphs import LabeledGraph
 
@@ -31,16 +31,14 @@ class SizeLimitExceeded(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class DeBruijnDigraph:
+class DeBruijnDigraph(NamedTuple):
     n: int
     k: int
     vertices: tuple[str, ...]
     arcs: tuple[tuple[int, int], ...]  # one per (n+1)-word; loops included
 
 
-@dataclass(frozen=True)
-class SimplifiedDeBruijnGraph:
+class SimplifiedDeBruijnGraph(NamedTuple):
     graph: LabeledGraph
     # unordered edge (lo, hi) -> sorted tuple of the (n+1)-words that induced it
     edge_labels: dict[tuple[int, int], tuple[str, ...]]

@@ -42,6 +42,47 @@ class SelfLoop(GraphError):
     pass
 
 
+class FrozenRecord:
+    """Base of the immutable records that check their fields when made.
+
+    A subclass names its fields in ``__slots__`` and its ``__init__``
+    validates them, then stores them with ``_store`` in slot order.  The
+    record compares, hashes, prints and pickles by those fields, and
+    assigning to it raises ``AttributeError``.  The records that only hold
+    fields are ``typing.NamedTuple``s instead.
+    """
+
+    __slots__ = ()
+
+    def _store(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
 class LabeledGraph:
     """Simple undirected graph; immutable after construction.
 

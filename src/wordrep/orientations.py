@@ -26,10 +26,9 @@ to the oracle compare two independent exact tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
-from .graphs import LabeledGraph
+from .graphs import FrozenRecord, LabeledGraph
 
 __all__ = [
     "CyclicInput",
@@ -118,17 +117,16 @@ class PartialOrientation:
         return UNSET not in self.state
 
 
-@dataclass(frozen=True)
-class Orientation:
+class Orientation(FrozenRecord):
     """Total orientation: one arc per edge of the underlying graph."""
 
-    graph: LabeledGraph
-    arcs: tuple[tuple[int, int], ...]
+    __slots__ = ("graph", "arcs")
 
-    def __post_init__(self):
-        edges = {(min(t, h), max(t, h)) for t, h in self.arcs}
-        if edges != self.graph.edges or len(self.arcs) != len(self.graph.edges):
+    def __init__(self, graph: LabeledGraph, arcs: tuple[tuple[int, int], ...]):
+        edges = {(min(t, h), max(t, h)) for t, h in arcs}
+        if edges != graph.edges or len(arcs) != len(graph.edges):
             raise ValueError("arcs must orient every edge exactly once")
+        self._store(graph, arcs)
 
     def as_partial(self) -> PartialOrientation:
         po = PartialOrientation(self.graph)
@@ -137,8 +135,7 @@ class Orientation:
         return po
 
 
-@dataclass(frozen=True)
-class ShortcutWitness:
+class ShortcutWitness(NamedTuple):
     path: tuple[int, ...]  # directed path v0 -> ... -> vk, closing arc v0 -> vk
     violation: tuple[int, int]  # indices (i, j) into path, i < j, (i,j) != (0,k)
 
@@ -377,8 +374,7 @@ def is_semitransitive(o: Orientation | PartialOrientation) -> bool:
         return False
 
 
-@dataclass(frozen=True)
-class BruteForceResult:
+class BruteForceResult(NamedTuple):
     verdict: str  # "exists" | "notexists" | "budget"
     certificate: Orientation | None = None
     examined: int = 0

@@ -75,11 +75,11 @@ from __future__ import annotations
 import itertools
 from array import array
 from collections import deque
-from dataclasses import dataclass, field
 from functools import lru_cache
 from heapq import heappop, heappush
+from typing import NamedTuple
 
-from .graphs import LabeledGraph, induced_subgraph, max_degree_vertex
+from .graphs import FrozenRecord, LabeledGraph, induced_subgraph, max_degree_vertex
 from .orientations import (
     BACKWARD,
     FORWARD,
@@ -126,8 +126,7 @@ DEFAULT_CYCLE_LEN = 6
 DEFAULT_NODE_BUDGET = 1_000_000
 
 
-@dataclass(frozen=True)
-class SolverConfig:
+class SolverConfig(FrozenRecord):
     """Search knobs.
 
     source: vertex label to fix as source; None picks the maximum-degree
@@ -137,34 +136,35 @@ class SolverConfig:
     up.  cycle_len: longest cycle the CycleRule propagates over.
     """
 
-    source: str | None = None
-    wlog_rule: bool = True
-    budget: int = DEFAULT_NODE_BUDGET
-    cycle_len: int = DEFAULT_CYCLE_LEN
+    __slots__ = ("source", "wlog_rule", "budget", "cycle_len")
 
-    def __post_init__(self):
-        if self.budget <= 0:
+    def __init__(
+        self,
+        source: str | None = None,
+        wlog_rule: bool = True,
+        budget: int = DEFAULT_NODE_BUDGET,
+        cycle_len: int = DEFAULT_CYCLE_LEN,
+    ):
+        if budget <= 0:
             raise ValueError("budget must be positive")
-        if self.cycle_len < 3:
+        if cycle_len < 3:
             raise ValueError("cycle_len must be at least 3")
+        self._store(source, wlog_rule, budget, cycle_len)
 
 
 # --------------------------------------------------------------------------
 # solve verdicts
 
 
-@dataclass(frozen=True)
-class SemiTransitive:
+class SemiTransitive(NamedTuple):
     orientation: Orientation
 
 
-@dataclass(frozen=True)
-class NonSemiTransitive:
+class NonSemiTransitive(NamedTuple):
     trace: ProofTrace
 
 
-@dataclass(frozen=True)
-class BudgetExceeded:
+class BudgetExceeded(NamedTuple):
     nodes: int
 
 
@@ -195,20 +195,18 @@ def _canonical_ring_print(g: LabeledGraph, ids: tuple[int, ...]) -> tuple[str, .
     return tuple(g.labels[v] for v in ring)
 
 
-@dataclass(frozen=True)
-class _Inventory:
+class _Inventory(NamedTuple):
     """The cycles the rules reason over, numbered in scan order, and the
     cycles each edge lies on."""
 
-    max_len: int
     rings: tuple[tuple[int, ...], ...]  # ring order, sorted by (length, ids)
     triangles: int  # rings[:triangles] are the triangles
     sizes: bytes  # ring lengths
     # watch[t, h] for each edge, both ways: the rings that step t -> h
     watch: dict[tuple[int, int], array]
     # printed rings, made when a ring first fires and shared by every
-    # proof step it justifies
-    prints: dict[int, tuple[str, ...]] = field(default_factory=dict)
+    # proof step it justifies; each inventory is given its own dict
+    prints: dict[int, tuple[str, ...]]
 
 
 @lru_cache(maxsize=32)
@@ -257,7 +255,7 @@ def _cycle_inventory(g: LabeledGraph, max_len: int) -> _Inventory:
         for step in zip(ids, ids[1:] + ids[:1]):
             watch[step].append(c)
     sizes = bytes(map(len, found))
-    return _Inventory(max_len, tuple(found), sizes.count(3), sizes, watch)
+    return _Inventory(tuple(found), sizes.count(3), sizes, watch, {})
 
 
 class _WatchedOrientation(PartialOrientation):

@@ -17,10 +17,9 @@ small (at most a few dozen vertices); nothing heavier is warranted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping
 
-from .graphs import LabeledGraph
+from .graphs import FrozenRecord, LabeledGraph
 
 __all__ = [
     "Embedding",
@@ -28,8 +27,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Embedding:
+class Embedding(FrozenRecord):
     """An injective map from pattern vertices to host vertices.
 
     ``mapping[p]`` is the host vertex id for pattern vertex id ``p``.
@@ -37,17 +35,16 @@ class Embedding:
     images are — is re-checkable at any time via :meth:`is_induced`.
     """
 
-    pattern: LabeledGraph
-    host: LabeledGraph
-    mapping: tuple[int, ...]
+    __slots__ = ("pattern", "host", "mapping")
 
-    def __post_init__(self):
-        if len(self.mapping) != self.pattern.n:
+    def __init__(self, pattern: LabeledGraph, host: LabeledGraph, mapping: tuple[int, ...]):
+        if len(mapping) != pattern.n:
             raise ValueError("mapping must cover every pattern vertex")
-        if len(set(self.mapping)) != len(self.mapping):
+        if len(set(mapping)) != len(mapping):
             raise ValueError("mapping must be injective")
-        if any(not 0 <= h < self.host.n for h in self.mapping):
+        if any(not 0 <= h < host.n for h in mapping):
             raise ValueError("mapping image out of host range")
+        self._store(pattern, host, mapping)
 
     def as_label_map(self) -> dict[str, str]:
         return {

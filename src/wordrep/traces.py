@@ -25,8 +25,8 @@ being free) the graph has no semi-transitive orientation at all.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from itertools import combinations
+from typing import NamedTuple
 
 from .graphs import LabeledGraph, build_graph
 from .orientations import PartialOrientation
@@ -67,32 +67,28 @@ class UnknownCopyReference(TraceSyntaxError):
     pass
 
 
-@dataclass(frozen=True)
-class Branch:
+class Branch(NamedTuple):
     arc: Arc
     copy_id: int
 
 
-@dataclass(frozen=True)
-class Orient:
+class Orient(NamedTuple):
     arc: Arc
     cycle: tuple[str, ...]
     # True on the first step of a two-O pair sharing this cycle annotation
     paired_with_next: bool = False
 
 
-@dataclass(frozen=True)
-class Shortcut:
+class Shortcut(NamedTuple):
     path: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class Root:
-    pass
+class Root(NamedTuple):
+    """Line 1's opener.  It is an empty tuple, so it is falsy: tell the
+    openers apart with ``isinstance``."""
 
 
-@dataclass(frozen=True)
-class MoveCopy:
+class MoveCopy(NamedTuple):
     copy_id: int
     arc: Arc
 
@@ -100,39 +96,34 @@ class MoveCopy:
 TraceStep = Branch | Orient
 
 
-@dataclass(frozen=True)
-class TraceLine:
+class TraceLine(NamedTuple):
     line_number: int
     opener: Root | MoveCopy
     steps: tuple[TraceStep, ...]
     terminal: Shortcut
 
 
-@dataclass(frozen=True)
-class Preamble:
+class Preamble(NamedTuple):
     wlog_arc: Arc | None = None
     source_vertex: str | None = None
 
 
-@dataclass(frozen=True)
-class ProofTrace:
+class ProofTrace(NamedTuple):
     preamble: Preamble
     lines: tuple[TraceLine, ...]
 
 
-@dataclass(frozen=True)
-class LineStatus:
+class LineStatus(NamedTuple):
     line_number: int
     accepted: bool
     reason: str | None = None
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     line_statuses: tuple[LineStatus, ...]
     # copy id -> (created at line, consumed at line or None)
-    copy_ledger: dict[int, tuple[int, int | None]] = field(default_factory=dict)
-    accepted: bool = False
+    copy_ledger: dict[int, tuple[int, int | None]]
+    accepted: bool
 
     def failures(self) -> list[LineStatus]:
         return [s for s in self.line_statuses if not s.accepted]

@@ -377,6 +377,15 @@ def test_bad_source_and_bad_wlog_are_usage_errors(capsys, w5_file, tmp_path):
         "--wlog", "h",
     )
     assert code == 64 and "TAIL->HEAD" in err
+    # rim vertices c0 and c2 are not adjacent in W5
+    for wlog, reason in (
+        ("c0->zz", "not a vertex"), ("c0->c2", "not an edge"), ("h->h", "self-loop"),
+    ):
+        code, out, err = cli(
+            capsys, "verify-trace", "--graph", w5_file, "--trace", str(trace),
+            "--wlog", wlog,
+        )
+        assert (code, out) == (64, "") and reason in err, (wlog, err)
 
 
 def test_malformed_trace_is_a_usage_error(capsys, w5_file, tmp_path):

@@ -30,6 +30,10 @@ LAZY_MODULES = (
     "wordrep.words",
 )
 
+# no wordrep module needs these: its records are NamedTuples or small
+# __slots__ classes, so no process pays for dataclasses and what it imports
+NEVER_LOADED = ("dataclasses", "inspect")
+
 
 def _python(*args, cwd):
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
@@ -40,22 +44,34 @@ def _python(*args, cwd):
     )
 
 
-def test_importing_the_cli_loads_no_subcommand_only_module(tmp_path):
-    # modules the interpreter loaded at start-up do not count
+def _loaded_by(statement, cwd):
+    """The modules a fresh interpreter loads to run ``statement``; modules
+    the interpreter loaded at start-up do not count."""
     script = (
         "import json, sys\n"
         "before = set(sys.modules)\n"
-        "import wordrep.cli\n"
+        f"{statement}\n"
         "print(json.dumps(sorted(set(sys.modules) - before)))\n"
     )
-    proc = _python("-c", script, cwd=tmp_path)
+    proc = _python("-c", script, cwd=cwd)
     assert proc.returncode == 0, proc.stderr
-    loaded = json.loads(proc.stdout)
+    return json.loads(proc.stdout)
+
+
+def test_importing_the_cli_loads_no_subcommand_only_module(tmp_path):
+    loaded = _loaded_by("import wordrep.cli", tmp_path)
     assert "wordrep.solver" in loaded
     assert [
         m for m in loaded
         if any(m == lazy or m.startswith(lazy + ".") for lazy in LAZY_MODULES)
     ] == []
+    assert [m for m in NEVER_LOADED if m in loaded] == []
+
+
+def test_importing_debruijn_and_subiso_loads_no_dataclasses(tmp_path):
+    loaded = _loaded_by("import wordrep.debruijn, wordrep.subiso", tmp_path)
+    assert "wordrep.debruijn" in loaded and "wordrep.subiso" in loaded
+    assert [m for m in NEVER_LOADED if m in loaded] == []
 
 
 @pytest.fixture(scope="module")

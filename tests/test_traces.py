@@ -8,7 +8,6 @@ verify with a balanced branch ledger.  Hand-built eliminations of the
 
 import json
 import time
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -536,8 +535,8 @@ def test_force_check_rejects_every_reversed_o_step_of_the_golden_proofs(name):
             if not isinstance(step, Orient):
                 continue
             steps = list(line.steps)
-            steps[j] = replace(step, arc=step.arc[::-1])
-            mutated = replace(line, steps=tuple(steps))
+            steps[j] = step._replace(arc=step.arc[::-1])
+            mutated = line._replace(steps=tuple(steps))
             report = verify_trace(g, ProofTrace(preamble, before + (mutated,)))
             assert not report.line_statuses[-1].accepted, (line.line_number, j)
             reversed_steps += 1
@@ -558,10 +557,10 @@ def _golden_with_pair_flag(name: str, step: int) -> ProofTrace:
     pre = json.loads((GOLDEN / "preambles.json").read_text(encoding="utf-8"))[name]
     first = parse_trace((GOLDEN / f"{name}.txt").read_text(encoding="utf-8")).lines[0]
     steps = list(first.steps)
-    steps[step] = replace(steps[step], paired_with_next=True)
+    steps[step] = steps[step]._replace(paired_with_next=True)
     return ProofTrace(
         Preamble(tuple(pre["wlog"]), pre["source"]),
-        (replace(first, steps=tuple(steps)),),
+        (first._replace(steps=tuple(steps)),),
     )
 
 
