@@ -20,6 +20,11 @@ A trace whose lines all verify and whose branch copies are each resumed
 exactly once is an exhaustive case analysis: no orientation with the given
 preamble is semi-transitive, hence (source choice and reversal symmetry
 being free) the graph has no semi-transitive orientation at all.
+
+A force is an O step's cycle with its one or two arcs. The verifier runs
+the tests of a force that read only the graph (labels, ring edges, arcs on
+the ring, the clique test) once per ``verify_trace`` call, when the force
+first appears; each step runs only the tests that read the orientation.
 """
 
 from __future__ import annotations
@@ -138,64 +143,53 @@ class VerificationReport(NamedTuple):
 LABEL_PATTERN = r"[A-Za-z0-9_]+"
 _ARC = rf"({LABEL_PATTERN})\s*(?:->|\u2192)\s*({LABEL_PATTERN})"
 
+# each token pattern also takes the whitespace after it, so a line's
+# parser always stands at its next token, whose column an error names
+_WS_RE = re.compile(r"\s*")
 _NUMBER_RE = re.compile(r"(\d+)\.\s*")
-_MC_RE = re.compile(rf"MC\s*(\d+)\s+{_ARC}")
-_BRANCH_RE = re.compile(rf"B\s*{_ARC}\s*\(\s*Copy\s+(\d+)\s*\)")
-_ORIENT_RE = re.compile(rf"O\s*{_ARC}")
-_CYCLE_RE = re.compile(rf"\(\s*C({LABEL_PATTERN}(?:-{LABEL_PATTERN})+)\s*\)")
-_TERMINAL_RE = re.compile(rf"S:\s*({LABEL_PATTERN}(?:-{LABEL_PATTERN})+)")
-
-
-class _LineScanner:
-    def __init__(self, text: str, line_number: int):
-        self.text = text
-        self.line_number = line_number
-        self.pos = 0
-
-    def skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def at_end(self) -> bool:
-        self.skip_ws()
-        return self.pos >= len(self.text)
-
-    def peek(self, prefix: str) -> bool:
-        self.skip_ws()
-        return self.text.startswith(prefix, self.pos)
-
-    def take(self, regex: re.Pattern, what: str) -> re.Match:
-        self.skip_ws()
-        m = regex.match(self.text, self.pos)
-        if m is None:
-            raise TraceSyntaxError(
-                f"expected {what}", self.line_number, self.pos + 1
-            )
-        self.pos = m.end()
-        return m
-
-    def error(self, message: str) -> TraceSyntaxError:
-        return TraceSyntaxError(message, self.line_number, self.pos + 1)
+_MC_RE = re.compile(rf"MC\s*(\d+)\s+{_ARC}\s*")
+_BRANCH_RE = re.compile(rf"B\s*{_ARC}\s*\(\s*Copy\s+(\d+)\s*\)\s*")
+_ORIENT_RE = re.compile(rf"O\s*{_ARC}\s*")
+_CYCLE_RE = re.compile(rf"\(\s*C({LABEL_PATTERN}(?:-{LABEL_PATTERN})+)\s*\)\s*")
+_TERMINAL_RE = re.compile(rf"S:\s*({LABEL_PATTERN}(?:-{LABEL_PATTERN})+)\s*")
 
 
 def _parse_line(
-    raw: str, line_number: int, created: dict[int, int], consumed: dict[int, int]
+    raw: str,
+    line_number: int,
+    created: dict[int, int],
+    consumed: dict[int, int],
+    cycles: dict[str, tuple[str, ...]],
 ) -> TraceLine:
-    sc = _LineScanner(raw, line_number)
-    if _NUMBER_RE.match(raw):
-        m = sc.take(_NUMBER_RE, "line number")
+    """One instruction line; ``cycles`` shares one tuple per cycle text
+    across the lines of a trace."""
+
+    def error(message: str, pos: int) -> TraceSyntaxError:
+        return TraceSyntaxError(message, line_number, pos + 1)
+
+    def take(regex: re.Pattern, pos: int, what: str) -> re.Match:
+        m = regex.match(raw, pos)
+        if m is None:
+            raise error(f"expected {what}", pos)
+        return m
+
+    pos = _WS_RE.match(raw).end()
+    m = _NUMBER_RE.match(raw, pos)
+    if m:
+        pos = m.end()
         printed = int(m.group(1))
         if printed != line_number:
-            raise sc.error(
-                f"line numbered {printed} in position {line_number}"
-            )
+            raise error(f"line numbered {printed} in position {line_number}", pos)
     opener: Root | MoveCopy
     if line_number == 1:
-        if sc.peek("MC"):
-            raise sc.error("line 1 cannot resume a copy")
+        if raw.startswith("MC", pos):
+            raise error("line 1 cannot resume a copy", pos)
         opener = Root()
     else:
-        m = sc.take(_MC_RE, "an MC opener (every line after the first resumes a copy)")
+        m = take(
+            _MC_RE, pos, "an MC opener (every line after the first resumes a copy)"
+        )
+        pos = m.end()
         copy_id = int(m.group(1))
         if copy_id not in created:
             raise UnknownCopyReference(
@@ -208,48 +202,51 @@ def _parse_line(
                 m.start(1) + 1,
             )
         consumed[copy_id] = line_number
-        opener = MoveCopy(copy_id, (m.group(2), m.group(3)))
+        opener = MoveCopy(copy_id, m.group(2, 3))
 
     steps: list[TraceStep] = []
     while True:
-        if sc.peek("S:"):
-            break
-        if sc.at_end():
-            raise sc.error("missing S: terminal")
-        if sc.peek("B"):
-            m = sc.take(_BRANCH_RE, "a branch step 'B x->y (Copy k)'")
+        c = raw[pos : pos + 1]
+        if c == "O":
+            m = take(_ORIENT_RE, pos, "an orient step 'O x->y'")
+            first, second = m.group(1, 2), None
+            pos = m.end()
+            if raw.startswith("O", pos):
+                m = take(_ORIENT_RE, pos, "a second orient arc")
+                second = m.group(1, 2)
+                pos = m.end()
+            m = take(_CYCLE_RE, pos, "a cycle annotation '(Cx-y-...)'")
+            pos = m.end()
+            cyc = cycles.get(m.group(1))
+            if cyc is None:
+                cyc = cycles[m.group(1)] = tuple(m.group(1).split("-"))
+            if second is None:
+                steps.append(Orient(first, cyc))
+            else:
+                steps.append(Orient(first, cyc, paired_with_next=True))
+                steps.append(Orient(second, cyc))
+        elif c == "B":
+            m = take(_BRANCH_RE, pos, "a branch step 'B x->y (Copy k)'")
+            pos = m.end()
             copy_id = int(m.group(3))
             if copy_id in created:
                 raise TraceSyntaxError(
                     f"copy {copy_id} created twice", line_number, m.start(3) + 1
                 )
             created[copy_id] = line_number
-            steps.append(Branch((m.group(1), m.group(2)), copy_id))
-        elif sc.peek("O"):
-            m = sc.take(_ORIENT_RE, "an orient step 'O x->y'")
-            first = (m.group(1), m.group(2))
-            if sc.peek("O"):
-                m2 = sc.take(_ORIENT_RE, "a second orient arc")
-                second = (m2.group(1), m2.group(2))
-                cyc = _parse_cycle(sc)
-                steps.append(Orient(first, cyc, paired_with_next=True))
-                steps.append(Orient(second, cyc))
-            else:
-                cyc = _parse_cycle(sc)
-                steps.append(Orient(first, cyc))
+            steps.append(Branch(m.group(1, 2), copy_id))
+        elif raw.startswith("S:", pos):
+            break
+        elif c:
+            raise error("expected a B, O, MC, or S: instruction", pos)
         else:
-            raise sc.error("expected a B, O, MC, or S: instruction")
+            raise error("missing S: terminal", pos)
 
-    m = sc.take(_TERMINAL_RE, "an S: terminal path")
+    m = take(_TERMINAL_RE, pos, "an S: terminal path")
+    if m.end() < len(raw):
+        raise error("trailing text after the S: terminal", m.end())
     terminal = Shortcut(tuple(m.group(1).split("-")))
-    if not sc.at_end():
-        raise sc.error("trailing text after the S: terminal")
     return TraceLine(line_number, opener, tuple(steps), terminal)
-
-
-def _parse_cycle(sc: _LineScanner) -> tuple[str, ...]:
-    m = sc.take(_CYCLE_RE, "a cycle annotation '(Cx-y-...)'")
-    return tuple(m.group(1).split("-"))
 
 
 def parse_trace(text: str) -> ProofTrace:
@@ -263,8 +260,10 @@ def parse_trace(text: str) -> ProofTrace:
         raise TraceSyntaxError("empty trace", 1, 1)
     created: dict[int, int] = {}
     consumed: dict[int, int] = {}
+    cycles: dict[str, tuple[str, ...]] = {}
     lines = [
-        _parse_line(raw, i + 1, created, consumed) for i, raw in enumerate(raws)
+        _parse_line(raw, i + 1, created, consumed, cycles)
+        for i, raw in enumerate(raws)
     ]
     return ProofTrace(Preamble(), tuple(lines))
 
@@ -367,7 +366,7 @@ def verify_trace(g: LabeledGraph, trace: ProofTrace) -> VerificationReport:
     statuses = [replay.run_line(line) for line in trace.lines]
     ledger = {
         cid: (created, replay.consumed_at.get(cid))
-        for cid, (_, _, created) in replay.copies.items()
+        for cid, created in replay.created_at.items()
     }
     # a zero-line trace eliminates no cases, so it proves nothing
     accepted = (
@@ -382,9 +381,16 @@ class _Replay:
     def __init__(self, g: LabeledGraph, preamble: Preamble):
         self.g = g
         self.preamble = preamble
-        # copy id -> (snapshot, deferred arc in vertex ids, created line)
-        self.copies: dict[int, tuple[PartialOrientation, tuple[int, int], int]] = {}
+        # copy id -> created line, and until an MC line resumes it, the
+        # snapshot and its deferred arc in vertex ids
+        self.created_at: dict[int, int] = {}
+        self.snapshots: dict[int, tuple[PartialOrientation, tuple[int, int]]] = {}
         self.consumed_at: dict[int, int] = {}
+        # (cycle, arcs) -> the force after its tests that read only g: (the
+        # arcs in vertex ids, a triangle's third vertex, a longer ring's
+        # other steps, arcs against the ring, clique flag), or the reason
+        # one of those tests gave; facts about g, so kept for one call
+        self.forces: dict[tuple, tuple | str] = {}
         self.po: PartialOrientation | None = None
 
     def vid(self, label: str) -> int:
@@ -432,22 +438,23 @@ class _Replay:
                 for u in self.g.neighbors(s):
                     self.set_arc(s, u)
         else:
-            entry = self.copies.get(line.opener.copy_id)
-            if entry is None:
-                raise _Reject(f"copy {line.opener.copy_id} does not exist")
-            if line.opener.copy_id in self.consumed_at:
-                raise _Reject(f"copy {line.opener.copy_id} already consumed")
-            snapshot, deferred, _ = entry
+            cid = line.opener.copy_id
+            if cid not in self.created_at:
+                raise _Reject(f"copy {cid} does not exist")
+            if cid in self.consumed_at:
+                raise _Reject(f"copy {cid} already consumed")
+            snapshot, deferred = self.snapshots[cid]
             stated = self.arc_ids(line.opener.arc)
             if stated != deferred:
                 t, h = deferred
                 raise _Reject(
-                    f"copy {line.opener.copy_id} resumes with "
+                    f"copy {cid} resumes with "
                     f"{self.g.labels[t]}->{self.g.labels[h]}, "
                     f"not {line.opener.arc[0]}->{line.opener.arc[1]}"
                 )
-            self.consumed_at[line.opener.copy_id] = line.line_number
-            self.po = snapshot.copy()
+            self.consumed_at[cid] = line.line_number
+            del self.snapshots[cid]
+            self.po = snapshot
             self.set_arc(*deferred)
 
     def _steps(self, line: TraceLine) -> None:
@@ -462,11 +469,8 @@ class _Replay:
                         f"branch on already-oriented edge "
                         f"{step.arc[0]}-{step.arc[1]}"
                     )
-                self.copies[step.copy_id] = (
-                    self.po.copy(),
-                    (h, t),
-                    line.line_number,
-                )
+                self.created_at[step.copy_id] = line.line_number
+                self.snapshots[step.copy_id] = (self.po.copy(), (h, t))
                 self.set_arc(t, h)
                 i += 1
                 continue
@@ -485,16 +489,76 @@ class _Replay:
             for t, h in forced:
                 self.set_arc(t, h)
 
-    def _cycle_ids(
-        self, cycle: tuple[str, ...]
-    ) -> tuple[list[int], list[tuple[int, int]]]:
-        """The cycle's vertex ids and its ring: the steps (a, b) of one
-        traversal, closing step last."""
+    def _check_force(
+        self, arcs: tuple[Arc, ...], cycle: tuple[str, ...]
+    ) -> tuple[tuple[int, int], ...]:
+        """The arc of one O step, or the two of a pair, as vertex ids once
+        ``cycle`` is shown to force them: a triangle by a directed path
+        across it, a longer non-clique ring by m-2 of its other edges
+        pointing one way round, the rest set, and the arcs the other way.
+
+        Only the tests that read the orientation run on every step; the
+        rest ran when the force was first compiled."""
+        force = self.forces.get((cycle, arcs))
+        if force is None:
+            try:
+                force = self._compile_force(arcs, cycle)
+            except _Reject as r:
+                force = str(r)
+            self.forces[(cycle, arcs)] = force
+        if force.__class__ is str:
+            raise _Reject(force)
+        forced, third, others, backward, clique = force
+        out = self.po.out_adj
+        for (t, h), arc in zip(forced, arcs):
+            if out[h] >> t & 1:
+                raise _Reject(
+                    f"edge {arc[0]}-{arc[1]} is already oriented the other way"
+                )
+        if others is None:
+            ((t, h),) = forced
+            if not (out[t] >> third & 1 and out[third] >> h & 1):
+                raise _Reject(
+                    f"triangle C{'-'.join(cycle)} lacks the directed path "
+                    f"{arcs[0][0]}->{self.g.labels[third]}->{arcs[0][1]}"
+                )
+            return forced
+        # every other ring edge is oriented, and with a single forced arc
+        # one of them may point its way
+        along = 0
+        for a, b in others:
+            if out[a] >> b & 1:
+                along += 1
+            elif not out[b] >> a & 1:
+                raise _Reject(
+                    f"cycle C{'-'.join(cycle)} edge "
+                    f"{self.g.labels[a]}-{self.g.labels[b]} is not oriented"
+                )
+        m = len(cycle)
+        if not (
+            (along >= m - 2 and backward == len(forced))
+            or (len(others) - along >= m - 2 and not backward)
+        ):
+            both = "both " if len(arcs) == 2 else ""
+            named = " and ".join(f"{a}->{b}" for a, b in arcs)
+            raise _Reject(f"cycle C{'-'.join(cycle)} does not force {both}{named}")
+        if clique:
+            raise _Reject(
+                f"cycle vertices {'-'.join(cycle)} induce a clique, so the "
+                "two-edges-opposite rule does not apply"
+            )
+        return forced
+
+    def _compile_force(
+        self, arcs: tuple[Arc, ...], cycle: tuple[str, ...]
+    ) -> tuple:
+        """The tests of ``_check_force`` that read only g, in its order."""
         ids = [self.vid(label) for label in cycle]
         if len(set(ids)) != len(ids):
             raise _Reject(f"cycle C{'-'.join(cycle)} repeats a vertex")
         if len(ids) < 3:
             raise _Reject(f"cycle C{'-'.join(cycle)} is too short")
+        # the steps (a, b) of one traversal, closing step last
         ring = list(zip(ids, ids[1:] + ids[:1]))
         for a, b in ring:
             if not self.g.has_edge(a, b):
@@ -502,23 +566,13 @@ class _Replay:
                     f"cycle C{'-'.join(cycle)} uses the non-edge "
                     f"{self.g.labels[a]}-{self.g.labels[b]}"
                 )
-        return ids, ring
-
-    def _check_force(
-        self, arcs: tuple[Arc, ...], cycle: tuple[str, ...]
-    ) -> list[tuple[int, int]]:
-        """The arc of one O step, or the two of a pair, as vertex ids once
-        ``cycle`` is shown to force them: a triangle by a directed path
-        across it, a longer non-clique ring by m-2 of its other edges
-        pointing one way round, the rest set, and the arcs the other way."""
-        ids, ring = self._cycle_ids(cycle)
         pair = len(arcs) == 2
         if pair and len(ids) < 4:
             raise _Reject(
                 f"two orientations need a cycle of length >= 4, got "
                 f"C{'-'.join(cycle)}"
             )
-        forced = [self.arc_ids(arc) for arc in arcs]
+        forced = tuple(self.arc_ids(arc) for arc in arcs)
         for t, h in forced:
             if (t, h) not in ring and (h, t) not in ring:
                 raise _Reject(
@@ -530,48 +584,14 @@ class _Replay:
         edges = [step for t, h in forced for step in ((t, h), (h, t))]
         if pair and edges[0] in edges[2:]:
             raise _Reject("the two forced arcs name the same edge")
-        has_arc = self.po.has_arc
-        for (t, h), arc in zip(forced, arcs):
-            if has_arc(h, t):
-                raise _Reject(
-                    f"edge {arc[0]}-{arc[1]} is already oriented the other way"
-                )
         if len(ids) == 3:
             ((t, h),) = forced
-            (w,) = [v for v in ids if v not in (t, h)]
-            if not (has_arc(t, w) and has_arc(w, h)):
-                raise _Reject(
-                    f"triangle C{'-'.join(cycle)} lacks the directed path "
-                    f"{arcs[0][0]}->{self.g.labels[w]}->{arcs[0][1]}"
-                )
-            return forced
-        # every other ring edge is oriented, and with a single forced arc
-        # one of them may point its way
-        others = [(a, b) for a, b in ring if (a, b) not in edges]
-        for a, b in others:
-            if not (has_arc(a, b) or has_arc(b, a)):
-                raise _Reject(
-                    f"cycle C{'-'.join(cycle)} edge "
-                    f"{self.g.labels[a]}-{self.g.labels[b]} is not oriented"
-                )
-        along = sum(1 for a, b in others if has_arc(a, b))
+            (third,) = [v for v in ids if v not in (t, h)]
+            return forced, third, None, 0, False
+        others = tuple((a, b) for a, b in ring if (a, b) not in edges)
         backward = sum(1 for t, h in forced if (h, t) in ring)
-        m = len(ids)
-        if not (
-            (along >= m - 2 and backward == len(forced))
-            or (len(others) - along >= m - 2 and not backward)
-        ):
-            both = "both " if pair else ""
-            named = " and ".join(f"{a}->{b}" for a, b in arcs)
-            raise _Reject(f"cycle C{'-'.join(cycle)} does not force {both}{named}")
-        if all(self.g.has_edge(a, b) for a, b in combinations(ids, 2)):
-            raise _Reject(
-                "cycle vertices "
-                + "-".join(self.g.labels[v] for v in ids)
-                + " induce a clique, so the two-edges-opposite rule "
-                "does not apply"
-            )
-        return forced
+        clique = all(self.g.has_edge(a, b) for a, b in combinations(ids, 2))
+        return forced, None, others, backward, clique
 
     def _terminal(self, terminal: Shortcut) -> None:
         ids = [self.vid(label) for label in terminal.path]

@@ -7,7 +7,9 @@ verify with a balanced branch ledger.  Hand-built eliminations of the
 """
 
 import json
+import random
 import time
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -15,7 +17,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from wordrep.debruijn import build_simplified
-from wordrep.graphs import build_graph, build_wheel, max_degree_vertex
+from wordrep.graphs import (
+    build_graph,
+    build_wheel,
+    induced_subgraph,
+    max_degree_vertex,
+)
 from wordrep.orientations import brute_force_semitransitive
 from wordrep.traces import (
     WITNESS_PREAMBLE,
@@ -36,10 +43,12 @@ from wordrep.traces import (
     verify_trace,
 )
 
-from helpers import normalize_latex
+from helpers import normalize_latex, reference_verify_trace
 
 # ---------------------------------------------------------------------------
 # fixtures
+
+GOLDEN = Path(__file__).parent / "data" / "golden"
 
 
 def wheel5():
@@ -156,23 +165,59 @@ def test_parse_returns_empty_preamble():
     assert trace.preamble == Preamble()
 
 
+# text -> (message part, line, column of the error)
+MALFORMED = {
+    "": ("empty trace", 1, 1),
+    "1. MC2 a->b S:a-b-c\n": ("line 1 cannot resume a copy", 1, 4),
+    "2. Ba->b (Copy 2) S:a-b-c\n": ("numbered 2 in position 1", 1, 4),
+    "1. Ba->b (Copy 2)\n": ("missing S: terminal", 1, 18),
+    "1. Ba->b (Copy 2) S:a-b-c junk\n": ("trailing text", 1, 27),
+    "1. Ba->b (Copy 2) Bc->d (Copy 2) S:a-b-c\n": ("copy 2 created twice", 1, 31),
+    "1. Ba->b S:a-b-c\n": ("expected", 1, 4),
+    "1. Oa->b S:a-b-c\n": ("expected", 1, 10),
+    "1. S:a\n": ("expected", 1, 4),
+    "1. Oa-b (Ca-b-c) S:a-b-c\n": ("expected an orient step 'O x->y'", 1, 4),
+    "1. Oa->b Oc- (Ca-b-c-d) S:a-b-c\n": ("expected a second orient arc", 1, 10),
+    "1. Ba->b (Copy 2) Xa->b S:a-b-c\n": (
+        "expected a B, O, MC, or S: instruction",
+        1,
+        19,
+    ),
+    # a tab and a no-break space are whitespace between steps, and each
+    # counts as one column
+    "1. Ba->b (Copy 2)\tX S:a-b-c\n": (
+        "expected a B, O, MC, or S: instruction",
+        1,
+        19,
+    ),
+    "1. Ba->b (Copy 2)\u00a0\tOa->c S:a-b-c\n": (
+        "expected a cycle annotation",
+        1,
+        26,
+    ),
+    "1. Ba->b (Copy 2) S:a-b-c\n2.\u00a0MC2 b->a\tQ S:a-b-c\n": (
+        "expected a B, O, MC, or S: instruction",
+        2,
+        13,
+    ),
+}
+
+
 @pytest.mark.parametrize(
-    "text, message_part",
-    [
-        ("", "empty trace"),
-        ("1. MC2 a->b S:a-b-c\n", "line 1 cannot resume a copy"),
-        ("2. Ba->b (Copy 2) S:a-b-c\n", "numbered 2 in position 1"),
-        ("1. Ba->b (Copy 2)\n", "missing S: terminal"),
-        ("1. Ba->b (Copy 2) S:a-b-c junk\n", "trailing text"),
-        ("1. Ba->b (Copy 2) Bc->d (Copy 2) S:a-b-c\n", "copy 2 created twice"),
-        ("1. Ba->b S:a-b-c\n", "expected"),
-        ("1. Oa->b S:a-b-c\n", "expected"),
-        ("1. S:a\n", "expected"),
-    ],
+    "text, message_part", [(text, part) for text, (part, _, _) in MALFORMED.items()]
 )
 def test_parse_rejects_malformed_text(text, message_part):
-    with pytest.raises(TraceSyntaxError, match=message_part):
+    with pytest.raises(TraceSyntaxError, match=message_part) as info:
         parse_trace(text)
+    _, line, column = MALFORMED[text]
+    assert (info.value.line, info.value.column) == (line, column)
+
+
+@pytest.mark.parametrize("indent", ["  ", "\t", "\u00a0 "])
+def test_parse_indented_numbered_lines_as_unindented(indent):
+    text = (GOLDEN / "s33.txt").read_text(encoding="utf-8")
+    indented = "".join(indent + raw for raw in text.splitlines(keepends=True))
+    assert parse_trace(indented) == parse_trace(text)
 
 
 def test_parse_rejects_unknown_copy_reference():
@@ -449,11 +494,17 @@ def k4():
             "1. Ob->c Oa->h (Ca-b-c-h) S:h-a-b",
             "edge a-h is already oriented the other way",
         ),
-        # a triangle without the directed path across it
+        # a triangle without the directed path across it, or with only its
+        # first arc
         (
             wheel5,
             "1. Oa->b (Ca-b-h) S:h-a-b",
             "triangle Ca-b-h lacks the directed path a->h->b",
+        ),
+        (
+            wheel5,
+            "1. Oh->b (Ca-b-h) S:h-a-b",
+            "triangle Ca-b-h lacks the directed path h->a->b",
         ),
         # another ring edge left unset, single and paired
         (
@@ -501,7 +552,6 @@ def test_force_check_rejection_reasons(graph, text, reason):
     assert (status.accepted, status.reason) == (False, reason)
 
 
-GOLDEN = Path(__file__).parent / "data" / "golden"
 GOLDEN_GRAPHS = {
     "w5": lambda: build_wheel(5),
     "s23": lambda: build_simplified(2, 3).graph,
@@ -689,8 +739,6 @@ def test_witness_trace_rejects_under_an_edge_assumption(witness):
 def test_witness_trace_rejects_against_a_smaller_graph(witness):
     trace, g = witness
     keep = [v for v in range(g.n) if g.labels[v] != "7"]
-    from wordrep.graphs import induced_subgraph
-
     smaller = induced_subgraph(g, keep)
     assert not verify_trace(smaller, trace).accepted
 
@@ -712,3 +760,142 @@ def test_witness_trace_truncation_unbalances_the_ledger(witness):
     assert not report.accepted
     created, consumed = report.copy_ledger[100]
     assert consumed is None
+
+
+# ---------------------------------------------------------------------------
+# the compiled force checks against the plain per-step replay
+
+
+def _proof(name: str):
+    """A golden proof with its graph and preamble, or the bundled one."""
+    if name == "bundled":
+        trace = load_witness_trace()
+        return extract_graph(trace), trace
+    pre = json.loads((GOLDEN / "preambles.json").read_text(encoding="utf-8"))[name]
+    lines = parse_trace((GOLDEN / f"{name}.txt").read_text(encoding="utf-8")).lines
+    graph = build_simplified(3, 3).graph if name == "s33" else GOLDEN_GRAPHS[name]()
+    return graph, ProofTrace(Preamble(tuple(pre["wlog"]), pre["source"]), lines)
+
+
+def _heads(trace):
+    """(line index, step index, step) of each O step that carries its
+    cycle: a single step or the first of a pair."""
+    heads = []
+    for li, line in enumerate(trace.lines):
+        after_pair = False
+        for j, step in enumerate(line.steps):
+            if isinstance(step, Orient) and not after_pair:
+                heads.append((li, j, step))
+            after_pair = isinstance(step, Orient) and step.paired_with_next
+    return heads
+
+
+def _replaced(trace, li, j, **fields):
+    """The trace with step j of line li changed; a new cycle goes to both
+    steps of a pair."""
+    line = trace.lines[li]
+    steps = list(line.steps)
+    steps[j] = steps[j]._replace(**fields)
+    if "cycle" in fields and steps[j].paired_with_next:
+        steps[j + 1] = steps[j + 1]._replace(cycle=fields["cycle"])
+    lines = list(trace.lines)
+    lines[li] = line._replace(steps=tuple(steps))
+    return trace._replace(lines=tuple(lines))
+
+
+def _off_cycle_arc(g, cycle, rng):
+    ring = {frozenset(e) for e in zip(cycle, cycle[1:] + cycle[:1])}
+    off = [
+        (g.labels[a], g.labels[b])
+        for a, b in g.edge_list()
+        if frozenset((g.labels[a], g.labels[b])) not in ring
+    ]
+    return rng.choice(off)
+
+
+def _mutations(g, trace, rng):
+    """Seeded (graph, trace) mutations of a proof, one of each kind."""
+    heads = _heads(trace)
+    out = []
+    # an arc reversed
+    li, j, step = rng.choice(heads)
+    out.append((g, _replaced(trace, li, j, arc=step.arc[::-1])))
+    # a cycle rotated
+    li, j, step = rng.choice(heads)
+    k = rng.randrange(1, len(step.cycle))
+    out.append((g, _replaced(trace, li, j, cycle=step.cycle[k:] + step.cycle[:k])))
+    # a cycle label swapped for a non-neighbour of the label before it
+    li, j, step = rng.choice(heads)
+    cyc = step.cycle
+    i = rng.randrange(len(cyc))
+    before = g.index[cyc[i - 1]]
+    strangers = [
+        g.labels[v]
+        for v in range(g.n)
+        if v != before and not g.has_edge(before, v) and g.labels[v] not in cyc
+    ]
+    swapped = cyc[:i] + (rng.choice(strangers),) + cyc[i + 1 :]
+    out.append((g, _replaced(trace, li, j, cycle=swapped)))
+    # a label swapped for an unknown one, in the cycle and in the arc
+    li, j, step = rng.choice(heads)
+    i = rng.randrange(len(step.cycle))
+    unknown = step.cycle[:i] + ("zz",) + step.cycle[i + 1 :]
+    out.append((g, _replaced(trace, li, j, cycle=unknown)))
+    out.append((g, _replaced(trace, li, j, arc=(step.arc[0], "zz"))))
+    # a forced edge moved off its cycle
+    li, j, step = rng.choice(heads)
+    out.append((g, _replaced(trace, li, j, arc=_off_cycle_arc(g, step.cycle, rng))))
+    # a clique ring: the chords of a longer cycle added to the graph
+    _, _, step = rng.choice([head for head in heads if len(head[2].cycle) > 3])
+    labeled = [(g.labels[a], g.labels[b]) for a, b in g.edge_list()]
+    chords = list(combinations(step.cycle, 2))
+    out.append((build_graph(g.labels, labeled + chords), trace))
+    # the same bad force on two lines: a single step's (cycle, arc) that
+    # two lines use, taken off its cycle and reversed wherever it occurs
+    where = {}
+    for li, j, step in heads:
+        if not step.paired_with_next:
+            where.setdefault((step.cycle, step.arc), []).append((li, j))
+    repeated = sorted(
+        key for key, at in where.items() if len({li for li, _ in at}) > 1
+    )
+    if repeated:
+        cyc, arc = rng.choice(repeated)
+        for new_arc in (_off_cycle_arc(g, cyc, rng), arc[::-1]):
+            mutated = trace
+            for li, j in where[(cyc, arc)]:
+                mutated = _replaced(mutated, li, j, arc=new_arc)
+            out.append((g, mutated))
+    return out
+
+
+@pytest.mark.parametrize(
+    "name, seed",
+    [
+        (name, seed)
+        for name in ("w5", "s23", "s24", "witness", "bundled")
+        for seed in (0, 1, 2)
+    ]
+    + [("s33", 0)],
+)
+def test_verify_trace_matches_the_reference_replay(name, seed):
+    # every report, ledger and reason included, equals the plain replay's
+    g, trace = _proof(name)
+    cases = [(g, trace)] + _mutations(g, trace, random.Random(seed))
+    reports = [verify_trace(graph, mutated) for graph, mutated in cases]
+    assert reports == [reference_verify_trace(graph, t) for graph, t in cases]
+    assert reports[0].accepted
+    assert sum(not r.accepted for r in reports) >= 5
+
+
+def test_reference_replay_agrees_on_a_second_graph(witness):
+    # the compiled forces are facts about one graph: a trace verified
+    # against the witness and then against a graph without vertex 7 (whose
+    # ids all shift) must be judged on the second graph alone
+    trace, g = witness
+    smaller = induced_subgraph(g, [v for v in range(g.n) if g.labels[v] != "7"])
+    assert verify_trace(g, trace).accepted
+    second = verify_trace(smaller, trace)
+    assert not second.accepted
+    assert second == reference_verify_trace(smaller, trace)
+    assert verify_trace(g, trace) == reference_verify_trace(g, trace)
