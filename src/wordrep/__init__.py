@@ -9,6 +9,7 @@ Modules:
   solver        branch-and-propagate semi-transitivity decision procedure
   traces        proof-trace parsing, verification, emission, graph extraction
   subiso        anchored induced subgraph isomorphism
+  repro         the reproduction pipeline behind ``wordrep repro``
   cli           command-line entry point
 """
 

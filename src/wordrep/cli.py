@@ -15,6 +15,7 @@ flag overrides both.  Budgets accept scientific notation (``2e7``).
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import os
 import re
@@ -25,38 +26,53 @@ from typing import TYPE_CHECKING
 # Modules that only some subcommands use are imported inside those
 # subcommands, so a process loads only the code its command runs.
 from .graphs import (
+    LABEL_PATTERN,
     GraphError,
     LabeledGraph,
-    build_wheel,
     graph_from_json,
     graph_to_json,
-    induced_subgraph,
     is_proper_coloring,
-)
-from .orientations import brute_force_semitransitive
-from .solver import (
-    BudgetExceeded,
-    NonSemiTransitive,
-    SemiTransitive,
-    SolverConfig,
-    solve,
-)
-from .traces import (
-    LABEL_PATTERN,
-    Preamble,
-    ProofTrace,
-    TraceSyntaxError,
-    emit_trace,
-    extract_graph,
-    load_witness_trace,
-    parse_trace,
-    verify_trace,
 )
 
 if TYPE_CHECKING:
     from .debruijn import DeBruijnDigraph
 
 __all__ = ["run", "main"]
+
+# The names of the solver, the verifier and the oracle that subcommands
+# call, by module.  ``__getattr__`` (PEP 562) imports a module when one of
+# its names is first read and binds the name here, and the subcommands
+# read these names through ``_names``, not with imports of their own, so a
+# name replaced on this module is the one a command calls.
+_DEFERRED = {
+    **dict.fromkeys(
+        ("BudgetExceeded", "DEFAULT_CYCLE_LEN", "NonSemiTransitive",
+         "SemiTransitive", "SolverConfig", "solve"),
+        "solver",
+    ),
+    **dict.fromkeys(
+        ("Preamble", "ProofTrace", "TraceSyntaxError", "emit_trace",
+         "extract_graph", "parse_trace", "verify_trace"),
+        "traces",
+    ),
+    "brute_force_semitransitive": "orientations",
+}
+
+
+def __getattr__(name: str):
+    module = _DEFERRED.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __package__), name)
+    globals()[name] = value
+    return value
+
+
+def _names(*names: str) -> list:
+    """The deferred library names, each imported on its first use."""
+    bound = globals()
+    return [bound[name] if name in bound else __getattr__(name) for name in names]
+
 
 BUDGET_ENV = "WORDREP_BUDGET"
 
@@ -260,6 +276,13 @@ def _cmd_chromatic(ns) -> int:
 
 
 def _cmd_check(ns) -> int:
+    (
+        solve, SolverConfig, SemiTransitive, NonSemiTransitive, BudgetExceeded,
+        DEFAULT_CYCLE_LEN, emit_trace,
+    ) = _names(
+        "solve", "SolverConfig", "SemiTransitive", "NonSemiTransitive",
+        "BudgetExceeded", "DEFAULT_CYCLE_LEN", "emit_trace",
+    )
     g = _load_graph(ns.graph)
     source = None if ns.source == "maxdeg" else ns.source
     if source is not None and source not in g.index:
@@ -268,7 +291,7 @@ def _cmd_check(ns) -> int:
         cfg = SolverConfig(
             source=source,
             budget=_resolve_budget(ns.budget, SolverConfig().budget),
-            cycle_len=ns.cycle_len,
+            cycle_len=DEFAULT_CYCLE_LEN if ns.cycle_len is None else ns.cycle_len,
         )
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
@@ -307,6 +330,7 @@ def _cmd_check(ns) -> int:
 
 
 def _cmd_oracle(ns) -> int:
+    (brute_force_semitransitive,) = _names("brute_force_semitransitive")
     g = _load_graph(ns.graph)
     budget = _resolve_budget(ns.budget, 20_000_000)
     result = brute_force_semitransitive(g, budget)
@@ -330,6 +354,9 @@ def _cmd_oracle(ns) -> int:
 
 
 def _cmd_verify_trace(ns) -> int:
+    Preamble, ProofTrace, TraceSyntaxError, parse_trace, verify_trace = _names(
+        "Preamble", "ProofTrace", "TraceSyntaxError", "parse_trace", "verify_trace"
+    )
     g = _load_graph(ns.graph)
     wlog = _parse_arc(ns.wlog) if ns.wlog else None
     if wlog is not None:
@@ -364,6 +391,9 @@ def _cmd_verify_trace(ns) -> int:
 
 
 def _cmd_extract_graph(ns) -> int:
+    TraceSyntaxError, parse_trace, extract_graph = _names(
+        "TraceSyntaxError", "parse_trace", "extract_graph"
+    )
     try:
         trace = parse_trace(_read_text(ns.trace))
     except TraceSyntaxError as exc:
@@ -445,129 +475,19 @@ def _cmd_word_search(ns) -> int:
     return EXIT_POSITIVE
 
 
-# ---------------------------------------------------------------------------
-# repro
-
-
-def _stage_coloring(n: int) -> dict:
-    from .coloring import color_s_n_2
-
-    s, colors = color_s_n_2(n)
-    return {
-        "n": n,
-        "vertices": s.graph.n,
-        "proper": is_proper_coloring(s.graph, colors),
-    }
-
-
-def _repro_stage_colorings(jobs: int) -> tuple[bool, dict]:
-    ns = range(1, 11)
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_stage_coloring, ns))
-    else:
-        rows = [_stage_coloring(n) for n in ns]
-    return all(r["proper"] for r in rows), {"instances": rows}
-
-
-def _repro_stage_small_witnesses() -> tuple[bool, dict]:
-    from .debruijn import build_simplified
-
-    detail = {}
-    ok = True
-    for name, g in (("W5", build_wheel(5)), ("S(2,3)", build_simplified(2, 3).graph)):
-        verdict = solve(g)
-        negative = isinstance(verdict, NonSemiTransitive)
-        certified = negative and verify_trace(g, verdict.trace).accepted
-        oracle = brute_force_semitransitive(g).verdict == "notexists"
-        detail[name] = {
-            "solver": "not-semi-transitive" if negative else "other",
-            "trace_verified": certified,
-            "oracle": "notexists" if oracle else "other",
-        }
-        ok = ok and negative and certified and oracle
-    return ok, detail
-
-
-def _repro_stage_bundled_trace() -> tuple[bool, dict]:
-    from .debruijn import build_simplified
-    from .subiso import find_induced_embedding
-
-    trace = load_witness_trace()
-    witness = extract_graph(trace)
-    verified = verify_trace(witness, trace).accepted
-
-    s33 = build_simplified(3, 3).graph
-    embedding = find_induced_embedding(witness, s33, {"1": "102", "2": "210"})
-    embedded = embedding is not None
-
-    reverified = False
-    if embedded:
-        image = induced_subgraph(s33, set(embedding.mapping))
-        back = {host: pat for pat, host in embedding.as_label_map().items()}
-        relabeled = LabeledGraph(
-            [back[label] for label in image.labels], image.edge_list()
-        )
-        reverified = verify_trace(relabeled, trace).accepted
-
-    verdict = solve(witness)
-    solved = isinstance(verdict, NonSemiTransitive)
-    resolved = solved and verify_trace(witness, verdict.trace).accepted
-
-    detail = {
-        "lines": len(trace.lines),
-        "vertices": witness.n,
-        "trace_verified": verified,
-        "embedded_in_s33": embedded,
-        "reverified_against_image": reverified,
-        "solver_agrees": resolved,
-    }
-    return verified and embedded and reverified and resolved, detail
-
-
-def _repro_stage_sampled(seed: int, samples: int) -> tuple[bool, dict]:
-    import random
-
-    rng = random.Random(seed)
-    agree = 0
-    for _ in range(samples):
-        n = rng.choice((5, 6))
-        edges = [
-            (a, b)
-            for a in range(n)
-            for b in range(a + 1, n)
-            if rng.random() < 0.5
-        ]
-        g = LabeledGraph([str(v) for v in range(n)], edges)
-        positive = isinstance(solve(g), SemiTransitive)
-        expected = brute_force_semitransitive(g).verdict == "exists"
-        if positive == expected:
-            agree += 1
-    return agree == samples, {"samples": samples, "agreed": agree}
-
-
 def _cmd_repro(ns) -> int:
     if ns.samples < 1:
         # zero samples would pass the sampled stage having checked nothing
         raise _UsageError("--samples must be at least 1")
-    stages = [
-        ("3-coloring S(n,2) for n=1..10", lambda: _repro_stage_colorings(ns.jobs)),
-        ("W5 and S(2,3) verdicts", _repro_stage_small_witnesses),
-        ("bundled 17-vertex proof", _repro_stage_bundled_trace),
-        (
-            "sampled solver/oracle agreement",
-            lambda: _repro_stage_sampled(ns.seed, ns.samples),
-        ),
-    ]
+    if ns.jobs < 1:
+        raise _UsageError("--jobs must be at least 1")
+    from .repro import stages
+
     rows = []
-    all_ok = True
-    for name, runner in stages:
-        ok, detail = runner()
+    for name, ok, detail in stages(ns.seed, ns.samples, ns.jobs):
         rows.append({"stage": name, "ok": ok, "detail": detail})
-        all_ok = all_ok and ok
         _say(f"{'PASS' if ok else 'FAIL'}  {name}")
+    all_ok = all(row["ok"] for row in rows)
     _emit({"ok": all_ok, "seed": ns.seed, "stages": rows})
     _say("all stages passed" if all_ok else "SOME STAGES FAILED")
     return EXIT_POSITIVE if all_ok else EXIT_NEGATIVE
@@ -609,7 +529,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--source", default="maxdeg")
     p.add_argument("--trace", help="write the refutation trace here")
     p.add_argument("--budget")
-    p.add_argument("--cycle-len", type=int, default=SolverConfig().cycle_len)
+    # None means solver.DEFAULT_CYCLE_LEN, read when the command runs
+    p.add_argument("--cycle-len", type=int)
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("oracle", help="exhaust all orientations")

@@ -11,6 +11,7 @@ from __future__ import annotations
 from typing import Iterable, Mapping, Sequence
 
 __all__ = [
+    "LABEL_PATTERN",
     "GraphError",
     "DuplicateLabel",
     "UnknownEndpoint",
@@ -24,6 +25,10 @@ __all__ = [
     "graph_to_json",
     "graph_from_json",
 ]
+
+# the vertex label grammar of the trace language; a graph whose labels do
+# not fully match it cannot be named in a trace
+LABEL_PATTERN = r"[A-Za-z0-9_]+"
 
 
 class GraphError(Exception):

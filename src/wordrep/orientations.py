@@ -73,6 +73,10 @@ class PartialOrientation:
         self.out_adj = [0] * graph.n  # bitmask of arc heads per tail
 
     def copy(self) -> "PartialOrientation":
+        # No library code calls this: the search banks byte snapshots and
+        # the verifier keeps its own arc rows.  It is kept only because the
+        # benchmark's probe (``perfbench/probe.py``) times it as its copy
+        # span.
         other = object.__new__(PartialOrientation)
         other.graph = self.graph
         other.edge_order = self.edge_order

@@ -25,6 +25,8 @@ A force is an O step's cycle with its one or two arcs. The verifier runs
 the tests of a force that read only the graph (labels, ring edges, arcs on
 the ring, the clique test) once per ``verify_trace`` call, when the force
 first appears; each step runs only the tests that read the orientation.
+The replay keeps its own orientation, one bitmask of arc heads per vertex,
+and shares no state code with the solver.
 """
 
 from __future__ import annotations
@@ -33,8 +35,7 @@ import re
 from itertools import combinations
 from typing import NamedTuple
 
-from .graphs import LabeledGraph, build_graph
-from .orientations import PartialOrientation
+from .graphs import LABEL_PATTERN, LabeledGraph, build_graph
 
 __all__ = [
     "LABEL_PATTERN",
@@ -138,9 +139,6 @@ class VerificationReport(NamedTuple):
 # surface text
 
 
-# the vertex label grammar of the trace language; a graph whose labels do
-# not fully match it cannot be named in a trace
-LABEL_PATTERN = r"[A-Za-z0-9_]+"
 _ARC = rf"({LABEL_PATTERN})\s*(?:->|\u2192)\s*({LABEL_PATTERN})"
 
 # each token pattern also takes the whitespace after it, so a line's
@@ -382,16 +380,17 @@ class _Replay:
         self.g = g
         self.preamble = preamble
         # copy id -> created line, and until an MC line resumes it, the
-        # snapshot and its deferred arc in vertex ids
+        # snapshot of ``out`` and its deferred arc in vertex ids
         self.created_at: dict[int, int] = {}
-        self.snapshots: dict[int, tuple[PartialOrientation, tuple[int, int]]] = {}
+        self.snapshots: dict[int, tuple[list[int], tuple[int, int]]] = {}
         self.consumed_at: dict[int, int] = {}
         # (cycle, arcs) -> the force after its tests that read only g: (the
         # arcs in vertex ids, a triangle's third vertex, a longer ring's
         # other steps, arcs against the ring, clique flag), or the reason
         # one of those tests gave; facts about g, so kept for one call
         self.forces: dict[tuple, tuple | str] = {}
-        self.po: PartialOrientation | None = None
+        # the orientation: out[v] is the bitmask of the heads of v's arcs
+        self.out: list[int] = []
 
     def vid(self, label: str) -> int:
         v = self.g.index.get(label)
@@ -408,13 +407,12 @@ class _Replay:
         return t, h
 
     def set_arc(self, t: int, h: int) -> None:
-        try:
-            self.po.set_arc(t, h)
-        except ValueError:
+        if self.out[h] >> t & 1:
             raise _Reject(
                 f"arc {self.g.labels[t]}->{self.g.labels[h]} conflicts with "
                 "the existing orientation"
-            ) from None
+            )
+        self.out[t] |= 1 << h
 
     def run_line(self, line: TraceLine) -> LineStatus:
         try:
@@ -429,7 +427,7 @@ class _Replay:
         if isinstance(line.opener, Root):
             if line.line_number != 1:
                 raise _Reject("only line 1 may start from the root state")
-            self.po = PartialOrientation(self.g)
+            self.out = [0] * self.g.n
             pre = self.preamble
             if pre.wlog_arc is not None:
                 self.set_arc(*self.arc_ids(pre.wlog_arc))
@@ -454,7 +452,7 @@ class _Replay:
                 )
             self.consumed_at[cid] = line.line_number
             del self.snapshots[cid]
-            self.po = snapshot
+            self.out = snapshot
             self.set_arc(*deferred)
 
     def _steps(self, line: TraceLine) -> None:
@@ -464,13 +462,13 @@ class _Replay:
             step = steps[i]
             if isinstance(step, Branch):
                 t, h = self.arc_ids(step.arc)
-                if self.po.direction(t, h) is not None:
+                if (self.out[t] >> h | self.out[h] >> t) & 1:
                     raise _Reject(
                         f"branch on already-oriented edge "
                         f"{step.arc[0]}-{step.arc[1]}"
                     )
                 self.created_at[step.copy_id] = line.line_number
-                self.snapshots[step.copy_id] = (self.po.copy(), (h, t))
+                self.snapshots[step.copy_id] = (list(self.out), (h, t))
                 self.set_arc(t, h)
                 i += 1
                 continue
@@ -509,7 +507,7 @@ class _Replay:
         if force.__class__ is str:
             raise _Reject(force)
         forced, third, others, backward, clique = force
-        out = self.po.out_adj
+        out = self.out
         for (t, h), arc in zip(forced, arcs):
             if out[h] >> t & 1:
                 raise _Reject(
@@ -599,18 +597,19 @@ class _Replay:
             raise _Reject("terminal path needs at least three vertices")
         if len(set(ids)) != len(ids):
             raise _Reject("terminal path repeats a vertex")
+        out = self.out
         for a, b in zip(ids, ids[1:]):
-            if not self.po.has_arc(a, b):
+            if not out[a] >> b & 1:
                 raise _Reject(
                     f"terminal path arc {self.g.labels[a]}->"
                     f"{self.g.labels[b]} is not oriented that way"
                 )
         first, last = ids[0], ids[-1]
-        if self.po.has_arc(last, first):
+        if out[last] >> first & 1:
             # the path plus the backward closing arc is a directed cycle,
             # fatal on its own
             return
-        if not self.po.has_arc(first, last):
+        if not out[first] >> last & 1:
             raise _Reject(
                 f"closing arc {self.g.labels[first]}->"
                 f"{self.g.labels[last]} is absent"
@@ -621,7 +620,7 @@ class _Replay:
                 if (i, j) == (0, k):
                     continue
                 a, b = ids[i], ids[j]
-                if not self.g.has_edge(a, b) or self.po.has_arc(b, a):
+                if not self.g.has_edge(a, b) or out[b] >> a & 1:
                     return
         raise _Reject(
             "terminal path has no violating pair (no non-edge or "

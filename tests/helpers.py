@@ -11,7 +11,8 @@ the solver's cycle inventory, the reference for its bitmask DFS.
 
 ``reference_verify_trace`` is the proof verifier as a plain replay that
 checks every orient step from scratch, the reference for the verifier's
-compiled force checks.
+compiled force checks.  It replays on a ``PartialOrientation``, and the
+verifier on arc rows of its own, so the two share no state code either.
 """
 
 import itertools

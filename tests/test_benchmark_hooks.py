@@ -52,6 +52,16 @@ def test_probe_layers_find_every_hooked_function(w5_file, tmp_path):
     ]
     assert nulls == []
     assert phases["check"]["spans"]["propagate"]["calls"] > 0
+    # the commands call the functions the probe wrapped on ``cli``: a
+    # span found but never called would time nothing
+    calls = {
+        (p, name): phases[p]["spans"][name]["calls"]
+        for p, name in (
+            ("check", "solve"), ("check", "emit"), ("verify", "parse"),
+            ("verify", "verify"), ("oracle", "oracle"),
+        )
+    }
+    assert [key for key, n in calls.items() if n < 1] == []
 
 
 def test_probe_pure_oracle_examines_every_leaf(w5_file):

@@ -8,6 +8,7 @@ from types import SimpleNamespace
 
 import pytest
 
+import wordrep.cli
 import wordrep.solver
 from wordrep.cli import run
 from wordrep.debruijn import build_simplified
@@ -175,6 +176,22 @@ def test_check_with_explicit_source(capsys, w5_file):
     assert code == 1 and obj["source"] == "c2"
 
 
+def test_check_calls_the_solve_bound_on_the_cli_module(capsys, w5_file, monkeypatch):
+    # the benchmark's probe times a command by replacing the library names
+    # the command calls on ``cli``; the command must call the replacement
+    graphs = []
+    real = wordrep.cli.solve
+
+    def wrapped(g, cfg):
+        graphs.append(g.n)
+        return real(g, cfg)
+
+    monkeypatch.setattr(wordrep.cli, "solve", wrapped)
+    code, _, _ = cli(capsys, "check", "--graph", w5_file)
+    assert code == 1 and graphs == [6]
+    assert not hasattr(wordrep.cli, "no_such_name")
+
+
 def test_oracle_verdicts_and_exit_codes(
     capsys, w5_file, p4_file, s23_file, w5_path_file
 ):
@@ -314,6 +331,9 @@ W5_DASHED = {
         # a sampled stage must sample something
         ("repro", "--samples", "0"),
         ("repro", "--samples", "-1"),
+        # and runs in at least one process
+        ("repro", "--jobs", "0"),
+        ("repro", "--jobs", "-3"),
         # graph files with strings and objects where arrays belong
         ("check", "--graph", {"labels": ["a", "b", "c"], "edges": ["ab", "bc"]}),
         ("check", "--graph", {"labels": "ab", "edges": [["a", "b"]]}),

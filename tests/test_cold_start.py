@@ -1,10 +1,11 @@
 """The command line in fresh interpreters.
 
-``cli`` imports the modules that only some subcommands use inside those
-subcommands, so that ``check``, ``verify-trace`` and ``oracle`` load only
-what they run.  In-process tests run after other tests have imported
-every module, so they cannot show what a fresh process loads, nor that
-each subcommand still runs in one; these tests start a new interpreter.
+``cli`` imports the modules that only some subcommands use when those
+subcommands first need them, so that each subcommand loads only the
+``wordrep`` modules it runs.  In-process tests run after other tests have
+imported every module, so they cannot show what a fresh process loads,
+nor that each subcommand still runs in one; these tests start a new
+interpreter.
 """
 
 import json
@@ -18,6 +19,7 @@ import pytest
 from wordrep.graphs import build_graph, build_wheel, graph_to_json
 
 ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = ROOT / "tests" / "data" / "golden"
 
 # none of these is needed by check, verify-trace or oracle
 LAZY_MODULES = (
@@ -26,6 +28,7 @@ LAZY_MODULES = (
     "traceback",
     "wordrep.coloring",
     "wordrep.debruijn",
+    "wordrep.repro",
     "wordrep.subiso",
     "wordrep.words",
 )
@@ -58,14 +61,23 @@ def _loaded_by(statement, cwd):
     return json.loads(proc.stdout)
 
 
+def _wordrep(loaded):
+    return sorted(m for m in loaded if m.split(".")[0] == "wordrep")
+
+
 def test_importing_the_cli_loads_no_subcommand_only_module(tmp_path):
     loaded = _loaded_by("import wordrep.cli", tmp_path)
-    assert "wordrep.solver" in loaded
+    assert _wordrep(loaded) == ["wordrep", "wordrep.cli", "wordrep.graphs"]
     assert [
         m for m in loaded
         if any(m == lazy or m.startswith(lazy + ".") for lazy in LAZY_MODULES)
     ] == []
     assert [m for m in NEVER_LOADED if m in loaded] == []
+
+
+def test_importing_the_verifier_loads_no_orientations(tmp_path):
+    loaded = _loaded_by("import wordrep.traces", tmp_path)
+    assert _wordrep(loaded) == ["wordrep", "wordrep.graphs", "wordrep.traces"]
 
 
 def test_importing_debruijn_and_subiso_loads_no_dataclasses(tmp_path):
@@ -80,7 +92,39 @@ def workdir(tmp_path_factory):
     p3 = build_graph(["a", "b", "c"], [("a", "b"), ("b", "c")])
     (path / "w5.json").write_text(json.dumps(graph_to_json(build_wheel(5))))
     (path / "p3.json").write_text(json.dumps(graph_to_json(p3)))
+    (path / "golden_w5.txt").write_text((GOLDEN / "w5.txt").read_text())
     return path
+
+
+# each subcommand, its exit code on W5, and the wordrep modules it loads
+# besides the package and cli
+SUBCOMMAND_MODULES = [
+    (["check", "--graph", "w5.json"], 1,
+     ["graphs", "orientations", "solver", "traces"]),
+    (["verify-trace", "--graph", "w5.json", "--trace", "golden_w5.txt",
+      "--source", "h", "--wlog", "c0->c1"], 0, ["graphs", "traces"]),
+    (["extract-graph", "--trace", "golden_w5.txt"], 0, ["graphs", "traces"]),
+    (["oracle", "--graph", "w5.json"], 1, ["graphs", "orientations"]),
+    (["debruijn", "--n", "2", "--k", "2"], 0, ["debruijn", "graphs"]),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, code, modules",
+    SUBCOMMAND_MODULES,
+    ids=[argv[0] for argv, _, _ in SUBCOMMAND_MODULES],
+)
+def test_each_subcommand_loads_only_the_modules_it_runs(workdir, argv, code, modules):
+    statement = (
+        "import contextlib, io\n"
+        "from wordrep.cli import run\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = run({argv!r})\n"
+    )
+    loaded = _loaded_by(statement + f"assert code == {code}, code", workdir)
+    assert _wordrep(loaded) == ["wordrep", "wordrep.cli"] + [
+        f"wordrep.{m}" for m in modules
+    ]
 
 
 def test_every_subcommand_runs_in_a_fresh_process(workdir):

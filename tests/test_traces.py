@@ -899,3 +899,115 @@ def test_reference_replay_agrees_on_a_second_graph(witness):
     assert not second.accepted
     assert second == reference_verify_trace(smaller, trace)
     assert verify_trace(g, trace) == reference_verify_trace(g, trace)
+
+
+def _with_steps(trace, li, at, new_steps, terminal=None):
+    """The trace with ``new_steps`` inserted at step index ``at`` of line
+    li, and its terminal path replaced when one is given."""
+    line = trace.lines[li]
+    steps = line.steps[:at] + tuple(new_steps) + line.steps[at:]
+    line = line._replace(steps=steps)
+    if terminal is not None:
+        line = line._replace(terminal=Shortcut(terminal))
+    lines = list(trace.lines)
+    lines[li] = line
+    return trace._replace(lines=tuple(lines))
+
+
+def _arc_row_mutations(g, trace, rng):
+    """Seeded mutations that reach each test the replay makes on its arc
+    rows: (graph, trace, line index, a part of that line's reason, or
+    None when the line must be accepted)."""
+    source = trace.preamble.source_vertex
+    fresh = 1 + max(
+        (step.copy_id for line in trace.lines for step in line.steps
+         if isinstance(step, Branch)),
+        default=1,
+    )
+    heads = [
+        (li, j, step) for li, j, step in _heads(trace) if source not in step.arc
+    ]
+    li, j, step = rng.choice(heads)
+    after = j + 2 if step.paired_with_next else j + 1
+    x, y = step.arc
+    out = [
+        # a forced arc against one the line has set
+        (g, _with_steps(trace, li, after, [Orient((y, x), step.cycle)]), li,
+         "already oriented the other way"),
+    ]
+    # a branch on an edge the line has oriented, either way round
+    for arc in ((x, y), (y, x)):
+        out.append((g, _with_steps(trace, li, after, [Branch(arc, fresh)]), li,
+                    "branch on already-oriented edge"))
+    # a preamble arc into the source, against the source's own arcs
+    s = g.index[source]
+    u = g.labels[rng.choice(g.neighbors(s))]
+    into = trace._replace(preamble=trace.preamble._replace(wlog_arc=(u, source)))
+    out.append((g, into, 0, "conflicts with the existing orientation"))
+    # an MC line that resumes with its copy's branch arc, not the deferred
+    # one (W5's proof has a single line)
+    if len(trace.lines) > 1:
+        li = rng.randrange(1, len(trace.lines))
+        line = trace.lines[li]
+        opener = line.opener._replace(arc=line.opener.arc[::-1])
+        lines = list(trace.lines)
+        lines[li] = line._replace(opener=opener)
+        out.append((g, trace._replace(lines=tuple(lines)), li, "resumes with"))
+    # new vertices zz, joined to both ends of the arc x->y, and zq, joined
+    # to x, y and zz; at the end of the line, terminal paths:
+    li, j, step = rng.choice(heads)
+    after = j + 2 if step.paired_with_next else j + 1
+    x, y = step.arc
+    labeled = [(g.labels[a], g.labels[b]) for a, b in g.edge_list()]
+    wider = build_graph(
+        [*g.labels, "zz", "zq"],
+        labeled + [(x, "zz"), (y, "zz"), (x, "zq"), (y, "zq"), ("zz", "zq")],
+    )
+
+    def line_end(new_steps, path):
+        return _with_steps(trace, li, after, new_steps, path)
+
+    def branches(*arcs):
+        return [Branch(arc, fresh + i) for i, arc in enumerate(arcs)]
+
+    out += [
+        # over the unset arc x->zz
+        (wider, line_end([], (x, "zz", y)), li, "is not oriented that way"),
+        # over the reversed arc y->x
+        (wider, line_end([], (y, x, "zz")), li, "is not oriented that way"),
+        # x->y->zz with the closing arc zz->x pointing back: a directed cycle
+        (wider, line_end(branches((y, "zz"), ("zz", x)), (x, y, "zz")), li,
+         None),
+        # x->y->zz->zq with the closing arc x->zq, whose only violating
+        # pair is the backward arc zz->x
+        (wider, line_end(
+            branches((y, "zz"), ("zz", "zq"), (x, "zq"), ("zz", x), (y, "zq")),
+            (x, y, "zz", "zq"),
+        ), li, None),
+    ]
+    return out
+
+
+@pytest.mark.parametrize(
+    "name, seed",
+    [
+        (name, seed)
+        for name in ("w5", "s23", "s24", "witness", "bundled")
+        for seed in (0, 1, 2)
+    ]
+    + [("s33", 0)],
+)
+def test_arc_row_mutations_match_the_reference(name, seed):
+    # the replay's own arc rows give the reports of the reference replay on
+    # a PartialOrientation, and each mutation reaches the test it aims at
+    g, trace = _proof(name)
+    for graph, mutated, li, reason in _arc_row_mutations(
+        g, trace, random.Random(seed)
+    ):
+        report = verify_trace(graph, mutated)
+        assert report == reference_verify_trace(graph, mutated)
+        status = report.line_statuses[li]
+        if reason is None:
+            assert status.accepted
+        else:
+            assert not status.accepted and reason in status.reason
