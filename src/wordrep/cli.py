@@ -55,7 +55,9 @@ _DEFERRED = {
          "extract_graph", "parse_trace", "verify_trace"),
         "traces",
     ),
-    "brute_force_semitransitive": "orientations",
+    **dict.fromkeys(
+        ("DEFAULT_ORACLE_BUDGET", "brute_force_semitransitive"), "orientations"
+    ),
 }
 
 
@@ -330,9 +332,11 @@ def _cmd_check(ns) -> int:
 
 
 def _cmd_oracle(ns) -> int:
-    (brute_force_semitransitive,) = _names("brute_force_semitransitive")
+    DEFAULT_ORACLE_BUDGET, brute_force_semitransitive = _names(
+        "DEFAULT_ORACLE_BUDGET", "brute_force_semitransitive"
+    )
     g = _load_graph(ns.graph)
-    budget = _resolve_budget(ns.budget, 20_000_000)
+    budget = _resolve_budget(ns.budget, DEFAULT_ORACLE_BUDGET)
     result = brute_force_semitransitive(g, budget)
     certificate = None
     if result.certificate is not None:
@@ -398,7 +402,10 @@ def _cmd_extract_graph(ns) -> int:
         trace = parse_trace(_read_text(ns.trace))
     except TraceSyntaxError as exc:
         raise _UsageError(f"{ns.trace}: {exc}") from None
-    g = extract_graph(trace)
+    try:
+        g = extract_graph(trace)
+    except GraphError as exc:  # the trace names a self-loop
+        raise _UsageError(f"{ns.trace}: {type(exc).__name__}: {exc}") from None
     payload = graph_to_json(g)
     if ns.out:
         _write_text(ns.out, json.dumps(payload, indent=2) + "\n")
@@ -453,10 +460,10 @@ def _cmd_represent_check(ns) -> int:
 
 def _cmd_word_search(ns) -> int:
     from .words import BudgetExceeded as WordBudgetExceeded
-    from .words import find_uniform_representant
+    from .words import DEFAULT_SEARCH_BUDGET, find_uniform_representant
 
     g = _load_graph(ns.graph)
-    budget = _resolve_budget(ns.budget, 5_000_000)
+    budget = _resolve_budget(ns.budget, DEFAULT_SEARCH_BUDGET)
     try:
         word = find_uniform_representant(g, ns.kmax, budget)
     except ValueError as exc:

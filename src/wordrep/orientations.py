@@ -385,10 +385,11 @@ class BruteForceResult(NamedTuple):
 
 
 _BATCH_BITS = 12  # the oracle decides 2^12 leaves per pass
+DEFAULT_ORACLE_BUDGET = 20_000_000  # orientations
 
 
 def brute_force_semitransitive(
-    g: LabeledGraph, budget: int = 20_000_000, pure: bool = False
+    g: LabeledGraph, budget: int = DEFAULT_ORACLE_BUDGET, pure: bool = False
 ) -> BruteForceResult:
     """Decide existence of a semi-transitive orientation by exhaustion.
 

@@ -449,8 +449,8 @@ def _next_force(
     po: _WatchedOrientation,
 ) -> tuple[tuple[tuple[int, int], ...], tuple[int, ...], tuple[str, ...]] | None:
     """The first force a rule allows in an acyclic state: its arcs (one,
-    or the two of a paired force), the ids of the justifying cycle and its
-    printed ring.
+    or the two remaining edges of a CycleRule cycle), the ids of the
+    justifying cycle and its printed ring.
 
     The rules are tried in order, TriangleRule, PathRule, CycleRule, each
     scanning its cycles or edges in a fixed order."""
@@ -481,13 +481,13 @@ def propagate(
     """Apply the three rules over ``po``'s cycle inventory to fixpoint,
     mutating ``po``.
 
-    Returns the Orient steps applied, in order (the first arc of a
-    two-arc force paired with the second), and the printable terminal
-    path (a shortcut, or a directed cycle) as soon as the state is dead,
-    else None.  No force is checked here: the verifier re-checks every
-    Orient step when ``_solve_component`` replays the proof.
+    Returns one Orient step per force applied, in order, with the force's
+    one or two arcs, and the printable terminal path (a shortcut, or a
+    directed cycle) as soon as the state is dead, else None.  No force is
+    checked here: the verifier re-checks every Orient step when
+    ``_solve_component`` replays the proof.
     """
-    g = po.graph
+    labels = po.graph.labels
     steps: list[Orient] = []
     while True:
         witness = _scan_defect(po)
@@ -497,10 +497,9 @@ def propagate(
         if hit is None:
             return steps, None
         arcs, _, printed = hit
-        for k, (t, h) in enumerate(arcs):
+        for t, h in arcs:
             po.set_arc(t, h)
-            paired = k == 0 and len(arcs) == 2
-            steps.append(Orient((g.labels[t], g.labels[h]), printed, paired))
+        steps.append(Orient(tuple([(labels[t], labels[h]) for t, h in arcs]), printed))
 
 
 # --------------------------------------------------------------------------

@@ -8,8 +8,9 @@ A trace is a sequence of numbered lines over four instructions:
   snapshot and apply its deferred arc, which the text repeats as x->y;
 - ``O x->y (C...)``    orient x->y, justified by the printed cycle: for a
   triangle the other two edges form a directed path, for longer cycles the
-  two-edges-opposite rule on nearly-aligned cycles applies; two adjacent
-  ``O`` steps may share one cycle annotation (both remaining edges forced);
+  two-edges-opposite rule on nearly-aligned cycles applies;
+  ``O x->y O u->v (C...)`` is one step that orients both remaining edges
+  of a longer cycle;
 - ``S:v0-v1-...-vk``   terminal: a directed path witnessing a dead end.
   Either the closing arc v0->vk is present while some intermediate pair
   is a non-edge or a backward arc (a shortcut), or the closing edge is
@@ -21,7 +22,7 @@ exactly once is an exhaustive case analysis: no orientation with the given
 preamble is semi-transitive, hence (source choice and reversal symmetry
 being free) the graph has no semi-transitive orientation at all.
 
-A force is an O step's cycle with its one or two arcs. The verifier runs
+A force is an O step: its cycle with its one or two arcs. The verifier runs
 the tests of a force that read only the graph (labels, ring edges, arcs on
 the ring, the clique test) once per ``verify_trace`` call, when the force
 first appears; each step runs only the tests that read the orientation.
@@ -79,10 +80,8 @@ class Branch(NamedTuple):
 
 
 class Orient(NamedTuple):
-    arc: Arc
+    arcs: tuple[Arc, ...]  # the one arc, or both arcs, that cycle forces
     cycle: tuple[str, ...]
-    # True on the first step of a two-O pair sharing this cycle annotation
-    paired_with_next: bool = False
 
 
 class Shortcut(NamedTuple):
@@ -207,22 +206,18 @@ def _parse_line(
         c = raw[pos : pos + 1]
         if c == "O":
             m = take(_ORIENT_RE, pos, "an orient step 'O x->y'")
-            first, second = m.group(1, 2), None
+            arcs = (m.group(1, 2),)
             pos = m.end()
             if raw.startswith("O", pos):
                 m = take(_ORIENT_RE, pos, "a second orient arc")
-                second = m.group(1, 2)
+                arcs += (m.group(1, 2),)
                 pos = m.end()
             m = take(_CYCLE_RE, pos, "a cycle annotation '(Cx-y-...)'")
             pos = m.end()
             cyc = cycles.get(m.group(1))
             if cyc is None:
                 cyc = cycles[m.group(1)] = tuple(m.group(1).split("-"))
-            if second is None:
-                steps.append(Orient(first, cyc))
-            else:
-                steps.append(Orient(first, cyc, paired_with_next=True))
-                steps.append(Orient(second, cyc))
+            steps.append(Orient(arcs, cyc))
         elif c == "B":
             m = take(_BRANCH_RE, pos, "a branch step 'B x->y (Copy k)'")
             pos = m.end()
@@ -269,8 +264,8 @@ def parse_trace(text: str) -> ProofTrace:
 def emit_trace(trace: ProofTrace) -> str:
     """Numbered instruction lines; the preamble is not serialized.
 
-    Raises ``ValueError`` for an orient step paired with no orient step
-    after it, which no text can express and the verifier rejects.
+    Raises ``ValueError`` for an orient step with no arc or more than two,
+    which no text can express and the verifier rejects.
     """
     out = []
     for line in trace.lines:
@@ -278,31 +273,18 @@ def emit_trace(trace: ProofTrace) -> str:
         if isinstance(line.opener, MoveCopy):
             a, b = line.opener.arc
             parts.append(f"MC{line.opener.copy_id} {a}->{b}")
-        steps = list(line.steps)
-        i = 0
-        while i < len(steps):
-            step = steps[i]
+        for step in line.steps:
             if isinstance(step, Branch):
                 a, b = step.arc
                 parts.append(f"B{a}->{b} (Copy {step.copy_id})")
-                i += 1
-            elif step.paired_with_next:
-                a, b = step.arc
-                nxt = steps[i + 1] if i + 1 < len(steps) else None
-                if not isinstance(nxt, Orient):
-                    raise ValueError(
-                        f"line {line.line_number}: orient step {a}->{b} is "
-                        "paired with no second orient step"
-                    )
-                c, d = nxt.arc
-                parts.append(
-                    f"O{a}->{b} O{c}->{d} (C{'-'.join(step.cycle)})"
+                continue
+            if not 1 <= len(step.arcs) <= 2:
+                raise ValueError(
+                    f"line {line.line_number}: an orient step forces one or "
+                    f"two arcs, not {len(step.arcs)}"
                 )
-                i += 2
-            else:
-                a, b = step.arc
-                parts.append(f"O{a}->{b} (C{'-'.join(step.cycle)})")
-                i += 1
+            parts.extend(f"O{a}->{b}" for a, b in step.arcs)
+            parts.append(f"(C{'-'.join(step.cycle)})")
         parts.append(f"S:{'-'.join(line.terminal.path)}")
         out.append(" ".join(parts))
     return "\n".join(out) + "\n"
@@ -343,8 +325,11 @@ def extract_graph(trace: ProofTrace) -> LabeledGraph:
         if isinstance(line.opener, MoveCopy):
             arc_edge(line.opener.arc)
         for step in line.steps:
-            arc_edge(step.arc)
-            if isinstance(step, Orient):
+            if isinstance(step, Branch):
+                arc_edge(step.arc)
+            else:
+                for arc in step.arcs:
+                    arc_edge(arc)
                 ring(step.cycle, close=True)
         ring(line.terminal.path, close=True)
     return build_graph(sorted(labels), sorted(edges))
@@ -384,7 +369,7 @@ class _Replay:
         self.created_at: dict[int, int] = {}
         self.snapshots: dict[int, tuple[list[int], tuple[int, int]]] = {}
         self.consumed_at: dict[int, int] = {}
-        # (cycle, arcs) -> the force after its tests that read only g: (the
+        # O step -> the force after its tests that read only g: (the
         # arcs in vertex ids, a triangle's third vertex, a longer ring's
         # other steps, arcs against the ring, clique flag), or the reason
         # one of those tests gave; facts about g, so kept for one call
@@ -456,10 +441,7 @@ class _Replay:
             self.set_arc(*deferred)
 
     def _steps(self, line: TraceLine) -> None:
-        steps = line.steps
-        i = 0
-        while i < len(steps):
-            step = steps[i]
+        for step in line.steps:
             if isinstance(step, Branch):
                 t, h = self.arc_ids(step.arc)
                 if (self.out[t] >> h | self.out[h] >> t) & 1:
@@ -470,42 +452,28 @@ class _Replay:
                 self.created_at[step.copy_id] = line.line_number
                 self.snapshots[step.copy_id] = (list(self.out), (h, t))
                 self.set_arc(t, h)
-                i += 1
-                continue
-            if step.paired_with_next:
-                nxt = steps[i + 1] if i + 1 < len(steps) else None
-                if not isinstance(nxt, Orient):
-                    raise _Reject(
-                        f"orient step {step.arc[0]}->{step.arc[1]} is paired "
-                        "with no second orient step"
-                    )
-                forced = self._check_force((step.arc, nxt.arc), step.cycle)
-                i += 2
             else:
-                forced = self._check_force((step.arc,), step.cycle)
-                i += 1
-            for t, h in forced:
-                self.set_arc(t, h)
+                for t, h in self._check_force(step):
+                    self.set_arc(t, h)
 
-    def _check_force(
-        self, arcs: tuple[Arc, ...], cycle: tuple[str, ...]
-    ) -> tuple[tuple[int, int], ...]:
-        """The arc of one O step, or the two of a pair, as vertex ids once
-        ``cycle`` is shown to force them: a triangle by a directed path
-        across it, a longer non-clique ring by m-2 of its other edges
-        pointing one way round, the rest set, and the arcs the other way.
+    def _check_force(self, step: Orient) -> tuple[tuple[int, int], ...]:
+        """The one or two arcs of an O step as vertex ids once its cycle
+        is shown to force them: a triangle by a directed path across it, a
+        longer non-clique ring by m-2 of its other edges pointing one way
+        round, the rest set, and the arcs the other way.
 
         Only the tests that read the orientation run on every step; the
         rest ran when the force was first compiled."""
-        force = self.forces.get((cycle, arcs))
+        force = self.forces.get(step)
         if force is None:
             try:
-                force = self._compile_force(arcs, cycle)
+                force = self._compile_force(*step)
             except _Reject as r:
                 force = str(r)
-            self.forces[(cycle, arcs)] = force
+            self.forces[step] = force
         if force.__class__ is str:
             raise _Reject(force)
+        arcs, cycle = step
         forced, third, others, backward, clique = force
         out = self.out
         for (t, h), arc in zip(forced, arcs):
@@ -551,6 +519,8 @@ class _Replay:
         self, arcs: tuple[Arc, ...], cycle: tuple[str, ...]
     ) -> tuple:
         """The tests of ``_check_force`` that read only g, in its order."""
+        if not 1 <= len(arcs) <= 2:
+            raise _Reject(f"an orient step forces one or two arcs, not {len(arcs)}")
         ids = [self.vid(label) for label in cycle]
         if len(set(ids)) != len(ids):
             raise _Reject(f"cycle C{'-'.join(cycle)} repeats a vertex")

@@ -30,7 +30,6 @@ from wordrep.traces import (
     Arc,
     Branch,
     LineStatus,
-    Orient,
     Preamble,
     ProofTrace,
     Root,
@@ -258,10 +257,7 @@ class _ReferenceReplay:
             self.set_arc(*deferred)
 
     def _steps(self, line: TraceLine) -> None:
-        steps = line.steps
-        i = 0
-        while i < len(steps):
-            step = steps[i]
+        for step in line.steps:
             if isinstance(step, Branch):
                 t, h = self.arc_ids(step.arc)
                 if self.po.direction(t, h) is not None:
@@ -275,22 +271,9 @@ class _ReferenceReplay:
                     line.line_number,
                 )
                 self.set_arc(t, h)
-                i += 1
-                continue
-            if step.paired_with_next:
-                nxt = steps[i + 1] if i + 1 < len(steps) else None
-                if not isinstance(nxt, Orient):
-                    raise _Reject(
-                        f"orient step {step.arc[0]}->{step.arc[1]} is paired "
-                        "with no second orient step"
-                    )
-                forced = self._check_force((step.arc, nxt.arc), step.cycle)
-                i += 2
             else:
-                forced = self._check_force((step.arc,), step.cycle)
-                i += 1
-            for t, h in forced:
-                self.set_arc(t, h)
+                for t, h in self._check_force(step.arcs, step.cycle):
+                    self.set_arc(t, h)
 
     def _cycle_ids(
         self, cycle: tuple[str, ...]
@@ -314,10 +297,12 @@ class _ReferenceReplay:
     def _check_force(
         self, arcs: tuple[Arc, ...], cycle: tuple[str, ...]
     ) -> list[tuple[int, int]]:
-        """The arc of one O step, or the two of a pair, as vertex ids once
-        ``cycle`` is shown to force them: a triangle by a directed path
-        across it, a longer non-clique ring by m-2 of its other edges
-        pointing one way round, the rest set, and the arcs the other way."""
+        """The one or two arcs of an O step as vertex ids once ``cycle`` is
+        shown to force them: a triangle by a directed path across it, a
+        longer non-clique ring by m-2 of its other edges pointing one way
+        round, the rest set, and the arcs the other way."""
+        if not 1 <= len(arcs) <= 2:
+            raise _Reject(f"an orient step forces one or two arcs, not {len(arcs)}")
         ids, ring = self._cycle_ids(cycle)
         pair = len(arcs) == 2
         if pair and len(ids) < 4:

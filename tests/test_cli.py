@@ -305,6 +305,10 @@ W5_DASHED = {
 }
 
 
+class TraceText(str):
+    """Trace text that a test writes to a file, passing the file's path."""
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -341,6 +345,11 @@ W5_DASHED = {
         # output paths that cannot be written
         ("check", "--graph", S23, "--trace", "/nonexistent/dir/p.txt"),
         ("extract-graph", "--trace", str(W5_PROOF), "-o", "/nonexistent/g.json"),
+        # traces that name a self-loop: in a terminal, an arc, a resumed arc
+        ("extract-graph", "--trace", TraceText("1. S:a-a\n")),
+        ("extract-graph", "--trace", TraceText("1. Oa->a (Ca-b-c) S:a-b-c\n")),
+        ("extract-graph", "--trace",
+         TraceText("1. Ba->b (Copy 2) S:a-b-c\n2. MC2 b->b S:a-b-c\n")),
     ],
 )
 def test_usage_errors_exit_64(capsys, tmp_path, monkeypatch, argv):
@@ -352,6 +361,10 @@ def test_usage_errors_exit_64(capsys, tmp_path, monkeypatch, argv):
             argv[i] = str(path)
         elif isinstance(arg, tuple):
             monkeypatch.setenv(*arg)
+        elif isinstance(arg, TraceText):
+            path = tmp_path / "trace.txt"
+            path.write_text(arg)
+            argv[i] = str(path)
     argv = [arg for arg in argv if not isinstance(arg, tuple)]
     code, _, err = cli(capsys, *argv)
     assert code == 64 and "error:" in err

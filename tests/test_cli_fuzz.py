@@ -66,6 +66,7 @@ TRACES = [
     "",
     "garbage\n",
     "1. S:a-b\n",
+    "1. S:a-a\n",
     "1. Ba->b (Copy 2) S:h-a-b\n",
     "1. Oa->b (Ca-b-c) S:h-a-b-c\n2. MC9 a->b S:h-a\n",
     "1. Ba->b (Copy 2) Bb->c (Copy 3) S:h-a-b-c\n2. MC3 c->b S:h-c-b\n",

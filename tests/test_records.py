@@ -43,7 +43,7 @@ PROOF = ProofTrace(Preamble(("a", "b"), "a"), (TraceLine(1, Root(), (), TERMINAL
 # each record with the name of one of its fields (Root has none)
 RECORDS = [
     (Branch(("a", "b"), 2), "copy_id"),
-    (Orient(("a", "b"), ("a", "b", "c")), "arc"),
+    (Orient((("a", "b"),), ("a", "b", "c")), "arcs"),
     (TERMINAL, "path"),
     (Root(), None),
     (MoveCopy(2, ("b", "a")), "arc"),

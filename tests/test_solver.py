@@ -168,7 +168,7 @@ def test_propagate_triangle_forces_the_transitive_arc():
     po = watched(PartialOrientation(triangle()))
     po.set_arc(0, 1)
     po.set_arc(1, 2)
-    assert propagate(po) == ([Orient(("a", "c"), ("a", "c", "b"))], None)
+    assert propagate(po) == ([Orient((("a", "c"),), ("a", "c", "b"))], None)
     assert po.has_arc(0, 2)
 
 
@@ -178,10 +178,10 @@ def test_propagate_c4_forces_both_remaining_edges_opposite():
     po.set_arc(1, 2)
     steps, witness = propagate(po)
     assert witness is None
-    ring = ("a", "d", "c", "b")
-    assert {(s.arc, s.cycle) for s in steps} == {(("d", "c"), ring), (("a", "d"), ring)}
-    # one two-arc force: the first step is paired with the second
-    assert [s.paired_with_next for s in steps] == [True, False]
+    # one two-arc force, recorded as one step
+    (step,) = steps
+    assert set(step.arcs) == {("d", "c"), ("a", "d")}
+    assert step.cycle == ("a", "d", "c", "b")
     assert po.has_arc(3, 2) and po.has_arc(0, 3)
     assert po.fully_oriented()
 
@@ -192,8 +192,8 @@ def test_propagate_replays_the_first_two_forced_arcs_of_the_witness_line_1():
     po.set_arc(g.index["14"], g.index["16"])
     steps, _ = propagate(po)
     assert steps[:2] == [
-        Orient(("14", "12"), ("12", "14", "16", "13")),
-        Orient(("4", "12"), ("4", "13", "14", "12")),
+        Orient((("14", "12"),), ("12", "14", "16", "13")),
+        Orient((("4", "12"),), ("4", "13", "14", "12")),
     ]
 
 
@@ -231,7 +231,7 @@ def test_propagate_path_rule_decides_edges_on_existing_paths():
     for i in range(4):
         po.set_arc(i, i + 1)  # a->b->c->d->e
     assert propagate(po) == (
-        [Orient(("a", "e"), ("a", "e", "d", "c", "b"))],
+        [Orient((("a", "e"),), ("a", "e", "d", "c", "b"))],
         ("a", "b", "c", "d", "e"),
     )
 
@@ -269,17 +269,13 @@ def test_forced_arcs_survive_their_own_flip_check(monkeypatch):
         assert isinstance(solve(g), NonSemiTransitive)
     checked = set()
     for g, arcs, steps in calls:
-        force = []
         for step in steps:
-            arcs.append((g.index[step.arc[0]], g.index[step.arc[1]]))
-            force.append(arcs[-1])
-            if step.paired_with_next:
-                continue
+            force = [(g.index[t], g.index[h]) for t, h in step.arcs]
+            arcs.extend(force)
             for arc in force:
                 assert _flip_is_defective(g, arcs, step.cycle, arc)
             checked.add((len(force), len(step.cycle)))
-            force = []
-    # one-arc and paired forces, over triangles and longer cycles
+    # one-arc and two-arc forces, over triangles and longer cycles
     assert {1, 2} <= {n for n, _ in checked} and {3, 4} <= {m for _, m in checked}
 
 

@@ -125,18 +125,16 @@ def test_parse_single_line_structure():
     assert isinstance(line.opener, Root)
     assert line.steps == (
         Branch(arc=("14", "16"), copy_id=2),
-        Orient(arc=("14", "12"), cycle=("12", "14", "16", "13")),
+        Orient(arcs=(("14", "12"),), cycle=("12", "14", "16", "13")),
     )
     assert line.terminal == Shortcut(path=("13", "14", "16"))
 
 
 def test_parse_two_orient_steps_sharing_a_cycle():
     trace = parse_trace("1. O2->17 O17->15 (C2-17-15-12-4) S:4-2-17\n")
-    first, second = trace.lines[0].steps
-    assert first == Orient(
-        arc=("2", "17"), cycle=("2", "17", "15", "12", "4"), paired_with_next=True
+    assert trace.lines[0].steps == (
+        Orient(arcs=(("2", "17"), ("17", "15")), cycle=("2", "17", "15", "12", "4")),
     )
-    assert second == Orient(arc=("17", "15"), cycle=("2", "17", "15", "12", "4"))
 
 
 def test_parse_move_copy_opener():
@@ -145,7 +143,7 @@ def test_parse_move_copy_opener():
     )
     line = trace.lines[1]
     assert line.opener == MoveCopy(copy_id=2, arc=("b", "a"))
-    assert line.steps == (Orient(arc=("b", "c"), cycle=("b", "c", "a")),)
+    assert line.steps == (Orient(arcs=(("b", "c"),), cycle=("b", "c", "a")),)
 
 
 def test_parse_accepts_arrow_glyph():
@@ -258,9 +256,15 @@ def test_emit_formats_all_instruction_kinds():
 
 
 def test_emit_parse_round_trip_on_w5_trace():
-    trace = parse_trace(W5_TRACE_TEXT)
-    assert emit_trace(trace) == W5_TRACE_TEXT
-    assert parse_trace(emit_trace(trace)).lines == trace.lines
+    # the hand-built W5 text and every golden proof; S(3,3)'s and the
+    # witness's proofs hold two-arc O steps
+    texts = {"hand-built": W5_TRACE_TEXT}
+    for name in ("w5", "s23", "s24", "s25", "s33", "witness"):
+        texts[name] = (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")
+    for name, text in texts.items():
+        trace = parse_trace(text)
+        assert emit_trace(trace) == text, name
+        assert parse_trace(emit_trace(trace)).lines == trace.lines, name
 
 
 @given(
@@ -284,11 +288,11 @@ def test_emit_parse_round_trip_on_generated_lines(labels, data):
             steps.append(Branch(arc=data.draw(arcs), copy_id=copy_id))
             copy_id += 1
         elif kind == "O":
-            steps.append(Orient(arc=data.draw(arcs), cycle=tuple(data.draw(rings))))
-        else:  # a paired two-orientation step
-            ring = tuple(data.draw(rings))
-            steps.append(Orient(data.draw(arcs), ring, paired_with_next=True))
-            steps.append(Orient(data.draw(arcs), ring))
+            steps.append(Orient((data.draw(arcs),), tuple(data.draw(rings))))
+        else:  # a two-arc orient step
+            steps.append(
+                Orient((data.draw(arcs), data.draw(arcs)), tuple(data.draw(rings)))
+            )
     terminal = Shortcut(path=tuple(data.draw(rings)))
     line = TraceLine(1, Root(), tuple(steps), terminal)
     trace = ProofTrace(Preamble(), (line,))
@@ -584,55 +588,60 @@ def test_force_check_rejects_every_reversed_o_step_of_the_golden_proofs(name):
         for j, step in enumerate(line.steps):
             if not isinstance(step, Orient):
                 continue
-            steps = list(line.steps)
-            steps[j] = step._replace(arc=step.arc[::-1])
-            mutated = line._replace(steps=tuple(steps))
-            report = verify_trace(g, ProofTrace(preamble, before + (mutated,)))
-            assert not report.line_statuses[-1].accepted, (line.line_number, j)
-            reversed_steps += 1
+            for k, (x, y) in enumerate(step.arcs):
+                steps = list(line.steps)
+                arcs = step.arcs[:k] + ((y, x),) + step.arcs[k + 1 :]
+                steps[j] = step._replace(arcs=arcs)
+                mutated = line._replace(steps=tuple(steps))
+                report = verify_trace(g, ProofTrace(preamble, before + (mutated,)))
+                assert not report.line_statuses[-1].accepted, (line.line_number, j, k)
+                reversed_steps += 1
     assert reversed_steps > 0
 
 
-UNPARTNERED_PAIR_FLAGS = pytest.mark.parametrize(
-    "name, step, arc",
-    [
-        ("w5", 3, "c2->c3"),  # the last step of the line: no partner at all
-        ("s23", 1, "20->02"),  # a branch after it, which would make no copy
-    ],
+ARITIES = pytest.mark.parametrize(
+    "ring, count", [(3, 0), (3, 3), (4, 0), (4, 3)]
 )
 
 
-def _golden_with_pair_flag(name: str, step: int) -> ProofTrace:
-    """Line 1 of a golden proof, with the pair flag set on one step."""
-    pre = json.loads((GOLDEN / "preambles.json").read_text(encoding="utf-8"))[name]
-    first = parse_trace((GOLDEN / f"{name}.txt").read_text(encoding="utf-8")).lines[0]
+def _golden_with_arity(ring: int, count: int) -> ProofTrace:
+    """Line 1 of the S(2,3) proof, its first O step on a cycle of ``ring``
+    vertices given the first ``count`` steps round that cycle as arcs."""
+    pre = json.loads((GOLDEN / "preambles.json").read_text(encoding="utf-8"))["s23"]
+    first = parse_trace((GOLDEN / "s23.txt").read_text(encoding="utf-8")).lines[0]
     steps = list(first.steps)
-    steps[step] = steps[step]._replace(paired_with_next=True)
+    j = next(
+        j for j, step in enumerate(steps)
+        if isinstance(step, Orient) and len(step.cycle) == ring
+    )
+    cyc = steps[j].cycle
+    steps[j] = steps[j]._replace(arcs=tuple(zip(cyc, cyc[1:] + cyc[:1]))[:count])
     return ProofTrace(
         Preamble(tuple(pre["wlog"]), pre["source"]),
         (first._replace(steps=tuple(steps)),),
     )
 
 
-@UNPARTNERED_PAIR_FLAGS
-def test_force_check_rejects_a_pair_flag_without_an_orient_partner(name, step, arc):
-    trace = _golden_with_pair_flag(name, step)
-    status = verify_trace(GOLDEN_GRAPHS[name](), trace).line_statuses[0]
-    assert (status.accepted, status.reason) == (
+@ARITIES
+def test_force_check_rejects_an_orient_step_of_0_or_3_arcs(ring, count):
+    g = GOLDEN_GRAPHS["s23"]()
+    trace = _golden_with_arity(ring, count)
+    report = verify_trace(g, trace)
+    assert report.line_statuses[0] == (
+        1,
         False,
-        f"orient step {arc} is paired with no second orient step",
+        f"an orient step forces one or two arcs, not {count}",
     )
+    assert report == reference_verify_trace(g, trace)
 
 
-@UNPARTNERED_PAIR_FLAGS
-def test_emit_rejects_a_pair_flag_without_an_orient_partner(name, step, arc):
-    # the text has no way to say it: a last step would have no second arc,
-    # and a branch would be printed as a second O without its copy
-    trace = _golden_with_pair_flag(name, step)
+@ARITIES
+def test_force_check_emit_refuses_an_orient_step_of_0_or_3_arcs(ring, count):
+    # the text has no way to say it: an O step prints one or two arcs
     with pytest.raises(ValueError) as info:
-        emit_trace(trace)
+        emit_trace(_golden_with_arity(ring, count))
     assert str(info.value) == (
-        f"line 1: orient step {arc} is paired with no second orient step"
+        f"line 1: an orient step forces one or two arcs, not {count}"
     )
 
 
@@ -714,10 +723,8 @@ def test_witness_trace_derives_both_directions_of_15_17(witness):
     for line in trace.lines:
         for step in line.steps:
             if isinstance(step, Orient):
-                if step.arc == ("15", "17"):
-                    forwards += 1
-                elif step.arc == ("17", "15"):
-                    backwards += 1
+                forwards += step.arcs.count(("15", "17"))
+                backwards += step.arcs.count(("17", "15"))
             elif step.arc in (("15", "17"), ("17", "15")):
                 branch_lines.append(line.line_number)
     assert forwards > 0 and backwards > 0
@@ -778,26 +785,25 @@ def _proof(name: str):
 
 
 def _heads(trace):
-    """(line index, step index, step) of each O step that carries its
-    cycle: a single step or the first of a pair."""
-    heads = []
-    for li, line in enumerate(trace.lines):
-        after_pair = False
-        for j, step in enumerate(line.steps):
-            if isinstance(step, Orient) and not after_pair:
-                heads.append((li, j, step))
-            after_pair = isinstance(step, Orient) and step.paired_with_next
-    return heads
+    """(line index, step index, step) of each O step."""
+    return [
+        (li, j, step)
+        for li, line in enumerate(trace.lines)
+        for j, step in enumerate(line.steps)
+        if isinstance(step, Orient)
+    ]
+
+
+def _first_arc(step, arc):
+    """``step``'s arcs with the first one replaced by ``arc``."""
+    return (arc,) + step.arcs[1:]
 
 
 def _replaced(trace, li, j, **fields):
-    """The trace with step j of line li changed; a new cycle goes to both
-    steps of a pair."""
+    """The trace with step j of line li changed."""
     line = trace.lines[li]
     steps = list(line.steps)
     steps[j] = steps[j]._replace(**fields)
-    if "cycle" in fields and steps[j].paired_with_next:
-        steps[j + 1] = steps[j + 1]._replace(cycle=fields["cycle"])
     lines = list(trace.lines)
     lines[li] = line._replace(steps=tuple(steps))
     return trace._replace(lines=tuple(lines))
@@ -819,7 +825,8 @@ def _mutations(g, trace, rng):
     out = []
     # an arc reversed
     li, j, step = rng.choice(heads)
-    out.append((g, _replaced(trace, li, j, arc=step.arc[::-1])))
+    arcs = _first_arc(step, step.arcs[0][::-1])
+    out.append((g, _replaced(trace, li, j, arcs=arcs)))
     # a cycle rotated
     li, j, step = rng.choice(heads)
     k = rng.randrange(1, len(step.cycle))
@@ -841,10 +848,12 @@ def _mutations(g, trace, rng):
     i = rng.randrange(len(step.cycle))
     unknown = step.cycle[:i] + ("zz",) + step.cycle[i + 1 :]
     out.append((g, _replaced(trace, li, j, cycle=unknown)))
-    out.append((g, _replaced(trace, li, j, arc=(step.arc[0], "zz"))))
+    arcs = _first_arc(step, (step.arcs[0][0], "zz"))
+    out.append((g, _replaced(trace, li, j, arcs=arcs)))
     # a forced edge moved off its cycle
     li, j, step = rng.choice(heads)
-    out.append((g, _replaced(trace, li, j, arc=_off_cycle_arc(g, step.cycle, rng))))
+    arcs = _first_arc(step, _off_cycle_arc(g, step.cycle, rng))
+    out.append((g, _replaced(trace, li, j, arcs=arcs)))
     # a clique ring: the chords of a longer cycle added to the graph
     _, _, step = rng.choice([head for head in heads if len(head[2].cycle) > 3])
     labeled = [(g.labels[a], g.labels[b]) for a, b in g.edge_list()]
@@ -854,8 +863,8 @@ def _mutations(g, trace, rng):
     # two lines use, taken off its cycle and reversed wherever it occurs
     where = {}
     for li, j, step in heads:
-        if not step.paired_with_next:
-            where.setdefault((step.cycle, step.arc), []).append((li, j))
+        if len(step.arcs) == 1:
+            where.setdefault((step.cycle, step.arcs[0]), []).append((li, j))
     repeated = sorted(
         key for key, at in where.items() if len({li for li, _ in at}) > 1
     )
@@ -864,7 +873,7 @@ def _mutations(g, trace, rng):
         for new_arc in (_off_cycle_arc(g, cyc, rng), arc[::-1]):
             mutated = trace
             for li, j in where[(cyc, arc)]:
-                mutated = _replaced(mutated, li, j, arc=new_arc)
+                mutated = _replaced(mutated, li, j, arcs=(new_arc,))
             out.append((g, mutated))
     return out
 
@@ -925,14 +934,14 @@ def _arc_row_mutations(g, trace, rng):
         default=1,
     )
     heads = [
-        (li, j, step) for li, j, step in _heads(trace) if source not in step.arc
+        (li, j, step) for li, j, step in _heads(trace) if source not in step.arcs[0]
     ]
     li, j, step = rng.choice(heads)
-    after = j + 2 if step.paired_with_next else j + 1
-    x, y = step.arc
+    after = j + 1
+    x, y = step.arcs[0]
     out = [
         # a forced arc against one the line has set
-        (g, _with_steps(trace, li, after, [Orient((y, x), step.cycle)]), li,
+        (g, _with_steps(trace, li, after, [Orient(((y, x),), step.cycle)]), li,
          "already oriented the other way"),
     ]
     # a branch on an edge the line has oriented, either way round
@@ -956,8 +965,8 @@ def _arc_row_mutations(g, trace, rng):
     # new vertices zz, joined to both ends of the arc x->y, and zq, joined
     # to x, y and zz; at the end of the line, terminal paths:
     li, j, step = rng.choice(heads)
-    after = j + 2 if step.paired_with_next else j + 1
-    x, y = step.arc
+    after = j + 1
+    x, y = step.arcs[0]
     labeled = [(g.labels[a], g.labels[b]) for a, b in g.edge_list()]
     wider = build_graph(
         [*g.labels, "zz", "zq"],
