@@ -405,7 +405,7 @@ def _cmd_extract_graph(ns) -> int:
     try:
         g = extract_graph(trace)
     except GraphError as exc:  # the trace names a self-loop
-        raise _UsageError(f"{ns.trace}: {type(exc).__name__}: {exc}") from None
+        raise _UsageError(f"{ns.trace}: {exc}") from None
     payload = graph_to_json(g)
     if ns.out:
         _write_text(ns.out, json.dumps(payload, indent=2) + "\n")

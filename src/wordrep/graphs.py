@@ -102,7 +102,7 @@ class LabeledGraph:
         index: dict[str, int] = {}
         for i, lab in enumerate(labels):
             if lab in index:
-                raise DuplicateLabel(lab)
+                raise DuplicateLabel(f"duplicate label {lab!r}")
             index[lab] = i
         n = len(labels)
         norm = set()
@@ -110,7 +110,7 @@ class LabeledGraph:
             if not (0 <= a < n and 0 <= b < n):
                 raise UnknownEndpoint(f"vertex id out of range: {(a, b)}")
             if a == b:
-                raise SelfLoop(labels[a])
+                raise SelfLoop(f"self-loop at {labels[a]!r}")
             norm.add((a, b) if a < b else (b, a))
         adj = [0] * n
         for a, b in norm:
@@ -159,14 +159,13 @@ def build_graph(labels: Sequence[str], edges: Iterable[tuple[str, str]]) -> Labe
     idx: dict[str, int] = {}
     for i, lab in enumerate(labels):
         if lab in idx:
-            raise DuplicateLabel(lab)
+            raise DuplicateLabel(f"duplicate label {lab!r}")
         idx[lab] = i
     pairs = []
     for a, b in edges:
-        if a not in idx:
-            raise UnknownEndpoint(a)
-        if b not in idx:
-            raise UnknownEndpoint(b)
+        for end in (a, b):
+            if end not in idx:
+                raise UnknownEndpoint(f"edge {a!r}-{b!r}: no vertex {end!r}")
         pairs.append((idx[a], idx[b]))
     return LabeledGraph(labels, pairs)
 
@@ -185,7 +184,7 @@ def induced_subgraph(g: LabeledGraph, keep: Iterable[int]) -> LabeledGraph:
     kept = sorted(set(keep))
     for v in kept:
         if not 0 <= v < g.n:
-            raise UnknownEndpoint(f"vertex id {v}")
+            raise UnknownEndpoint(f"vertex id out of range: {v}")
     remap = {v: i for i, v in enumerate(kept)}
     labels = [g.labels[v] for v in kept]
     edges = [(remap[a], remap[b]) for a, b in g.edges if a in remap and b in remap]

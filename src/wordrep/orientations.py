@@ -9,19 +9,19 @@ no defect: every acyclic completion orients it x->y); the witness path is
 assembled from shortest segments, which compose to a simple path in a DAG.
 
 Every traversal of the directed bitmask adjacency (``out_adj[v]`` = heads
-of the arcs leaving v) goes through one of three routines:
-``reach_closure`` (reach rows, or None on a directed cycle),
-``shortest_path`` (BFS taking heads lowest id first) and ``directed_cycle``.
-Reach and co-reach rows are built only by ``reach_rows`` and grown only by
-``add_arc_rows``, one arc at a time; ``find_shortcut`` and the solver keep
-their rows through these two.  The per-arc witness step,
-``shortcut_under``, is shared with the solver: ``find_shortcut`` runs it
-under every set arc, in sorted order, while the solver runs it only under
-the closing arcs that a new arc can have changed.  The proof verifier in
-``traces`` keeps its own checks on purpose, and so does the exhaustive
-oracle: ``_leaf_verdicts`` decides whole batches of orientations with
-boolean matrices, so the tests that hold the solver and ``find_shortcut``
-to the oracle compare two independent exact tests.
+of the arcs leaving v) goes through one of three routines.  Reach and
+co-reach rows are grown only by ``add_arc_rows``, one arc at a time
+(Italiano's incremental transitive closure), which refuses an arc that
+closes a directed cycle; ``reach_rows`` builds them by folding it over
+the arcs; ``shortest_path`` is a BFS taking heads lowest id first.  The
+per-arc witness step, ``shortcut_under``, is shared with the solver:
+``find_shortcut`` runs it under every set arc, in sorted order, while the
+solver runs it only under the closing arcs that a new arc can have
+changed.  The proof verifier in ``traces`` keeps its own checks on
+purpose, and so does the exhaustive oracle: ``_leaf_verdicts`` decides
+whole batches of orientations with boolean matrices, so the tests that
+hold the solver and ``find_shortcut`` to the oracle compare two
+independent exact tests.
 """
 
 from __future__ import annotations
@@ -36,11 +36,9 @@ __all__ = [
     "PartialOrientation",
     "ShortcutWitness",
     "BruteForceResult",
-    "reach_closure",
     "reach_rows",
     "add_arc_rows",
     "shortest_path",
-    "directed_cycle",
     "is_acyclic",
     "find_shortcut",
     "shortcut_under",
@@ -144,56 +142,19 @@ class ShortcutWitness(NamedTuple):
     violation: tuple[int, int]  # indices (i, j) into path, i < j, (i,j) != (0,k)
 
 
-def reach_closure(out_adj: list[int]) -> list[int] | None:
-    """reach[v] = bitmask of vertices reachable from v (v included);
-    None when the arcs contain a directed cycle."""
-    n = len(out_adj)
-    indeg = [0] * n
-    for targets in out_adj:
-        while targets:
-            low = targets & -targets
-            indeg[low.bit_length() - 1] += 1
-            targets ^= low
-    stack = [v for v in range(n) if indeg[v] == 0]
-    order = []
-    while stack:
-        v = stack.pop()
-        order.append(v)
-        targets = out_adj[v]
-        while targets:
-            low = targets & -targets
-            w = low.bit_length() - 1
-            indeg[w] -= 1
-            if indeg[w] == 0:
-                stack.append(w)
-            targets ^= low
-    if len(order) < n:
-        return None
-    reach = [0] * n
-    for v in reversed(order):
-        mask = 1 << v
-        targets = out_adj[v]
-        while targets:
-            low = targets & -targets
-            mask |= reach[low.bit_length() - 1]
-            targets ^= low
-        reach[v] = mask
-    return reach
-
-
 def reach_rows(out_adj: list[int]) -> tuple[list[int], list[int]] | None:
-    """The reach rows of the arcs and the co-reach rows, their transpose
-    (``coreach[v]``: the vertices reaching v, v included); None when the
-    arcs contain a directed cycle."""
-    reach = reach_closure(out_adj)
-    if reach is None:
-        return None
-    coreach = [0] * len(reach)
-    for u, row in enumerate(reach):
-        while row:
-            low = row & -row
-            coreach[low.bit_length() - 1] |= 1 << u
-            row ^= low
+    """The reach rows of the arcs (``reach[v]``: the vertices v reaches,
+    v included) and the co-reach rows, their transpose (``coreach[v]``:
+    the vertices reaching v), grown from identity rows by ``add_arc_rows``
+    one arc at a time; None when the arcs contain a directed cycle."""
+    reach = [1 << v for v in range(len(out_adj))]
+    coreach = list(reach)
+    for tail, heads in enumerate(out_adj):
+        while heads:
+            low = heads & -heads
+            heads ^= low
+            if not add_arc_rows(reach, coreach, tail, low.bit_length() - 1):
+                return None
     return reach, coreach
 
 
@@ -247,39 +208,9 @@ def shortest_path(out_adj: list[int], src: int, dst: int) -> list[int] | None:
     return None
 
 
-def directed_cycle(out_adj: list[int]) -> list[int] | None:
-    """Some simple directed cycle, found by DFS from the lowest ids, or None."""
-    state = [0] * len(out_adj)  # 0 unseen, 1 on stack, 2 done
-    stack: list[int] = []
-
-    def visit(v: int) -> list[int] | None:
-        state[v] = 1
-        stack.append(v)
-        mask = out_adj[v]
-        while mask:
-            w = (mask & -mask).bit_length() - 1
-            mask &= mask - 1
-            if state[w] == 1:
-                return stack[stack.index(w):]
-            if state[w] == 0:
-                cyc = visit(w)
-                if cyc is not None:
-                    return cyc
-        state[v] = 2
-        stack.pop()
-        return None
-
-    for v in range(len(out_adj)):
-        if state[v] == 0:
-            cyc = visit(v)
-            if cyc is not None:
-                return cyc
-    return None
-
-
 def is_acyclic(o: Orientation | PartialOrientation) -> bool:
     po = o.as_partial() if isinstance(o, Orientation) else o
-    return reach_closure(po.out_adj) is not None
+    return reach_rows(po.out_adj) is not None
 
 
 def find_shortcut(o: Orientation | PartialOrientation) -> ShortcutWitness | None:

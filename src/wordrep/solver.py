@@ -14,11 +14,11 @@ then alternates constraint propagation with case splits on unset edges:
   last is forced against, and with both unset, both are forced against.
 
 A branch ("B") orients an edge one way and snapshots the other way as a
-numbered copy for later; a dead end (directed cycle or shortcut) ends the
-current line, and the search resumes the lowest-numbered unconsumed copy
-("MC").  When every copy has been consumed and every line ended in a
-defect, no semi-transitive orientation exists, and the accumulated lines
-form a machine-checkable proof trace.
+numbered copy for later; a dead end (a shortcut) ends the current line,
+and the search resumes the lowest-numbered unconsumed copy ("MC").  When
+every copy has been consumed and every line ended in a defect, no
+semi-transitive orientation exists, and the accumulated lines form a
+machine-checkable proof trace.
 
 Optionally the very first branch is oriented one way only (recorded as the
 preamble arc of the emitted trace instead of a copy).  The branch edge is
@@ -60,6 +60,17 @@ edges.  The PathRule pops set edges off the heap and forces the lowest
 unset one, which is the first decided edge in edge order, with a BFS
 only for that edge.
 
+No arc the search sets closes a directed cycle, so every dead end is a
+shortcut, and ``set_arc`` raises RuntimeError on an arc that
+``add_arc_rows`` refuses.  The root's arcs leave the source; a
+TriangleRule or PathRule force follows an existing path; the PathRule
+runs before the CycleRule, so a CycleRule force sets undecided edges
+(neither end reaches the other); branches and resumes orient edges that
+are undecided at a fixpoint.  A two-arc force b1->a1, b2->a2 has
+b1 ~> a2 and b2 ~> a1 around its ring, so a path a2 ~> b1 -> a1 ~> b2
+opened by its first arc means a cycle a2 ~> b1 ~> a2 or a1 ~> b2 ~> a1
+before it (a2 = b1 and a1 = b2 cannot both hold).
+
 The defect scan reads both rows.  The search abandons every dead state,
 so the state at the last scan that found no defect was clean, as is
 every banked state.  A violation under a closing arc u->v that is new
@@ -87,7 +98,6 @@ from .orientations import (
     Orientation,
     PartialOrientation,
     add_arc_rows,
-    directed_cycle,
     find_shortcut,
     is_acyclic,
     is_semitransitive,
@@ -265,17 +275,16 @@ class _WatchedOrientation(PartialOrientation):
 
     It also keeps the reach rows of its arcs (``reach[v]``: the vertices
     v reaches, v included) and of their transpose (``coreach[v]``: the
-    vertices reaching v) while they are acyclic, the flag ``cyclic``, the
-    arcs set since the last scan that found no defect, and ``decided``: a
-    heap of edge indices that holds every unset edge one of whose ends
-    reaches the other, and may still hold edges set since they were
-    pushed.
+    vertices reaching v), the arcs set since the last scan that found no
+    defect, and ``decided``: a heap of edge indices that holds every unset
+    edge one of whose ends reaches the other, and may still hold edges set
+    since they were pushed.
 
     Arcs are only ever added; the search goes back by ``restore``."""
 
     __slots__ = (
         "inventory", "along", "against", "fire",
-        "reach", "coreach", "cyclic", "unscanned", "decided",
+        "reach", "coreach", "unscanned", "decided",
     )
 
     def __init__(self, graph: LabeledGraph, inventory: _Inventory):
@@ -285,39 +294,40 @@ class _WatchedOrientation(PartialOrientation):
         self.against = bytearray(len(inventory.rings))
         self.fire: set[int] = set()
         self.reach, self.coreach = reach_rows([0] * graph.n)
-        self.cyclic = False
         self.unscanned: list[tuple[int, int]] = []
         self.decided: list[int] = []
 
     def set_arc(self, tail: int, head: int) -> None:
         """Orient one edge and update the reach rows, the decided edges and
-        the counts of every cycle on it."""
+        the counts of every cycle on it.  An arc that closes a directed
+        cycle raises RuntimeError: the search never sets one."""
         i = self.edge_index[(tail, head) if tail < head else (head, tail)]
         fresh = self.state[i] == UNSET
         super().set_arc(tail, head)
         if not fresh:
             return
         self.unscanned.append((tail, head))
-        if not self.cyclic:
-            # the rows before they grow: each x reaching tail comes to
-            # reach its neighbours that head reaches and it did not
-            reach, adj, state = self.reach, self.graph.adj, self.state
-            edge_index, decided = self.edge_index, self.decided
-            below = reach[head]
-            above = self.coreach[tail]
-            while above:
-                low = above & -above
-                above ^= low
-                x = low.bit_length() - 1
-                ys = below & adj[x] & ~reach[x]
-                while ys:
-                    bit = ys & -ys
-                    ys ^= bit
-                    y = bit.bit_length() - 1
-                    j = edge_index[(x, y) if x < y else (y, x)]
-                    if state[j] == UNSET:
-                        heappush(decided, j)
-            self.cyclic = not add_arc_rows(reach, self.coreach, tail, head)
+        # the rows before they grow: each x reaching tail comes to reach
+        # its neighbours that head reaches and it did not
+        reach, adj, state = self.reach, self.graph.adj, self.state
+        edge_index, decided = self.edge_index, self.decided
+        below = reach[head]
+        above = self.coreach[tail]
+        while above:
+            low = above & -above
+            above ^= low
+            x = low.bit_length() - 1
+            ys = below & adj[x] & ~reach[x]
+            while ys:
+                bit = ys & -ys
+                ys ^= bit
+                y = bit.bit_length() - 1
+                j = edge_index[(x, y) if x < y else (y, x)]
+                if state[j] == UNSET:
+                    heappush(decided, j)
+        if not add_arc_rows(reach, self.coreach, tail, head):
+            t, h = self.graph.labels[tail], self.graph.labels[head]
+            raise RuntimeError(f"arc {t}->{h} closes a directed cycle")
         along, against, fire = self.along, self.against, self.fire
         inventory = self.inventory
         sizes, triangles, watch = inventory.sizes, inventory.triangles, inventory.watch
@@ -389,18 +399,15 @@ class _WatchedOrientation(PartialOrientation):
             elif s == BACKWARD:
                 out_adj[hi] |= 1 << lo
         self.out_adj = out_adj
-        rows = reach_rows(out_adj)
-        self.cyclic = rows is None
-        self.decided = []
-        if rows is not None:
-            self.reach, self.coreach = rows
-            reach = self.reach
-            # in index order, so already a heap
-            self.decided = [
-                i
-                for i, ((lo, hi), s) in enumerate(zip(self.edge_order, self.state))
-                if s == UNSET and (reach[lo] >> hi & 1 or reach[hi] >> lo & 1)
-            ]
+        # a banked state's arcs each went through set_arc, so they are acyclic
+        self.reach, self.coreach = reach_rows(out_adj)
+        reach = self.reach
+        # in index order, so already a heap
+        self.decided = [
+            i
+            for i, ((lo, hi), s) in enumerate(zip(self.edge_order, self.state))
+            if s == UNSET and (reach[lo] >> hi & 1 or reach[hi] >> lo & 1)
+        ]
         self.unscanned = []
 
 
@@ -410,17 +417,11 @@ class _WatchedOrientation(PartialOrientation):
 
 def _scan_defect(po: _WatchedOrientation) -> tuple[str, ...] | None:
     """Printable terminal path if the state is dead, else None: the
-    directed cycle, or the shortcut ``find_shortcut`` would report.
+    shortcut ``find_shortcut`` would report.  The arcs are acyclic.
 
     Only the closing arcs u->v that an arc t->h set since the last clean
     scan can have changed are tested: u reaches t and h reaches v."""
     g = po.graph
-    if po.cyclic:
-        cyc = directed_cycle(po.out_adj)
-        assert cyc is not None
-        start = min(range(len(cyc)), key=lambda i: _label_key(g.labels[cyc[i]]))
-        ring = cyc[start:] + cyc[:start]
-        return tuple(g.labels[v] for v in ring)
     reach, coreach, out_adj = po.reach, po.coreach, po.out_adj
     heads: dict[int, int] = {}  # tail u -> the candidate closing arcs' heads
     for t, h in po.unscanned:
@@ -482,8 +483,8 @@ def propagate(
     mutating ``po``.
 
     Returns one Orient step per force applied, in order, with the force's
-    one or two arcs, and the printable terminal path (a shortcut, or a
-    directed cycle) as soon as the state is dead, else None.  No force is
+    one or two arcs, and the printable terminal path of a shortcut as soon
+    as the state is dead, else None.  No force is
     checked here: the verifier re-checks every Orient step when
     ``_solve_component`` replays the proof.
     """

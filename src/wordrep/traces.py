@@ -39,7 +39,6 @@ from typing import NamedTuple
 from .graphs import LABEL_PATTERN, LabeledGraph, build_graph
 
 __all__ = [
-    "LABEL_PATTERN",
     "TraceSyntaxError",
     "UnknownCopyReference",
     "Branch",

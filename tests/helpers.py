@@ -13,6 +13,9 @@ the solver's cycle inventory, the reference for its bitmask DFS.
 checks every orient step from scratch, the reference for the verifier's
 compiled force checks.  It replays on a ``PartialOrientation``, and the
 verifier on arc rows of its own, so the two share no state code either.
+``reference_rows`` builds reach and co-reach rows by a plain BFS from
+each vertex, the reference for the rows ``add_arc_rows`` builds and
+grows.
 """
 
 import itertools
@@ -117,6 +120,25 @@ def fix_source(po: PartialOrientation, v: int) -> PartialOrientation:
 
 def unset_edges(po: PartialOrientation) -> list[tuple[int, int]]:
     return [e for e, s in zip(po.edge_order, po.state) if s == UNSET]
+
+
+def reference_rows(out_adj: list[int]) -> tuple[list[int], list[int]] | None:
+    """The reach and co-reach rows of the arcs (``reach[v]``: the vertices
+    v reaches, ``coreach[v]``: the vertices reaching v, v included in
+    both), by a plain BFS from each vertex; None on a directed cycle."""
+    n = len(out_adj)
+    heads = [[w for w in range(n) if out_adj[v] >> w & 1] for v in range(n)]
+    reach = []
+    for v in range(n):
+        seen, frontier = {v}, [v]
+        while frontier:
+            frontier = [w for u in frontier for w in heads[u] if w not in seen]
+            seen.update(frontier)
+        if any(v in heads[w] for w in seen):
+            return None  # v reaches a tail of an arc into v
+        reach.append(sum(1 << w for w in seen))
+    coreach = [sum(1 << u for u in range(n) if reach[u] >> v & 1) for v in range(n)]
+    return reach, coreach
 
 
 def closing_arc(w: ShortcutWitness) -> tuple[int, int]:

@@ -370,6 +370,27 @@ def test_usage_errors_exit_64(capsys, tmp_path, monkeypatch, argv):
     assert code == 64 and "error:" in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("check", "--graph", {"labels": ["a", "a"], "edges": []}),
+         " is not a graph: duplicate label 'a'"),
+        (("check", "--graph", {"labels": ["a"], "edges": [["a", "a"]]}),
+         " is not a graph: self-loop at 'a'"),
+        (("check", "--graph", {"labels": ["a"], "edges": [["a", "b"]]}),
+         " is not a graph: edge 'a'-'b': no vertex 'b'"),
+        (("extract-graph", "--trace", TraceText("1. S:a-a\n")), ": self-loop at 'a'"),
+    ],
+    ids=["duplicate_label", "self_loop", "unknown_endpoint", "trace_self_loop"],
+)
+def test_graph_errors_name_their_defect(capsys, tmp_path, argv, message):
+    command, flag, arg = argv
+    path = tmp_path / "input"
+    path.write_text(arg if isinstance(arg, TraceText) else json.dumps(arg))
+    code, _, err = cli(capsys, command, flag, str(path))
+    assert code == 64 and err == f"error: {path}{message}\n"
+
+
 def test_internal_faults_exit_70(capsys, w5_file, monkeypatch):
     # a failed self-check is a fault of the program, not a negative verdict;
     # the proof is replayed under -O too
@@ -398,6 +419,26 @@ def test_a_value_error_inside_the_search_exits_70(capsys, s23_file, monkeypatch)
     code, out, err = cli(capsys, "check", "--graph", s23_file)
     assert code == 70 and out == ""
     assert err.startswith("error: internal: ValueError(")
+
+
+def test_a_force_that_closes_a_cycle_exits_70(capsys, s23_file, monkeypatch):
+    # no arc the search sets closes a directed cycle: a force reversed
+    # against the path that decides its edge is a fault, under -O too
+    next_force = wordrep.solver._next_force
+
+    def reversed_force(po):
+        hit = next_force(po)
+        if hit is not None and len(hit[0]) == 1:
+            ((t, h),) = hit[0]
+            if po.reach[t] >> h & 1:  # t ~> h decides the edge
+                return ((h, t),), *hit[1:]
+        return hit
+
+    monkeypatch.setattr(wordrep.solver, "_next_force", reversed_force)
+    code, out, err = cli(capsys, "check", "--graph", s23_file)
+    assert code == 70 and out == ""
+    assert err.startswith("error: internal: RuntimeError(") and err.count("\n") == 1
+    assert "closes a directed cycle" in err
 
 
 def test_bad_source_and_bad_wlog_are_usage_errors(capsys, w5_file, tmp_path):

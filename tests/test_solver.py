@@ -21,15 +21,12 @@ from wordrep.debruijn import build_simplified
 from wordrep.graphs import LabeledGraph, build_graph, build_wheel, induced_subgraph
 from wordrep.orientations import (
     UNSET,
-    CyclicInput,
     Orientation,
     PartialOrientation,
     brute_force_semitransitive,
-    directed_cycle,
     find_shortcut,
     is_acyclic,
     is_semitransitive,
-    reach_closure,
     shortest_path,
 )
 from wordrep.solver import (
@@ -40,7 +37,6 @@ from wordrep.solver import (
     _almost_forced_counts,
     _canonical_ring_print,
     _cycle_inventory,
-    _label_key,
     _next_force,
     _scan_defect,
     _WatchedOrientation,
@@ -59,7 +55,7 @@ from wordrep.traces import (
 from wordrep.words import BudgetExceeded as WordSearchBudgetExceeded
 from wordrep.words import find_uniform_representant
 
-from helpers import fix_source, reference_rings, unset_edges
+from helpers import fix_source, reference_rings, reference_rows, unset_edges
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
 
@@ -611,26 +607,14 @@ def _find_application(po, inventory):
 
 def _full_scan(po):
     """Reference for ``_scan_defect``: the terminal path of a scan of every
-    set arc, a directed cycle from the least label, else None."""
-    g = po.graph
-    try:
-        witness = find_shortcut(po)
-    except CyclicInput:
-        cyc = directed_cycle(po.out_adj)
-        start = min(range(len(cyc)), key=lambda i: _label_key(g.labels[cyc[i]]))
-        return tuple(g.labels[v] for v in cyc[start:] + cyc[:start])
-    return None if witness is None else tuple(g.labels[v] for v in witness.path)
+    set arc, else None.  The arcs are acyclic."""
+    assert reference_rows(po.out_adj) is not None
+    witness = find_shortcut(po)
+    return None if witness is None else tuple(po.graph.labels[v] for v in witness.path)
 
 
 def _check_rows(po):
-    reach = reach_closure(po.out_adj)
-    assert po.cyclic == (reach is None)
-    if reach is not None:
-        in_adj = [0] * po.graph.n
-        for t, h in po.arcs():
-            in_adj[h] |= 1 << t
-        assert po.reach == reach
-        assert po.coreach == reach_closure(in_adj)
+    assert (po.reach, po.coreach) == reference_rows(po.out_adj)
 
 
 def _check_counters(po, clean, scan=True):
@@ -663,8 +647,7 @@ def _check_counters(po, clean, scan=True):
                 edge = (t, h) if t < h else (h, t)
                 near[edge] = near.get(edge, 0) + 1
     assert _almost_forced_counts(po) == near
-    if reach_closure(po.out_adj) is not None:
-        assert _next_force(po) == _find_application(po, inventory)
+    assert _next_force(po) == _find_application(po, inventory)
     if not po.fire:
         before = (list(po.state), list(po.out_adj), bytes(po.along), bytes(po.against))
         pending_arcs = list(po.unscanned)
@@ -689,14 +672,17 @@ def _bank(po):
 @pytest.mark.parametrize("cycle_len", [3, 6])
 @pytest.mark.parametrize("name", ["w5", "s23", "s24", "witness"])
 def test_counters_match_a_fresh_recount(name, cycle_len):
-    # seeded random walks mixing rule forces, arbitrary arcs (cyclic and
-    # shortcut states included), branches and resumes; every arc goes
-    # through the watched set_arc and is checked against full rescans.
-    # A walk ends at a dead or full state with nothing left to resume.
-    # The walk goes on past dead states, which the search never does, so
-    # the restricted scan is compared only along clean-scan prefixes; a
-    # banked state remembers whether it was scanned clean.  Some scans are
-    # skipped, so that a scan also covers several new arcs at once.
+    # seeded random walks mixing rule forces, random arcs (shortcut states
+    # included), branches and resumes; every arc goes through the watched
+    # set_arc and is checked against full rescans.  Like the search, a
+    # walk never closes a directed cycle: a random arc on an edge that a
+    # path decides points along the path, and only an undecided edge banks
+    # its reverse for a resume.  A walk ends at a full state with nothing
+    # left to resume.  The walk goes on past dead states, which the search
+    # never does, so the restricted scan is compared only along clean-scan
+    # prefixes; a banked state remembers whether it was scanned clean.
+    # Some scans are skipped, so that a scan also covers several new arcs
+    # at once.
     g = GOLDEN_GRAPHS[name]()
     inventory = _cycle_inventory(g, cycle_len)
     arcs_left = 3 * len(g.edges)
@@ -710,11 +696,10 @@ def test_counters_match_a_fresh_recount(name, cycle_len):
         clean = True
         while arcs_left > 0:
             unset = unset_edges(po)
-            acyclic = reach_closure(po.out_adj) is not None
-            force = _next_force(po) if acyclic else None
+            force = _next_force(po)
             if force is not None and rng.random() < 0.8:
                 arcs = force[0]
-            elif not (acyclic and unset) or (pending and rng.random() < 0.2):
+            elif not unset or (pending and rng.random() < 0.2):
                 if not pending:
                     break
                 snapshot, arc, clean = pending.pop(rng.randrange(len(pending)))
@@ -724,13 +709,26 @@ def test_counters_match_a_fresh_recount(name, cycle_len):
                 a, b = rng.choice(unset)
                 if rng.random() < 0.5:
                     a, b = b, a
-                if not po.fire and rng.random() < 0.5:
+                if shortest_path(po.out_adj, b, a) is not None:
+                    a, b = b, a  # decided: along the path b ~> a
+                elif not po.fire and rng.random() < 0.5:
                     pending.append((_bank(po), (b, a), clean and not po.unscanned))
                 arcs = ((a, b),)
             for t, h in arcs:
                 po.set_arc(t, h)
                 clean = _check_counters(po, clean, scan_rng.random() < 0.7)
                 arcs_left -= 1
+
+
+def test_set_arc_refuses_an_arc_that_closes_a_cycle():
+    # no arc the search sets closes a directed cycle, so one that does is
+    # a fault of the program, raised under -O too
+    g = triangle()
+    po = _WatchedOrientation(g, _cycle_inventory(g, 3))
+    po.set_arc(0, 1)
+    po.set_arc(1, 2)
+    with pytest.raises(RuntimeError, match="arc c->a closes a directed cycle"):
+        po.set_arc(2, 0)
 
 
 @pytest.mark.skipif(not __debug__, reason="asserts are stripped under -O")
@@ -793,7 +791,7 @@ def test_decided_edges_match_a_full_scan_in_every_solve(name, monkeypatch):
 
     def checked_restore(po, snapshot):
         restore(po, snapshot)
-        reach = reach_closure(po.out_adj)
+        reach, _ = reference_rows(po.out_adj)
         assert sorted(po.decided) == [
             i
             for i, (a, b) in enumerate(po.edge_order)
