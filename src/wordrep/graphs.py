@@ -156,11 +156,7 @@ class LabeledGraph:
 
 def build_graph(labels: Sequence[str], edges: Iterable[tuple[str, str]]) -> LabeledGraph:
     """Build a graph from labels and label-pair edges; duplicates collapse."""
-    idx: dict[str, int] = {}
-    for i, lab in enumerate(labels):
-        if lab in idx:
-            raise DuplicateLabel(f"duplicate label {lab!r}")
-        idx[lab] = i
+    idx = LabeledGraph(labels, ()).index  # checks the labels
     pairs = []
     for a, b in edges:
         for end in (a, b):

@@ -71,7 +71,7 @@ class PartialOrientation:
         self.out_adj = [0] * graph.n  # bitmask of arc heads per tail
 
     def copy(self) -> "PartialOrientation":
-        # No library code calls this: the search banks byte snapshots and
+        # No library code calls this: the search banks its own snapshots and
         # the verifier keeps its own arc rows.  It is kept only because the
         # benchmark's probe (``perfbench/probe.py``) times it as its copy
         # span.

@@ -34,19 +34,18 @@ both cases at once.
 
 Propagation reads counters instead of rescanning cycles.  Each cycle of
 the inventory is numbered in scan order (triangles first, then longer
-rings by length and ids).  In the manner of Chaff's watched literals
-(Moskewicz et al., DAC 2001), each edge keeps two watch lists, split by
-the direction the ring steps along it: setting an arc t->h bumps the
-along count of each cycle stepping t->h and the against count of each
-stepping h->t (unset = ring length - along - against), and keeps the set
-of cycles whose counts let the TriangleRule or the CycleRule fire.  The
-rules fire the lowest-numbered cycle of that set, which is exactly the
-cycle the in-order scans would find first, so every proof is unchanged;
-a ring is walked only to find the unset steps of the cycle that fires.
-A banked copy holds the edge states and the counts as bytes; its fire
-set is empty, because the search branches only at a propagation
-fixpoint, and its arcs are rebuilt on resume.  Branch choice finds the
-nearly firing cycles in one big-int pass, one byte lane per cycle.
+rings by length and ids).  As with Chaff's watched literals (Moskewicz et
+al., DAC 2001), each edge watches its rings: two masks, one bit per ring
+stepping along it one way or the other.  The rings' along, against and
+unset counts are bit-sliced, as in bitslice DES (Biham, FSE 1997): bit c
+of plane i is bit i of ring c's count.  An arc adds its masks to the
+along and against planes and takes them from the unset planes in a few
+big-int operations, and a few more give the mask of the rings that let
+the TriangleRule or the CycleRule fire.  The rules fire its lowest ring,
+the cycle the in-order scans would find first, so every proof is
+unchanged; a ring is walked only to find the unset steps of the cycle
+that fires.  Branch choice reads its nearly firing rings off the same
+planes, and a banked copy holds the edge states and the planes.
 
 The orientation also keeps one reach row and one co-reach row per
 vertex, grown on each inserted arc by ``add_arc_rows`` (Italiano's
@@ -84,10 +83,10 @@ first witness is the one ``find_shortcut`` would report.
 from __future__ import annotations
 
 import itertools
-from array import array
 from collections import deque
-from functools import lru_cache
+from functools import lru_cache, reduce
 from heapq import heappop, heappush
+from operator import or_
 from typing import NamedTuple
 
 from .graphs import FrozenRecord, LabeledGraph, induced_subgraph, max_degree_vertex
@@ -120,7 +119,7 @@ from .traces import (
 # No code here calls ``find_shortcut`` or ``is_acyclic``.  The benchmark's
 # perfbench/probe.py counts defect scans by wrapping these two names on
 # this module, so they stay imported until the probe counts scans another
-# way (ROADMAP item 6).
+# way (ROADMAP item 5).
 
 __all__ = [
     "SolverConfig",
@@ -207,13 +206,13 @@ def _canonical_ring_print(g: LabeledGraph, ids: tuple[int, ...]) -> tuple[str, .
 
 class _Inventory(NamedTuple):
     """The cycles the rules reason over, numbered in scan order, and the
-    cycles each edge lies on."""
+    cycles each edge lies on, one bit per cycle."""
 
     rings: tuple[tuple[int, ...], ...]  # ring order, sorted by (length, ids)
     triangles: int  # rings[:triangles] are the triangles
-    sizes: bytes  # ring lengths
+    size_planes: tuple[int, ...]  # bit c of plane i: bit i of ring c's length
     # watch[t, h] for each edge, both ways: the rings that step t -> h
-    watch: dict[tuple[int, int], array]
+    watch: dict[tuple[int, int], int]
     # printed rings, made when a ring first fires and shared by every
     # proof step it justifies; each inventory is given its own dict
     prints: dict[int, tuple[str, ...]]
@@ -260,18 +259,39 @@ def _cycle_inventory(g: LabeledGraph, max_len: int) -> _Inventory:
         path = [s]
         extend(s, 1 << s)
     found.sort(key=lambda ids: (len(ids), ids))
-    watch = {step: array("i") for a, b in g.edges for step in ((a, b), (b, a))}
+    steps = {d: bytearray(len(found) // 8 + 1) for e in g.edges for d in (e, e[::-1])}
     for c, ids in enumerate(found):
+        byte, bit = c >> 3, 1 << (c & 7)
         for step in zip(ids, ids[1:] + ids[:1]):
-            watch[step].append(c)
-    sizes = bytes(map(len, found))
-    return _Inventory(tuple(found), sizes.count(3), sizes, watch, {})
+            steps[step][byte] |= bit
+    watch = {step: int.from_bytes(mask, "little") for step, mask in steps.items()}
+    # a ring steps once along each of its edges, so the watch masks sum to
+    # the ring lengths, which need 2 planes or more (a ring has 3 steps)
+    size_planes = (0,) * (len(found[-1]).bit_length() if found else 2)
+    for mask in watch.values():
+        size_planes = _bump(size_planes, mask)
+    triangles = sum(len(ids) == 3 for ids in found)
+    return _Inventory(tuple(found), triangles, size_planes, watch, {})
+
+
+def _bump(planes: tuple[int, ...], mask: int, down: bool = False) -> tuple[int, ...]:
+    """Add 1 to the count of each ring in ``mask``, or take 1 if ``down``,
+    rippling the carry or the borrow up the planes."""
+    out = []
+    for plane in planes:
+        out.append(plane ^ mask)
+        mask &= ~plane if down else plane
+    return tuple(out)
+
+
+# edge states and the along, against and unset bit planes
+_Snapshot = tuple[bytes, tuple[int, ...], tuple[int, ...], tuple[int, ...]]
 
 
 class _WatchedOrientation(PartialOrientation):
-    """A partial orientation that counts, per inventory cycle, the ring
-    steps its arcs point along and against, and keeps the set of cycles
-    whose counts let the TriangleRule or the CycleRule fire.
+    """A partial orientation that keeps each inventory cycle's counts of
+    ring steps along, against and unset as bit planes, and finds the
+    cycles whose counts let the TriangleRule or the CycleRule fire.
 
     It also keeps the reach rows of its arcs (``reach[v]``: the vertices
     v reaches, v included) and of their transpose (``coreach[v]``: the
@@ -283,16 +303,16 @@ class _WatchedOrientation(PartialOrientation):
     Arcs are only ever added; the search goes back by ``restore``."""
 
     __slots__ = (
-        "inventory", "along", "against", "fire",
+        "inventory", "along", "against", "unset", "firing",
         "reach", "coreach", "unscanned", "decided",
     )
 
     def __init__(self, graph: LabeledGraph, inventory: _Inventory):
         super().__init__(graph)
         self.inventory = inventory
-        self.along = bytearray(len(inventory.rings))
-        self.against = bytearray(len(inventory.rings))
-        self.fire: set[int] = set()
+        self.along = self.against = (0,) * len(inventory.size_planes)
+        self.unset = inventory.size_planes
+        self.firing: int | None = 0
         self.reach, self.coreach = reach_rows([0] * graph.n)
         self.unscanned: list[tuple[int, int]] = []
         self.decided: list[int] = []
@@ -328,29 +348,28 @@ class _WatchedOrientation(PartialOrientation):
         if not add_arc_rows(reach, self.coreach, tail, head):
             t, h = self.graph.labels[tail], self.graph.labels[head]
             raise RuntimeError(f"arc {t}->{h} closes a directed cycle")
-        along, against, fire = self.along, self.against, self.fire
-        inventory = self.inventory
-        sizes, triangles, watch = inventory.sizes, inventory.triangles, inventory.watch
         # rings stepping tail -> head count it along, head -> tail against
-        for rings, counts, others in (
-            (watch[tail, head], along, against),
-            (watch[head, tail], against, along),
-        ):
-            for c in rings:
-                count = counts[c] + 1
-                counts[c] = count
-                other = others[c]
-                unset = sizes[c] - count - other
-                if unset > 2:
-                    continue
-                # a triangle fires with one edge unset and the other two
-                # pointing the same way; a longer ring fires with one unset
-                # and at most one against the rest, or two unset and none
-                slack = (1 if c < triangles else 2) - unset
-                if unset and (count if count < other else other) <= slack:
-                    fire.add(c)
-                else:
-                    fire.discard(c)
+        watch = self.inventory.watch
+        forth, back = watch[tail, head], watch[head, tail]
+        if forth | back:
+            self.along = _bump(self.along, forth)
+            self.against = _bump(self.against, back)
+            self.unset = _bump(self.unset, forth | back, down=True)
+            self.firing = None
+
+    def fire(self) -> int:
+        """The mask of the cycles whose counts let a rule fire: a triangle
+        with one edge unset and two arcs one way; a longer ring with one
+        unset and at most one arc against the rest, or two unset and none."""
+        if self.firing is None:
+            (a0, *ah), (b0, *bh), (u0, u1, *uh) = self.along, self.against, self.unset
+            # the planes above bit 0 (above bit 1 for unset), ored
+            a, b, u = reduce(or_, ah), reduce(or_, bh), reduce(or_, uh, 0)
+            zero = ~(a0 | a) | ~(b0 | b)  # along 0 or against 0
+            longer = -1 << self.inventory.triangles
+            one, two = u0 & ~(u1 | u), u1 & ~(u0 | u)  # unset 1, unset 2
+            self.firing = one & (zero | longer & ~(a & b)) | two & longer & zero
+        return self.firing
 
     def unset_steps(self, c: int) -> list[tuple[int, int]]:
         """The ring steps of cycle ``c`` whose edges are unset."""
@@ -366,32 +385,28 @@ class _WatchedOrientation(PartialOrientation):
     ) -> tuple[tuple[tuple[int, int], ...], tuple[int, ...], tuple[str, ...]]:
         """The force of a firing cycle: its unset ring steps, pointed
         against the way most of its arcs point, its ring and its print."""
-        unset = self.unset_steps(c)
-        if self.against[c] > self.along[c]:
-            arcs = tuple(unset)
-        else:
-            arcs = tuple((h, t) for t, h in unset)
+        # a firing ring has at most one arc one way, two or more the other
+        back = not reduce(or_, self.along[1:]) >> c & 1  # so: along <= 1
+        arcs = tuple((t, h) if back else (h, t) for t, h in self.unset_steps(c))
         ring, prints = self.inventory.rings[c], self.inventory.prints
         if c not in prints:
             prints[c] = _canonical_ring_print(self.graph, ring)
         return arcs, ring, prints[c]
 
-    def snapshot(self) -> tuple[bytes, bytes, bytes]:
+    def snapshot(self) -> _Snapshot:
         """Edge states and cycle counts.  Snapshots are taken at a
         propagation fixpoint, where no cycle fires, scanned clean:
         ``restore`` keeps no arcs for the next scan to cover."""
-        assert not self.fire, "snapshot of a state that still propagates"
+        assert not self.fire(), "snapshot of a state that still propagates"
         assert not self.unscanned, "snapshot of a state that owes a scan"
-        return bytes(self.state), bytes(self.along), bytes(self.against)
+        return bytes(self.state), self.along, self.against, self.unset
 
-    def restore(self, snapshot: tuple[bytes, bytes, bytes]) -> None:
+    def restore(self, snapshot: _Snapshot) -> None:
         """Go back to a snapshot's state, which the search has scanned
-        and found free of defects."""
-        state, along, against = snapshot
+        and found free of defects and of firing cycles."""
+        state, self.along, self.against, self.unset = snapshot
         self.state = list(state)
-        self.along = bytearray(along)
-        self.against = bytearray(against)
-        self.fire = set()
+        self.firing = 0
         out_adj = [0] * self.graph.n
         for (lo, hi), s in zip(self.edge_order, self.state):
             if s == FORWARD:
@@ -455,9 +470,9 @@ def _next_force(
 
     The rules are tried in order, TriangleRule, PathRule, CycleRule, each
     scanning its cycles or edges in a fixed order."""
-    inventory = po.inventory
-    first = min(po.fire, default=None)
-    if first is not None and first < inventory.triangles:
+    fire = po.fire()
+    first = (fire & -fire).bit_length() - 1  # -1 when no cycle fires
+    if 0 <= first < po.inventory.triangles:
         return po.forced_by(first)
 
     # PathRule: an existing directed path decides an unset edge; the
@@ -471,9 +486,7 @@ def _next_force(
         ids = tuple(shortest_path(po.out_adj, t, h))
         return ((t, h),), ids, _canonical_ring_print(po.graph, ids)
 
-    if first is not None:
-        return po.forced_by(first)
-    return None
+    return po.forced_by(first) if fire else None
 
 
 def propagate(
@@ -510,27 +523,18 @@ def propagate(
 def _almost_forced_counts(po: _WatchedOrientation) -> dict[tuple[int, int], int]:
     """How many rule-usable cycles each unset edge could nearly fire: the
     cycles with three unset steps and none of the rest along, or none
-    against.  One byte lane per cycle, so one pass of big-int arithmetic
-    finds them all; along + against <= size, so no lane borrows."""
-    sizes = po.inventory.sizes
-    ones = int.from_bytes(b"\x01" * len(sizes), "little")
-    low7, high = ones * 0x7F, ones << 7
-
-    def zero(x: int) -> int:  # 0x80 in each lane of x that is 0
-        return ~(((x & low7) + low7) | x | low7) & high
-
-    al = int.from_bytes(po.along, "little")
-    ag = int.from_bytes(po.against, "little")
-    unset = int.from_bytes(sizes, "little") - al - ag
-    hits = zero(unset ^ ones * 3) & (zero(al) | zero(ag))
-    lanes = hits.to_bytes(len(sizes), "little")  # 0x80 at each such cycle
+    against, found in one pass over the counters' bit planes."""
+    un0, un1, *un = po.unset
+    zero = ~reduce(or_, po.along) | ~reduce(or_, po.against)
+    hits = un0 & un1 & ~reduce(or_, un, 0) & zero
+    bits = bin(hits)[:1:-1]  # bit c of hits is bits[c]
     counts: dict[tuple[int, int], int] = {}
-    c = lanes.find(0x80)
+    c = bits.find("1")
     while c >= 0:
         for t, h in po.unset_steps(c):
             edge = (t, h) if t < h else (h, t)
             counts[edge] = counts.get(edge, 0) + 1
-        c = lanes.find(0x80, c + 1)
+        c = bits.find("1", c + 1)
     return counts
 
 
@@ -598,7 +602,7 @@ def _solve_component(
     preamble = Preamble(None, g.labels[source])
     # deferred branches as (copy id, snapshot, arc to apply on resume);
     # ids grow from 2, so the front of the queue is the lowest pending id
-    copies: deque[tuple[int, tuple[bytes, bytes, bytes], tuple[int, int]]] = deque()
+    copies: deque[tuple[int, _Snapshot, tuple[int, int]]] = deque()
     copy_ids = itertools.count(2)
     lines: list[TraceLine] = []
     opener: Root | MoveCopy = Root()

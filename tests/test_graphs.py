@@ -40,6 +40,19 @@ def test_build_graph_rejects_duplicate_label():
         build_graph(["a", "a"], [])
 
 
+def test_both_constructors_name_a_duplicate_label_alike():
+    # build_graph leaves the label check to LabeledGraph, so the two entry
+    # points raise one message, edges or not
+    for make in (
+        lambda: LabeledGraph(["a", "b", "a"], [(0, 1)]),
+        lambda: build_graph(["a", "b", "a"], [("a", "b")]),
+        lambda: build_graph(["a", "b", "a"], [("a", "z")]),
+    ):
+        with pytest.raises(DuplicateLabel) as caught:
+            make()
+        assert str(caught.value) == "duplicate label 'a'"
+
+
 def test_build_graph_rejects_unknown_endpoint():
     with pytest.raises(UnknownEndpoint):
         build_graph(["a", "b"], [("a", "z")])

@@ -9,6 +9,7 @@ import hashlib
 import itertools
 import json
 import random
+import re
 import time
 from pathlib import Path
 
@@ -510,12 +511,12 @@ def test_cycle_inventory_matches_the_reference_enumerator():
             rings = reference_rings(g, cycle_len)
             assert list(inventory.rings) == rings, (name, cycle_len)
             assert inventory.triangles == sum(len(ids) == 3 for ids in rings)
-            assert inventory.sizes == bytes(map(len, rings))
+            assert _decode(inventory.size_planes, len(rings)) == list(map(len, rings))
             expected = {step: [] for a, b in g.edges for step in ((a, b), (b, a))}
             for c, ids in enumerate(rings):
                 for step in zip(ids, ids[1:] + ids[:1]):
                     expected[step].append(c)
-            watch = {step: list(cs) for step, cs in inventory.watch.items()}
+            watch = {step: _bits(mask) for step, mask in inventory.watch.items()}
             assert watch == expected, (name, cycle_len)
 
 
@@ -539,19 +540,38 @@ def test_solve_with_a_huge_cycle_len_returns_the_default_proof():
 # watched cycle counters against full rescans
 
 
-def _tally(po, ids):
-    """Ring edges pointing along, against, and the unset ring steps."""
-    along = against = 0
-    unset = []
-    for t, h in zip(ids, ids[1:] + ids[:1]):
-        d = po.direction(t, h)
-        if d is None:
-            unset.append((t, h))
-        elif d == t:
-            along += 1
-        else:
-            against += 1
-    return along, against, unset
+def _bits(mask):
+    """The positions of the set bits of a non-negative mask, ascending."""
+    assert mask >= 0
+    return [hit.start() for hit in re.finditer("1", bin(mask)[:1:-1])]
+
+
+def _decode(planes, rings):
+    """Each ring's count, read off bit planes: bit c of plane i is bit i of
+    ring c's count.  Plane i is spread to one byte per ring, 0 or 1 << i,
+    and the planes' bytes are ored."""
+    lanes = 0
+    for i, plane in enumerate(planes):
+        assert 0 <= plane < 1 << rings
+        bits = bin(plane)[2:].zfill(rings)[::-1].encode()  # bit c is bits[c]
+        spread = bits.translate(bytes.maketrans(b"01", bytes([0, 1 << i])))
+        lanes |= int.from_bytes(spread, "little")
+    return list(lanes.to_bytes(rings, "little"))
+
+
+def _tallies(po, rings):
+    """Per ring, its edges pointing along, against, and its unset ring
+    steps, read off a table of each arc's two steps."""
+    way = {}
+    for t, h in po.arcs():
+        way[t, h], way[h, t] = 1, -1
+    tallies = []
+    for ids in rings:
+        steps = list(zip(ids, ids[1:] + ids[:1]))
+        signs = [way.get(step, 0) for step in steps]
+        unset = [step for step, sign in zip(steps, signs) if not sign]
+        tallies.append((signs.count(1), signs.count(-1), unset))
+    return tallies
 
 
 def _rule_force(po, ids, tally):
@@ -582,10 +602,11 @@ def _rule_force(po, ids, tally):
     return None
 
 
-def _find_application(po, inventory):
+def _find_application(po, inventory, tallies=None):
     """Reference for ``_next_force``: the first force found by scanning
     every triangle, then every unset edge by BFS, then every longer ring;
-    its arcs, the ids of the justifying cycle and its printed ring."""
+    its arcs, the ids of the justifying cycle and its printed ring.
+    ``tallies``, if given, are the rings' ``_tallies``."""
     g = po.graph
     rings, triangles = inventory.rings, inventory.triangles
     for ids in rings[:triangles]:
@@ -598,8 +619,9 @@ def _find_application(po, inventory):
             if path is not None:
                 ids = tuple(path)
                 return ((t, h),), ids, _canonical_ring_print(g, ids)
-    for ids in rings[triangles:]:
-        arcs = _rule_force(po, ids, _tally(po, ids))
+    tallies = tallies or _tallies(po, rings)
+    for ids, tally in zip(rings[triangles:], tallies[triangles:]):
+        arcs = _rule_force(po, ids, tally)
         if arcs is not None:
             return arcs, ids, _canonical_ring_print(g, ids)
     return None
@@ -617,27 +639,35 @@ def _check_rows(po):
     assert (po.reach, po.coreach) == reference_rows(po.out_adj)
 
 
+def _counters(po):
+    """What the watched counters hold, and the edge states and arcs."""
+    return list(po.state), list(po.out_adj), po.along, po.against, po.unset, po.fire()
+
+
 def _check_counters(po, clean, scan=True):
-    """Check the counters, the fire set, the near-firing counts, the next
-    force and the rows against full rescans, and a snapshot/restore round
-    trip.  While every scan since the last restore of a clean state was
-    clean (``clean``), also check the restricted scan against a full one,
-    if ``scan``.  Returns whether the state is still on such a clean-scan
-    prefix."""
+    """Check the counters, read off their bit planes, the fire mask, the
+    near-firing counts, the next force and the rows against full rescans,
+    and that a snapshot restored twice, with arcs set in between, gives
+    back the same state both times.  While every scan since the last
+    restore of a clean state was clean (``clean``), also check the
+    restricted scan against a full one, if ``scan``.  Returns whether the
+    state is still on such a clean-scan prefix."""
     _check_rows(po)
     if clean and scan:
         expected = _full_scan(po)
         assert _scan_defect(po) == expected
         clean = expected is None
     inventory = po.inventory
-    tallies = [_tally(po, ids) for ids in inventory.rings]
-    assert list(po.along) == [al for al, _, _ in tallies]
-    assert list(po.against) == [ag for _, ag, _ in tallies]
-    assert po.fire == {
+    rings = len(inventory.rings)
+    tallies = _tallies(po, inventory.rings)
+    assert _decode(po.along, rings) == [al for al, _, _ in tallies]
+    assert _decode(po.against, rings) == [ag for _, ag, _ in tallies]
+    assert _decode(po.unset, rings) == [len(unset) for _, _, unset in tallies]
+    assert _bits(po.fire()) == [
         c
         for c, (ids, tally) in enumerate(zip(inventory.rings, tallies))
         if _rule_force(po, ids, tally)
-    }
+    ]
     # each unset edge of a ring with three unset steps and none of the
     # rest along, or none against, counts once per such ring
     near = {}
@@ -647,14 +677,22 @@ def _check_counters(po, clean, scan=True):
                 edge = (t, h) if t < h else (h, t)
                 near[edge] = near.get(edge, 0) + 1
     assert _almost_forced_counts(po) == near
-    assert _next_force(po) == _find_application(po, inventory)
-    if not po.fire:
-        before = (list(po.state), list(po.out_adj), bytes(po.along), bytes(po.against))
+    assert _next_force(po) == _find_application(po, inventory, tallies)
+    if not po.fire():
+        before = _counters(po)
         pending_arcs = list(po.unscanned)
-        po.restore(_bank(po))
-        after = (list(po.state), list(po.out_adj), bytes(po.along), bytes(po.against))
-        assert after == before and po.fire == set() and po.unscanned == []
-        _check_rows(po)
+        snapshot = _bank(po)
+        for _ in range(2):
+            po.restore(snapshot)
+            assert _counters(po) == before and po.unscanned == []
+            _check_rows(po)
+            # up to two arcs, none closing a directed cycle, before the
+            # snapshot is restored again
+            for a, b in unset_edges(po)[:2]:
+                if shortest_path(po.out_adj, b, a) is not None:
+                    a, b = b, a
+                po.set_arc(a, b)
+        po.restore(snapshot)
         po.unscanned = pending_arcs
     return clean
 
@@ -669,8 +707,12 @@ def _bank(po):
     return snapshot
 
 
-@pytest.mark.parametrize("cycle_len", [3, 6])
-@pytest.mark.parametrize("name", ["w5", "s23", "s24", "witness"])
+@pytest.mark.parametrize(
+    "name,cycle_len",
+    [(name, n) for name in ("w5", "s23", "s24", "witness") for n in (3, 6)]
+    # every ring of the witness, up to 17 steps: five bit planes
+    + [pytest.param("witness", None, id="witness-n")],
+)
 def test_counters_match_a_fresh_recount(name, cycle_len):
     # seeded random walks mixing rule forces, random arcs (shortcut states
     # included), branches and resumes; every arc goes through the watched
@@ -682,10 +724,12 @@ def test_counters_match_a_fresh_recount(name, cycle_len):
     # never does, so the restricted scan is compared only along clean-scan
     # prefixes; a banked state remembers whether it was scanned clean.
     # Some scans are skipped, so that a scan also covers several new arcs
-    # at once.
+    # at once.  The witness's 59,904 rings up to 17 steps are too many to
+    # recount at every arc: that walk sets one arc per edge and is checked
+    # at every tenth arc and at its last.
     g = GOLDEN_GRAPHS[name]()
-    inventory = _cycle_inventory(g, cycle_len)
-    arcs_left = 3 * len(g.edges)
+    inventory = _cycle_inventory(g, cycle_len or g.n)
+    arcs_left, every = (3 * len(g.edges), 1) if cycle_len else (len(g.edges), 10)
     for seed in itertools.count():
         if arcs_left <= 0:
             break
@@ -711,13 +755,15 @@ def test_counters_match_a_fresh_recount(name, cycle_len):
                     a, b = b, a
                 if shortest_path(po.out_adj, b, a) is not None:
                     a, b = b, a  # decided: along the path b ~> a
-                elif not po.fire and rng.random() < 0.5:
+                elif not po.fire() and rng.random() < 0.5:
                     pending.append((_bank(po), (b, a), clean and not po.unscanned))
                 arcs = ((a, b),)
             for t, h in arcs:
                 po.set_arc(t, h)
-                clean = _check_counters(po, clean, scan_rng.random() < 0.7)
                 arcs_left -= 1
+                scan = scan_rng.random() < 0.7
+                if arcs_left % every == 0 or arcs_left <= 0:
+                    clean = _check_counters(po, clean, scan)
 
 
 def test_set_arc_refuses_an_arc_that_closes_a_cycle():
@@ -738,7 +784,7 @@ def test_snapshot_refuses_a_state_that_owes_a_scan():
     g = build_wheel(5)
     po = _WatchedOrientation(g, _cycle_inventory(g, 3))
     po.set_arc(*min(g.edges))
-    assert not po.fire and po.unscanned
+    assert not po.fire() and po.unscanned
     with pytest.raises(AssertionError, match="owes a scan"):
         po.snapshot()
     assert _scan_defect(po) is None
