@@ -15,8 +15,16 @@ then alternates constraint propagation with case splits on unset edges:
 
 A branch ("B") orients an edge one way and snapshots the other way as a
 numbered copy for later; a dead end (a shortcut) ends the current line,
-and the search resumes the lowest-numbered unconsumed copy ("MC").  When
-every copy has been consumed and every line ended in a defect, no
+and the search resumes an unconsumed copy ("MC").  It dives: it resumes
+the highest-numbered copy, the newest, so it searches depth first and
+its queue of copies grows with the depth of the branch tree, not its
+width.  A dive can sink into a large dead subtree, and backtracking run
+times are heavy-tailed (Gomes, Selman & Kautz, AAAI 1998), so after
+UNIT * luby(j) dives the j-th jump resumes the lowest-numbered copy, the
+oldest, instead: restarts on the schedule of Luby, Sinclair & Zuckerman
+(IPL 1993), except that no work is thrown away.  Every copy is resumed
+once whatever the order, so a negative verdict searches the same tree.
+When every copy has been consumed and every line ended in a defect, no
 semi-transitive orientation exists, and the accumulated lines form a
 machine-checkable proof trace.
 
@@ -54,10 +62,11 @@ incremental transitive closure) and rebuilt once per resume by
 directed path decides are collected as they appear: before an arc t->h
 grows the rows, every vertex x reaching t comes to reach the neighbours
 y that h reaches and x did not, and each such unset edge x-y goes on a
-heap of edge indices.  A resume refills the heap in one pass over the
-edges.  The PathRule pops set edges off the heap and forces the lowest
-unset one, which is the first decided edge in edge order, with a BFS
-only for that edge.
+heap of edge indices.  A resume starts with an empty heap: a banked
+state is a propagation fixpoint, so it has no unset decided edge.  The
+PathRule pops set edges off the heap and forces the lowest unset one,
+which is the first decided edge in edge order, with a BFS only for that
+edge.
 
 No arc the search sets closes a directed cycle, so every dead end is a
 shortcut, and ``set_arc`` raises RuntimeError on an arc that
@@ -352,8 +361,10 @@ class _WatchedOrientation(PartialOrientation):
         watch = self.inventory.watch
         forth, back = watch[tail, head], watch[head, tail]
         if forth | back:
-            self.along = _bump(self.along, forth)
-            self.against = _bump(self.against, back)
+            if forth:
+                self.along = _bump(self.along, forth)
+            if back:
+                self.against = _bump(self.against, back)
             self.unset = _bump(self.unset, forth | back, down=True)
             self.firing = None
 
@@ -395,15 +406,19 @@ class _WatchedOrientation(PartialOrientation):
 
     def snapshot(self) -> _Snapshot:
         """Edge states and cycle counts.  Snapshots are taken at a
-        propagation fixpoint, where no cycle fires, scanned clean:
-        ``restore`` keeps no arcs for the next scan to cover."""
+        propagation fixpoint, where no cycle fires and no unset edge is
+        decided, scanned clean: ``restore`` keeps no arcs for the next
+        scan to cover."""
         assert not self.fire(), "snapshot of a state that still propagates"
         assert not self.unscanned, "snapshot of a state that owes a scan"
+        assert not self.decided, "snapshot of a state with a decided edge"
         return bytes(self.state), self.along, self.against, self.unset
 
     def restore(self, snapshot: _Snapshot) -> None:
         """Go back to a snapshot's state, which the search has scanned
-        and found free of defects and of firing cycles."""
+        and found free of defects and of firing cycles.  No unset edge is
+        decided there, or the PathRule would have forced it before the
+        branch, so the heap of decided edges starts empty."""
         state, self.along, self.against, self.unset = snapshot
         self.state = list(state)
         self.firing = 0
@@ -416,13 +431,7 @@ class _WatchedOrientation(PartialOrientation):
         self.out_adj = out_adj
         # a banked state's arcs each went through set_arc, so they are acyclic
         self.reach, self.coreach = reach_rows(out_adj)
-        reach = self.reach
-        # in index order, so already a heap
-        self.decided = [
-            i
-            for i, ((lo, hi), s) in enumerate(zip(self.edge_order, self.state))
-            if s == UNSET and (reach[lo] >> hi & 1 or reach[hi] >> lo & 1)
-        ]
+        self.decided = []
         self.unscanned = []
 
 
@@ -551,6 +560,23 @@ def _pick_branch_edge(po: _WatchedOrientation) -> tuple[int, int]:
 # the search
 
 
+# dives, resumes of the newest copy, per term of the Luby schedule before
+# a jump resumes the oldest copy
+UNIT = 64
+
+
+def luby(i: int) -> int:
+    """The i-th term, from 1, of Luby, Sinclair & Zuckerman's restart
+    sequence 1, 1, 2, 1, 1, 2, 4, 1, 1, 2, 1, 1, 2, 4, 8, ...: 2^(k-1) at
+    i = 2^k - 1, and for 2^(k-1) <= i < 2^k - 1 the term at
+    i - 2^(k-1) + 1."""
+    k = i.bit_length()
+    while i != (1 << k) - 1:
+        i -= (1 << k - 1) - 1
+        k = i.bit_length()
+    return 1 << k - 1
+
+
 class _Budget:
     def __init__(self, limit: int):
         self.limit = limit
@@ -601,9 +627,11 @@ def _solve_component(
 
     preamble = Preamble(None, g.labels[source])
     # deferred branches as (copy id, snapshot, arc to apply on resume);
-    # ids grow from 2, so the front of the queue is the lowest pending id
+    # ids grow from 2, so the back of the queue is the highest pending id
+    # and the front the lowest
     copies: deque[tuple[int, _Snapshot, tuple[int, int]]] = deque()
     copy_ids = itertools.count(2)
+    j, dives = 1, 0  # the next jump is the j-th, after UNIT * luby(j) dives
     lines: list[TraceLine] = []
     opener: Root | MoveCopy = Root()
     steps: list[Orient | Branch] = []
@@ -624,7 +652,12 @@ def _solve_component(
                 return NonSemiTransitive(trace)
             if not budget.spend():
                 return BudgetExceeded(budget.used)
-            cid, snapshot, (t, h) = copies.popleft()
+            if dives < UNIT * luby(j):
+                dives += 1
+                cid, snapshot, (t, h) = copies.pop()
+            else:
+                j, dives = j + 1, 0
+                cid, snapshot, (t, h) = copies.popleft()
             opener = MoveCopy(cid, (g.labels[t], g.labels[h]))
             steps = []
             po.restore(snapshot)

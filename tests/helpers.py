@@ -15,7 +15,9 @@ compiled force checks.  It replays on a ``PartialOrientation``, and the
 verifier on arc rows of its own, so the two share no state code either.
 ``reference_rows`` builds reach and co-reach rows by a plain BFS from
 each vertex, the reference for the rows ``add_arc_rows`` builds and
-grows.
+grows.  ``reference_is_semitransitive`` checks an orientation on those
+rows alone, the check of the solver's positive verdicts that shares no
+code with ``is_semitransitive``.
 """
 
 import itertools
@@ -139,6 +141,30 @@ def reference_rows(out_adj: list[int]) -> tuple[list[int], list[int]] | None:
         reach.append(sum(1 << w for w in seen))
     coreach = [sum(1 << u for u in range(n) if reach[u] >> v & 1) for v in range(n)]
     return reach, coreach
+
+
+def reference_is_semitransitive(g: LabeledGraph, arcs) -> bool:
+    """Whether ``arcs`` orient each edge of ``g`` once, with no directed
+    cycle and no shortcut.  In an acyclic orientation every walk is a
+    simple path, so an arc u->v has a shortcut exactly when some x and y
+    with u ~> x ~> y ~> v are distinct and not adjacent: the path through
+    them has at least four vertices, one pair of them not adjacent."""
+    edges = sorted((t, h) if t < h else (h, t) for t, h in arcs)
+    if edges != sorted(g.edges):
+        return False
+    out_adj = [0] * g.n
+    for t, h in arcs:
+        out_adj[t] |= 1 << h
+    rows = reference_rows(out_adj)
+    if rows is None:
+        return False
+    reach, coreach = rows
+    for u, v in arcs:
+        between = reach[u] & coreach[v]
+        for x in range(g.n):
+            if between >> x & 1 and between & reach[x] & ~(g.adj[x] | 1 << x):
+                return False
+    return True
 
 
 def closing_arc(w: ShortcutWitness) -> tuple[int, int]:

@@ -56,7 +56,13 @@ from wordrep.traces import (
 from wordrep.words import BudgetExceeded as WordSearchBudgetExceeded
 from wordrep.words import find_uniform_representant
 
-from helpers import fix_source, reference_rings, reference_rows, unset_edges
+from helpers import (
+    fix_source,
+    reference_is_semitransitive,
+    reference_rings,
+    reference_rows,
+    unset_edges,
+)
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
 
@@ -419,23 +425,41 @@ def test_emitted_traces_have_balanced_copy_ledgers():
     assert all(used is not None for _, used in report.copy_ledger.values())
 
 
-def test_copy_store_ids_start_at_two_and_resume_lowest():
-    # copies are created as 2, 3, ... and resumed lowest pending id first,
-    # which with increasing ids is creation order
+def test_luby_gives_the_restart_sequence():
+    assert [solver.luby(i) for i in range(1, 16)] == [
+        1, 1, 2, 1, 1, 2, 4, 1, 1, 2, 1, 1, 2, 4, 8,
+    ]
+
+
+@pytest.mark.parametrize("unit", [solver.UNIT, 1, 3])
+def test_copy_store_ids_start_at_two_and_resume_on_the_luby_schedule(
+    unit, monkeypatch
+):
+    # copies are created as 2, 3, ...; a resume takes the highest pending
+    # id, the newest copy, except that after unit * luby(j) such resumes
+    # the j-th jump takes the lowest, the oldest.  The witness resumes 86
+    # copies: one jump at the default unit, many at the small ones.
+    monkeypatch.setattr(solver, "UNIT", unit)
     verdict = solve(extract_graph(load_witness_trace()))
-    created = [
-        step.copy_id
-        for line in verdict.trace.lines
-        for step in line.steps
-        if isinstance(step, Branch)
-    ]
-    resumed = [
-        line.opener.copy_id
-        for line in verdict.trace.lines
-        if isinstance(line.opener, MoveCopy)
-    ]
+    created, pending = [], set()
+    j = dives = lowest_differs = 0
+    for line in verdict.trace.lines:
+        if isinstance(line.opener, MoveCopy):
+            if dives < unit * solver.luby(j + 1):
+                dives += 1
+                expected = max(pending)
+            else:
+                j, dives = j + 1, 0
+                expected = min(pending)
+                lowest_differs += expected != max(pending)
+            assert line.opener.copy_id == expected
+            pending.remove(expected)
+        for step in line.steps:
+            if isinstance(step, Branch):
+                created.append(step.copy_id)
+                pending.add(step.copy_id)
     assert created == list(range(2, len(created) + 2))
-    assert resumed == created
+    assert not pending and lowest_differs > 0
 
 
 GOLDEN_GRAPHS = {
@@ -461,23 +485,76 @@ def test_emitted_proofs_match_the_golden_files(name):
     assert emit_trace(verdict.trace).encode("utf-8") == expected
 
 
+def _line_digest(text):
+    """sha256, first 16 hex digits, of a proof's lines sorted, with the
+    line numbers and the copy ids blanked: the same digest for the same
+    tree searched in another order."""
+    lines = sorted(
+        re.sub(r"(?<=^MC)\d+|(?<=\(Copy )\d+", "", line.split(". ", 1)[1])
+        for line in text.splitlines()
+    )
+    return hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()[:16]
+
+
+# the digests of the golden proofs the oldest-first search emitted, with
+# their line counts
+GOLDEN_LINE_DIGESTS = {
+    "w5": ("b70a23dfddad1c26", 1),
+    "s23": ("0b26ad5a482522a0", 4),
+    "witness": ("5b2b9ef0f1fda106", 87),
+    "s24": ("7620bbbe0b10afa0", 13),
+    "s25": ("28a5cf16f1d55742", 36),
+    "s33": ("908cdc2b7b31f6ed", 543),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_GRAPHS))
+def test_golden_proofs_keep_their_lines_in_any_resume_order(name):
+    # the resume order changes only the order of the lines and the copy
+    # numbers: every copy is resumed once, and its subtree depends on its
+    # state alone.  The golden files are the emitted proofs (above).
+    text = (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")
+    assert (_line_digest(text), len(text.splitlines())) == GOLDEN_LINE_DIGESTS[name]
+
+
 # sha256 of repr(arcs), first 16 hex digits, of the orientation solve finds
 GOLDEN_ORIENTATIONS = {
     (6, 2): "70961b6013234bab",
     (7, 2): "b2d91f553268da44",
     (4, 3): "9e74b945ba123151",
-    (8, 2): "c05831d38487c7de",
+    (8, 2): "013fd5ee9cb7c9bf",
+    (4, 4): "13d63d546471dc91",
+    (6, 3): "d80fda65041099c1",
 }
 
 
 @pytest.mark.parametrize("n,k", sorted(GOLDEN_ORIENTATIONS))
 def test_found_orientations_match_the_golden_hashes(n, k):
     # the positive counterpart of the golden proofs: a change to the
-    # search that picks another orientation must show up here
-    verdict = solve(build_simplified(n, k).graph)
+    # search that picks another orientation must show up here.  The node
+    # budget keeps the reach of the dives: resuming the oldest copy first
+    # took 4,199 nodes on S(4,4) and ran out of memory on S(6,3), and the
+    # dives take 454 and 1,120.  A budget is deterministic, so this cannot
+    # flake on timing.
+    g = build_simplified(n, k).graph
+    verdict = solve(g, SolverConfig(budget=3000))
     assert isinstance(verdict, SemiTransitive)
     digest = hashlib.sha256(repr(verdict.orientation.arcs).encode("utf-8"))
     assert digest.hexdigest()[:16] == GOLDEN_ORIENTATIONS[(n, k)]
+    assert reference_is_semitransitive(g, verdict.orientation.arcs)
+
+
+def test_reference_is_semitransitive_agrees_with_is_semitransitive():
+    rng = random.Random(28)
+    for _ in range(300):
+        g = random_graph(rng, rng.randint(1, 7), rng.random())
+        arcs = tuple((a, b) if rng.random() < 0.5 else (b, a) for a, b in g.edges)
+        expected = is_semitransitive(Orientation(g, arcs))
+        assert reference_is_semitransitive(g, arcs) == expected, (g.edge_list(), arcs)
+    # a missing or a doubled edge is no orientation
+    g = c4()
+    assert not reference_is_semitransitive(g, [(0, 1), (1, 2), (2, 3)])
+    assert not reference_is_semitransitive(g, [(0, 1), (1, 2), (2, 3), (0, 3), (1, 0)])
 
 
 # ---------------------------------------------------------------------------
@@ -647,11 +724,12 @@ def _counters(po):
 def _check_counters(po, clean, scan=True):
     """Check the counters, read off their bit planes, the fire mask, the
     near-firing counts, the next force and the rows against full rescans,
-    and that a snapshot restored twice, with arcs set in between, gives
-    back the same state both times.  While every scan since the last
-    restore of a clean state was clean (``clean``), also check the
-    restricted scan against a full one, if ``scan``.  Returns whether the
-    state is still on such a clean-scan prefix."""
+    and that a snapshot of a propagation fixpoint restored twice, with
+    arcs set in between, gives back the same state both times.  While
+    every scan since the last restore of a clean state was clean
+    (``clean``), also check the restricted scan against a full one, if
+    ``scan``.  Returns whether the state is still on such a clean-scan
+    prefix."""
     _check_rows(po)
     if clean and scan:
         expected = _full_scan(po)
@@ -677,8 +755,9 @@ def _check_counters(po, clean, scan=True):
                 edge = (t, h) if t < h else (h, t)
                 near[edge] = near.get(edge, 0) + 1
     assert _almost_forced_counts(po) == near
-    assert _next_force(po) == _find_application(po, inventory, tallies)
-    if not po.fire():
+    force = _next_force(po)
+    assert force == _find_application(po, inventory, tallies)
+    if force is None:
         before = _counters(po)
         pending_arcs = list(po.unscanned)
         snapshot = _bank(po)
@@ -698,9 +777,9 @@ def _check_counters(po, clean, scan=True):
 
 
 def _bank(po):
-    """``po.snapshot()`` of a state that may still owe a scan.  The search
-    banks only states scanned clean; the walks here bank any fixpoint and
-    keep the arcs a scan still owes themselves."""
+    """``po.snapshot()`` of a propagation fixpoint that may still owe a
+    scan.  The search banks only states scanned clean; the walks here
+    bank any fixpoint and keep the arcs a scan still owes themselves."""
     pending_arcs, po.unscanned = po.unscanned, []
     snapshot = po.snapshot()
     po.unscanned = pending_arcs
@@ -718,15 +797,16 @@ def test_counters_match_a_fresh_recount(name, cycle_len):
     # included), branches and resumes; every arc goes through the watched
     # set_arc and is checked against full rescans.  Like the search, a
     # walk never closes a directed cycle: a random arc on an edge that a
-    # path decides points along the path, and only an undecided edge banks
-    # its reverse for a resume.  A walk ends at a full state with nothing
-    # left to resume.  The walk goes on past dead states, which the search
-    # never does, so the restricted scan is compared only along clean-scan
-    # prefixes; a banked state remembers whether it was scanned clean.
-    # Some scans are skipped, so that a scan also covers several new arcs
-    # at once.  The witness's 59,904 rings up to 17 steps are too many to
-    # recount at every arc: that walk sets one arc per edge and is checked
-    # at every tenth arc and at its last.
+    # path decides points along the path, and it banks the reverse of a
+    # random arc only at a propagation fixpoint, where no edge is decided,
+    # so a resume has no decided edges to refill.  A walk ends at a full
+    # state with nothing left to resume.  It goes on past dead states,
+    # which the search never does, so the restricted scan is compared only
+    # along clean-scan prefixes; a banked state remembers whether it was
+    # scanned clean.  Some scans are skipped, so that a scan also covers
+    # several new arcs at once.  The witness's 59,904 rings up to 17 steps
+    # are too many to recount at every arc: that walk sets one arc per
+    # edge and is checked at every tenth arc and at its last.
     g = GOLDEN_GRAPHS[name]()
     inventory = _cycle_inventory(g, cycle_len or g.n)
     arcs_left, every = (3 * len(g.edges), 1) if cycle_len else (len(g.edges), 10)
@@ -755,7 +835,7 @@ def test_counters_match_a_fresh_recount(name, cycle_len):
                     a, b = b, a
                 if shortest_path(po.out_adj, b, a) is not None:
                     a, b = b, a  # decided: along the path b ~> a
-                elif not po.fire() and rng.random() < 0.5:
+                elif force is None and rng.random() < 0.5:
                     pending.append((_bank(po), (b, a), clean and not po.unscanned))
                 arcs = ((a, b),)
             for t, h in arcs:
@@ -817,10 +897,9 @@ def test_restricted_scan_matches_a_full_scan_in_every_solve(name, monkeypatch):
 @pytest.mark.parametrize("name", ["w5", "s23", "witness", "s62", "s72"])
 def test_decided_edges_match_a_full_scan_in_every_solve(name, monkeypatch):
     # the PathRule reads a heap of the edges the growing reach rows decide:
-    # every force must be the one a full scan finds, and every resume must
-    # refill the heap with exactly the unset edges its rebuilt rows decide
-    # (none here, as the search banks only propagation fixpoints; the
-    # random walks above bank other states too)
+    # every force must be the one a full scan finds, and every resume
+    # starts with an empty heap, so its rebuilt rows must decide no unset
+    # edge, as the search banks only propagation fixpoints
     graph = {
         **GOLDEN_GRAPHS,
         "s62": lambda: build_simplified(6, 2).graph,
