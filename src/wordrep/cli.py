@@ -46,8 +46,8 @@ __all__ = ["run", "main"]
 # name replaced on this module is the one a command calls.
 _DEFERRED = {
     **dict.fromkeys(
-        ("BudgetExceeded", "DEFAULT_CYCLE_LEN", "NonSemiTransitive",
-         "SemiTransitive", "SolverConfig", "solve"),
+        ("DEFAULT_CYCLE_LEN", "NonSemiTransitive", "SemiTransitive",
+         "SolverConfig", "solve"),
         "solver",
     ),
     **dict.fromkeys(
@@ -279,11 +279,11 @@ def _cmd_chromatic(ns) -> int:
 
 def _cmd_check(ns) -> int:
     (
-        solve, SolverConfig, SemiTransitive, NonSemiTransitive, BudgetExceeded,
+        solve, SolverConfig, SemiTransitive, NonSemiTransitive,
         DEFAULT_CYCLE_LEN, emit_trace,
     ) = _names(
         "solve", "SolverConfig", "SemiTransitive", "NonSemiTransitive",
-        "BudgetExceeded", "DEFAULT_CYCLE_LEN", "emit_trace",
+        "DEFAULT_CYCLE_LEN", "emit_trace",
     )
     g = _load_graph(ns.graph)
     source = None if ns.source == "maxdeg" else ns.source
@@ -325,7 +325,7 @@ def _cmd_check(ns) -> int:
         _emit(payload)
         _say(f"not semi-transitive ({len(trace.lines)} proof lines)")
         return EXIT_NEGATIVE
-    assert isinstance(verdict, BudgetExceeded)
+    # the only verdict left is BudgetExceeded
     _emit({"verdict": "budget-exceeded", "nodes": verdict.nodes})
     _say(f"budget exceeded after {verdict.nodes} nodes")
     return EXIT_BUDGET

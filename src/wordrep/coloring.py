@@ -14,14 +14,13 @@ from .debruijn import (
     SizeLimitExceeded,
     build_simplified,
 )
-from .graphs import LabeledGraph, is_proper_coloring
+from .graphs import LabeledGraph
 
 __all__ = [
     "RED",
     "BLUE",
     "GREEN",
     "COLOR_NAMES",
-    "InternalPropernessViolation",
     "classify_binary_vertex",
     "color_s_n_2",
     "exact_chromatic_number",
@@ -33,11 +32,7 @@ GREEN = 2
 
 COLOR_NAMES = ("Red", "Blue", "Green")
 
-DEFAULT_CHROMATIC_VERTEX_LIMIT = 64
-
-
-class InternalPropernessViolation(Exception):
-    """The trailing-run rule produced a monochromatic edge (a bug)."""
+CHROMATIC_VERTEX_LIMIT = 64
 
 
 def classify_binary_vertex(label: str) -> int:
@@ -54,38 +49,25 @@ def classify_binary_vertex(label: str) -> int:
 
 
 def color_s_n_2(n: int) -> tuple[SimplifiedDeBruijnGraph, list[int]]:
-    """S(n,2) with the trailing-run coloring, verified proper before return."""
+    """S(n,2) with the trailing-run coloring, unchecked: callers check it."""
     s = build_simplified(n, 2)
     g = s.graph
-    coloring = [classify_binary_vertex(g.labels[v]) for v in range(g.n)]
-    if not is_proper_coloring(g, coloring):
-        bad = [
-            (g.labels[a], g.labels[b])
-            for a, b in g.edge_list()
-            if coloring[a] == coloring[b]
-        ]
-        raise InternalPropernessViolation(
-            f"monochromatic edges in S({n},2): {bad}"
-        )
-    return s, coloring
+    return s, [classify_binary_vertex(g.labels[v]) for v in range(g.n)]
 
 
-def exact_chromatic_number(
-    g: LabeledGraph,
-    max_colors: int,
-    vertex_limit: int = DEFAULT_CHROMATIC_VERTEX_LIMIT,
-) -> int | None:
+def exact_chromatic_number(g: LabeledGraph, max_colors: int) -> int | None:
     """Smallest c <= max_colors with a proper c-coloring, or None.
 
     Backtracking over vertices in decreasing-degree order; a vertex may
     only open one color index beyond those already in use, which prunes
-    color permutations.
+    color permutations.  A graph of more than ``CHROMATIC_VERTEX_LIMIT``
+    vertices raises SizeLimitExceeded.
     """
     if max_colors < 0:
         raise ValueError("max_colors must be >= 0")
-    if g.n > vertex_limit:
+    if g.n > CHROMATIC_VERTEX_LIMIT:
         raise SizeLimitExceeded(
-            f"{g.n} vertices exceeds the chromatic-number limit {vertex_limit}"
+            f"{g.n} vertices exceeds the chromatic-number limit {CHROMATIC_VERTEX_LIMIT}"
         )
     if g.n == 0:
         return 0

@@ -312,7 +312,7 @@ class _WatchedOrientation(PartialOrientation):
     Arcs are only ever added; the search goes back by ``restore``."""
 
     __slots__ = (
-        "inventory", "along", "against", "unset", "firing",
+        "inventory", "along", "against", "unset",
         "reach", "coreach", "unscanned", "decided",
     )
 
@@ -321,7 +321,6 @@ class _WatchedOrientation(PartialOrientation):
         self.inventory = inventory
         self.along = self.against = (0,) * len(inventory.size_planes)
         self.unset = inventory.size_planes
-        self.firing: int | None = 0
         self.reach, self.coreach = reach_rows([0] * graph.n)
         self.unscanned: list[tuple[int, int]] = []
         self.decided: list[int] = []
@@ -366,21 +365,18 @@ class _WatchedOrientation(PartialOrientation):
             if back:
                 self.against = _bump(self.against, back)
             self.unset = _bump(self.unset, forth | back, down=True)
-            self.firing = None
 
     def fire(self) -> int:
         """The mask of the cycles whose counts let a rule fire: a triangle
         with one edge unset and two arcs one way; a longer ring with one
         unset and at most one arc against the rest, or two unset and none."""
-        if self.firing is None:
-            (a0, *ah), (b0, *bh), (u0, u1, *uh) = self.along, self.against, self.unset
-            # the planes above bit 0 (above bit 1 for unset), ored
-            a, b, u = reduce(or_, ah), reduce(or_, bh), reduce(or_, uh, 0)
-            zero = ~(a0 | a) | ~(b0 | b)  # along 0 or against 0
-            longer = -1 << self.inventory.triangles
-            one, two = u0 & ~(u1 | u), u1 & ~(u0 | u)  # unset 1, unset 2
-            self.firing = one & (zero | longer & ~(a & b)) | two & longer & zero
-        return self.firing
+        (a0, *ah), (b0, *bh), (u0, u1, *uh) = self.along, self.against, self.unset
+        # the planes above bit 0 (above bit 1 for unset), ored
+        a, b, u = reduce(or_, ah), reduce(or_, bh), reduce(or_, uh, 0)
+        zero = ~(a0 | a) | ~(b0 | b)  # along 0 or against 0
+        longer = -1 << self.inventory.triangles
+        one, two = u0 & ~(u1 | u), u1 & ~(u0 | u)  # unset 1, unset 2
+        return one & (zero | longer & ~(a & b)) | two & longer & zero
 
     def unset_steps(self, c: int) -> list[tuple[int, int]]:
         """The ring steps of cycle ``c`` whose edges are unset."""
@@ -408,10 +404,14 @@ class _WatchedOrientation(PartialOrientation):
         """Edge states and cycle counts.  Snapshots are taken at a
         propagation fixpoint, where no cycle fires and no unset edge is
         decided, scanned clean: ``restore`` keeps no arcs for the next
-        scan to cover."""
-        assert not self.fire(), "snapshot of a state that still propagates"
-        assert not self.unscanned, "snapshot of a state that owes a scan"
-        assert not self.decided, "snapshot of a state with a decided edge"
+        scan to cover.  A state that is none of these raises RuntimeError:
+        the search never banks one."""
+        if self.fire():
+            raise RuntimeError("snapshot of a state that still propagates")
+        if self.unscanned:
+            raise RuntimeError("snapshot of a state that owes a scan")
+        if self.decided:
+            raise RuntimeError("snapshot of a state with a decided edge")
         return bytes(self.state), self.along, self.against, self.unset
 
     def restore(self, snapshot: _Snapshot) -> None:
@@ -421,7 +421,6 @@ class _WatchedOrientation(PartialOrientation):
         branch, so the heap of decided edges starts empty."""
         state, self.along, self.against, self.unset = snapshot
         self.state = list(state)
-        self.firing = 0
         out_adj = [0] * self.graph.n
         for (lo, hi), s in zip(self.edge_order, self.state):
             if s == FORWARD:

@@ -144,5 +144,7 @@ def find_induced_embedding(
     if not extend(0):
         return None
     found = Embedding(pattern, host, tuple(mapping))
-    assert found.is_induced()
+    # checked under -O too: a "found" verdict has no other certificate
+    if not found.is_induced():
+        raise RuntimeError("found embedding is not induced")
     return found

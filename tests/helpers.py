@@ -17,7 +17,13 @@ verifier on arc rows of its own, so the two share no state code either.
 each vertex, the reference for the rows ``add_arc_rows`` builds and
 grows.  ``reference_is_semitransitive`` checks an orientation on those
 rows alone, the check of the solver's positive verdicts that shares no
-code with ``is_semitransitive``.
+code with ``is_semitransitive``.  ``witness_fault`` checks a shortcut
+witness against the definition, the reference for the terminal paths
+the verifier checks on replay.
+
+pytest rewrites the asserts of test modules only, and ``python -O``
+strips the rest, so nothing here asserts: a check returns its finding
+and the test asserts on it.
 """
 
 import itertools
@@ -165,6 +171,31 @@ def reference_is_semitransitive(g: LabeledGraph, arcs) -> bool:
             if between >> x & 1 and between & reach[x] & ~(g.adj[x] | 1 << x):
                 return False
     return True
+
+
+def witness_fault(po: PartialOrientation, w: ShortcutWitness) -> str | None:
+    """Why ``w`` is not a shortcut of ``po``, else None.  A shortcut is a
+    path of at least three vertices, none repeated, each step and the
+    closing arc from its first vertex to its last set in ``po``, with a
+    violating pair of positions i < j other than the closing arc's ends:
+    a non-edge, or an arc set backward."""
+    path = w.path
+    k = len(path) - 1
+    if k < 2:
+        return "fewer than three vertices"
+    if len(set(path)) != len(path):
+        return "a repeated vertex"
+    if not all(po.has_arc(path[t], path[t + 1]) for t in range(k)):
+        return "a path step that is not a set arc"
+    if not po.has_arc(path[0], path[k]):
+        return "no closing arc"
+    i, j = w.violation
+    if not 0 <= i < j <= k or (i, j) == (0, k):
+        return "a violation that is not a pair of path positions"
+    x, y = path[i], path[j]
+    if po.graph.has_edge(x, y) and not po.has_arc(y, x):
+        return "a violating pair that is an edge not set backward"
+    return None
 
 
 def closing_arc(w: ShortcutWitness) -> tuple[int, int]:

@@ -9,7 +9,9 @@ from types import SimpleNamespace
 import pytest
 
 import wordrep.cli
+import wordrep.coloring
 import wordrep.solver
+import wordrep.subiso
 from wordrep.cli import run
 from wordrep.debruijn import build_simplified
 from wordrep.graphs import (
@@ -114,6 +116,14 @@ def test_color3_verifies_the_coloring(capsys):
     assert obj["vertices"] == 16
     assert set(obj["coloring"].values()) <= {"Red", "Blue", "Green"}
     assert "proper" in err
+
+
+def test_color3_exits_1_on_an_improper_coloring(capsys, monkeypatch):
+    # color_s_n_2 returns its coloring unchecked: color3 checks it
+    monkeypatch.setattr(wordrep.coloring, "classify_binary_vertex", lambda label: 0)
+    code, obj, err = cli_json(capsys, "color3", "--n", "4")
+    assert code == 1 and obj["proper"] is False
+    assert "IMPROPER" in err
 
 
 def test_chromatic_number_of_w5(capsys, w5_file):
@@ -248,6 +258,16 @@ def test_findsub_found_and_not_found(capsys, w5_file, s23_file, p4_file):
         capsys, "findsub", "--pattern", w5_file, "--host", p4_file
     )
     assert code == 1 and obj == {"found": False}
+
+
+def test_findsub_exits_70_on_an_embedding_that_is_not_induced(
+    capsys, w5_file, s23_file, monkeypatch
+):
+    # a found embedding is re-checked under -O too: it has no other proof
+    monkeypatch.setattr(wordrep.subiso.Embedding, "is_induced", lambda self: False)
+    code, out, err = cli(capsys, "findsub", "--pattern", w5_file, "--host", s23_file)
+    assert code == 70 and out == ""
+    assert err.startswith("error: internal: RuntimeError(") and err.count("\n") == 1
 
 
 def test_findsub_anchor_errors(capsys, w5_file, s23_file):

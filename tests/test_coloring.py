@@ -78,6 +78,7 @@ def test_color_s_5_2_is_proper_on_32_vertices():
     s, coloring = color_s_n_2(5)
     assert s.graph.n == 32
     assert set(coloring) == {RED, BLUE, GREEN}
+    assert is_proper_coloring(s.graph, coloring)
 
 
 def _cycle(n):
@@ -106,9 +107,11 @@ def test_chromatic_easy_cases():
 
 
 def test_chromatic_vertex_limit():
-    g = LabeledGraph([str(i) for i in range(5)], [])
-    with pytest.raises(SizeLimitExceeded):
-        exact_chromatic_number(g, 3, vertex_limit=4)
+    # 64 vertices are searched, 65 refused
+    assert exact_chromatic_number(LabeledGraph([str(i) for i in range(64)], []), 3) == 1
+    g = LabeledGraph([str(i) for i in range(65)], [])
+    with pytest.raises(SizeLimitExceeded, match="65 vertices exceeds .* limit 64"):
+        exact_chromatic_number(g, 3)
 
 
 def _brute_chromatic(g: LabeledGraph, max_colors: int) -> int | None:

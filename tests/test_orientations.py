@@ -28,6 +28,7 @@ from helpers import (
     reference_rows,
     reverse_orientation,
     unset_edges,
+    witness_fault,
 )
 
 
@@ -415,15 +416,8 @@ def test_witness_replays(case):
         if not is_acyclic(o):
             continue
         w = find_shortcut(o)
-        if w is None:
-            continue
-        po = o.as_partial()
-        k = len(w.path) - 1
-        assert all(po.has_arc(w.path[t], w.path[t + 1]) for t in range(k))
-        assert po.has_arc(*closing_arc(w))
-        i, j = w.violation
-        assert (i, j) != (0, k) and i < j
-        assert not po.has_arc(w.path[i], w.path[j])
+        if w is not None:
+            assert witness_fault(o.as_partial(), w) is None, arcs
 
 
 def _naive_has_shortcut(o):
@@ -452,7 +446,8 @@ def _naive_has_shortcut(o):
 
 def test_find_shortcut_is_complete_on_graphs_up_to_5_vertices():
     # every acyclic orientation of every graph on at most 5 vertices:
-    # find_shortcut misses no shortcut and reports none that is not there
+    # find_shortcut misses no shortcut and reports none that is not there,
+    # and each witness it reports is a shortcut by the definition
     for n in range(1, 6):
         for g in _all_graphs(n):
             edges = sorted(g.edges)
@@ -463,7 +458,10 @@ def test_find_shortcut_is_complete_on_graphs_up_to_5_vertices():
                 ))
                 if not is_acyclic(o):
                     continue
-                assert (find_shortcut(o) is None) == (not _naive_has_shortcut(o)), o.arcs
+                witness = find_shortcut(o)
+                assert (witness is None) == (not _naive_has_shortcut(o)), o.arcs
+                if witness is not None:
+                    assert witness_fault(o.as_partial(), witness) is None, o.arcs
 
 
 def test_dot_export_directed():

@@ -28,6 +28,7 @@ from wordrep.orientations import (
     find_shortcut,
     is_acyclic,
     is_semitransitive,
+    shortcut_under,
     shortest_path,
 )
 from wordrep.solver import (
@@ -48,9 +49,12 @@ from wordrep.traces import (
     Branch,
     MoveCopy,
     Orient,
+    Preamble,
+    ProofTrace,
     emit_trace,
     extract_graph,
     load_witness_trace,
+    parse_trace,
     verify_trace,
 )
 from wordrep.words import BudgetExceeded as WordSearchBudgetExceeded
@@ -62,6 +66,7 @@ from helpers import (
     reference_rings,
     reference_rows,
     unset_edges,
+    witness_fault,
 )
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
@@ -517,6 +522,33 @@ def test_golden_proofs_keep_their_lines_in_any_resume_order(name):
     assert (_line_digest(text), len(text.splitlines())) == GOLDEN_LINE_DIGESTS[name]
 
 
+@pytest.mark.parametrize("name,kept", [("w5", 15), ("witness", 35)])
+def test_a_golden_proof_fails_on_each_positive_graph_one_pair_away(name, kept):
+    # the negative verdicts rest on the replay, so it must not accept a
+    # proof of G against a G' that has a semi-transitive orientation: G
+    # with one vertex pair toggled, kept when solve orients it and the
+    # reference checker accepts the orientation.  W5 toggles every pair;
+    # the witness deletes each of its 38 edges (8 of its 98 added edges
+    # also give a positive G', but the 90 negative solves take seconds).
+    # S(2,3) and S(2,4) have no positive toggle.
+    g = GOLDEN_GRAPHS[name]()
+    pre = json.loads((GOLDEN / "preambles.json").read_text(encoding="utf-8"))[name]
+    lines = parse_trace((GOLDEN / f"{name}.txt").read_text(encoding="utf-8")).lines
+    trace = ProofTrace(Preamble(tuple(pre["wlog"]), pre["source"]), lines)
+    assert verify_trace(g, trace).accepted
+    pairs = itertools.combinations(range(g.n), 2) if name == "w5" else sorted(g.edges)
+    positive = 0
+    for pair in pairs:
+        toggled = LabeledGraph(g.labels, set(g.edges) ^ {pair})
+        verdict = solve(toggled)
+        if isinstance(verdict, SemiTransitive) and reference_is_semitransitive(
+            toggled, verdict.orientation.arcs
+        ):
+            positive += 1
+            assert not verify_trace(toggled, trace).accepted, pair
+    assert positive == kept
+
+
 # sha256 of repr(arcs), first 16 hex digits, of the orientation solve finds
 GOLDEN_ORIENTATIONS = {
     (6, 2): "70961b6013234bab",
@@ -857,18 +889,38 @@ def test_set_arc_refuses_an_arc_that_closes_a_cycle():
         po.set_arc(2, 0)
 
 
-@pytest.mark.skipif(not __debug__, reason="asserts are stripped under -O")
 def test_snapshot_refuses_a_state_that_owes_a_scan():
     # restore keeps no arcs for the next scan, so a banked state must have
-    # been scanned clean or the restricted scan would miss its defects
+    # been scanned clean or the restricted scan would miss its defects;
+    # the search never banks one, so one is a fault, raised under -O too
     g = build_wheel(5)
     po = _WatchedOrientation(g, _cycle_inventory(g, 3))
     po.set_arc(*min(g.edges))
     assert not po.fire() and po.unscanned
-    with pytest.raises(AssertionError, match="owes a scan"):
+    with pytest.raises(RuntimeError, match="owes a scan"):
         po.snapshot()
     assert _scan_defect(po) is None
     po.restore(po.snapshot())
+
+
+def test_snapshot_refuses_a_state_that_is_no_propagation_fixpoint():
+    # a banked state has no firing ring and no unset edge a path decides,
+    # or a resume would miss a force; W5 is c0..c4 round the hub h (5)
+    g = build_wheel(5)
+    inventory = _cycle_inventory(g, 3)
+    po = _WatchedOrientation(g, inventory)
+    po.set_arc(0, 5)
+    po.set_arc(5, 1)  # the triangle c0 h c1 forces c0->c1
+    po.unscanned = []
+    with pytest.raises(RuntimeError, match="still propagates"):
+        po.snapshot()
+    po = _WatchedOrientation(g, inventory)
+    for t in range(4):
+        po.set_arc(t, t + 1)  # the rim path c0 ~> c4 decides c0-c4
+    po.unscanned = []
+    assert not po.fire()
+    with pytest.raises(RuntimeError, match="decided edge"):
+        po.snapshot()
 
 
 @pytest.mark.parametrize("name", ["w5", "s23", "s24", "witness", "s62"])
@@ -892,6 +944,25 @@ def test_restricted_scan_matches_a_full_scan_in_every_solve(name, monkeypatch):
         assert isinstance(verdict, SemiTransitive)
     else:
         assert dead == len(verdict.trace.lines)
+
+
+@pytest.mark.parametrize("name", ["w5", "s23", "s24", "witness"])
+def test_every_witness_a_solve_finds_is_a_shortcut(name, monkeypatch):
+    # the search's witnesses become the proof's terminal paths, which the
+    # verifier checks on replay; here each is held to the definition, in
+    # the partial state it was found in
+    witnesses = []
+
+    def checked_shortcut_under(po, reach, coreach, u, v):
+        witness = shortcut_under(po, reach, coreach, u, v)
+        if witness is not None:
+            assert witness_fault(po, witness) is None, witness
+            witnesses.append(witness)
+        return witness
+
+    monkeypatch.setattr(solver, "shortcut_under", checked_shortcut_under)
+    verdict = solve(GOLDEN_GRAPHS[name]())
+    assert len(witnesses) == len(verdict.trace.lines)
 
 
 @pytest.mark.parametrize("name", ["w5", "s23", "witness", "s62", "s72"])
