@@ -23,10 +23,31 @@ times are heavy-tailed (Gomes, Selman & Kautz, AAAI 1998), so after
 UNIT * luby(j) dives the j-th jump resumes the lowest-numbered copy, the
 oldest, instead: restarts on the schedule of Luby, Sinclair & Zuckerman
 (IPL 1993), except that no work is thrown away.  Every copy is resumed
-once whatever the order, so a negative verdict searches the same tree.
-When every copy has been consumed and every line ended in a defect, no
-semi-transitive orientation exists, and the accumulated lines form a
-machine-checkable proof trace.
+once whatever the order.  When every copy has been consumed and every
+line ended in a defect, no semi-transitive orientation exists, and the
+accumulated lines form a machine-checkable proof trace.
+
+A branch takes the unset edge on the most nearly firing rings, except
+that once the search is refuting it looks ahead, as SAT solvers do (Li &
+Anbulagan's satz, IJCAI 1997; Heule & van Maaren, Handbook of
+Satisfiability, 2009): it probes the LOOKAHEAD top edges of that ranking
+each way (set the arc, propagate, undo) and branches on the first edge
+with a dead direction, a failed literal, else on the edge with the most
+(forces one way + 1) * (forces the other way + 1).  A probe is undone
+from a save point, list copies of the edge states, arcs and rows and the
+three plane tuples, which spares the rebuild of the rows a resume makes.
+A dead probe is committed, not redone: its branch, forced steps and
+witness end the line, the other direction is banked as at any branch,
+and the dead state is never propagated or scanned again, so every
+shortcut the search finds ends exactly one line.  The search is refuting
+once a line has ended and while at least one node in REFUTING has ended
+one.  A refutation ends a line at about every other node.  The positive
+searches measured, S(6..8,2), S(4..7,3), S(4,4), S(5,4) and S(4,5), end
+fewer and never probe: S(4,4) ends the most, 98 lines in 454 nodes, and
+never more than 28% of the nodes so far.  So they pay nothing for
+lookahead, which costs a node up to 2 * LOOKAHEAD propagations.  The gate
+counts lines, so the resume order can now change where the search
+probes, and with it the tree.
 
 Optionally the very first branch is oriented one way only (recorded as the
 preamble arc of the emitted trace instead of a copy).  The branch edge is
@@ -94,7 +115,7 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from functools import lru_cache, reduce
-from heapq import heappop, heappush
+from heapq import heappop, heappush, nsmallest
 from operator import or_
 from typing import NamedTuple
 
@@ -295,6 +316,11 @@ def _bump(planes: tuple[int, ...], mask: int, down: bool = False) -> tuple[int, 
 
 # edge states and the along, against and unset bit planes
 _Snapshot = tuple[bytes, tuple[int, ...], tuple[int, ...], tuple[int, ...]]
+# edge states, out_adj, reach and co-reach rows, and the three planes
+_SavePoint = tuple[
+    list[int], list[int], list[int], list[int],
+    tuple[int, ...], tuple[int, ...], tuple[int, ...],
+]
 
 
 class _WatchedOrientation(PartialOrientation):
@@ -309,7 +335,8 @@ class _WatchedOrientation(PartialOrientation):
     edge one of whose ends reaches the other, and may still hold edges set
     since they were pushed.
 
-    Arcs are only ever added; the search goes back by ``restore``."""
+    Arcs are only ever added; the search goes back by ``restore``, and a
+    probe by ``rewind``."""
 
     __slots__ = (
         "inventory", "along", "against", "unset",
@@ -433,6 +460,22 @@ class _WatchedOrientation(PartialOrientation):
         self.decided = []
         self.unscanned = []
 
+    def save(self) -> _SavePoint:
+        """List copies of a clean fixpoint's state, rows included, for
+        ``rewind``: a probe's undo, with no rows to rebuild."""
+        return (
+            self.state[:], self.out_adj[:], self.reach[:], self.coreach[:],
+            self.along, self.against, self.unset,
+        )
+
+    def rewind(self, save: _SavePoint) -> None:
+        """Go back to a save point from a probe that ended at a clean
+        fixpoint, so it owes no scan and holds no decided edge.  The save
+        point is copied again, so it can be rewound to as often as needed."""
+        state, out_adj, reach, coreach, self.along, self.against, self.unset = save
+        self.state, self.out_adj = state[:], out_adj[:]
+        self.reach, self.coreach = reach[:], coreach[:]
+
 
 # --------------------------------------------------------------------------
 # operations
@@ -546,13 +589,48 @@ def _almost_forced_counts(po: _WatchedOrientation) -> dict[tuple[int, int], int]
     return counts
 
 
-def _pick_branch_edge(po: _WatchedOrientation) -> tuple[int, int]:
+# a dead probe's forced steps and the terminal path of its shortcut
+_DeadProbe = tuple[list[Orient], tuple[str, ...]]
+
+
+def _pick_branch_edge(
+    po: _WatchedOrientation, probing: bool
+) -> tuple[tuple[int, int], _DeadProbe | None]:
     """The unset edge on the most nearly-firing cycles, the lowest edge on
-    ties; with none, the first unset edge in edge order."""
+    ties; with none, the first unset edge in edge order.  ``probing``, the
+    best of the LOOKAHEAD top such edges by ``_lookahead``, with a dead
+    direction's forced steps and witness if a probe finds one."""
     counts = _almost_forced_counts(po)
     if counts:
-        return min(counts.items(), key=lambda item: (-item[1], item[0]))[0]
-    return po.edge_order[po.state.index(UNSET)]
+        k = LOOKAHEAD if probing else 1
+        edges = nsmallest(k, counts, key=lambda edge: (-counts[edge], edge))
+    else:
+        edges = [po.edge_order[po.state.index(UNSET)]]
+    return _lookahead(po, edges) if probing else (edges[0], None)
+
+
+def _lookahead(
+    po: _WatchedOrientation, edges: list[tuple[int, int]]
+) -> tuple[tuple[int, int], _DeadProbe | None]:
+    """Probe each edge both ways from a save point: set the arc, propagate,
+    rewind.  The first dead direction comes back with its forced steps and
+    witness, ``po`` left in its dead state; else the edge with the largest
+    (forces one way + 1) * (forces the other way + 1), the lowest edge on
+    ties, with ``po`` back at the save point."""
+    save = po.save()
+    best, best_score = edges[0], 0
+    for lo, hi in edges:
+        score = 1
+        for t, h in ((lo, hi), (hi, lo)):
+            po.set_arc(t, h)
+            forced, witness = propagate(po)
+            if witness is not None:
+                return (t, h), (forced, witness)
+            score *= len(forced) + 1
+            po.rewind(save)
+        if score > best_score or score == best_score and (lo, hi) < best:
+            best, best_score = (lo, hi), score
+    return best, None
 
 
 # --------------------------------------------------------------------------
@@ -562,6 +640,10 @@ def _pick_branch_edge(po: _WatchedOrientation) -> tuple[int, int]:
 # dives, resumes of the newest copy, per term of the Luby schedule before
 # a jump resumes the oldest copy
 UNIT = 64
+# once a line has ended, and while at least one node in REFUTING has ended
+# one, a branch probes its LOOKAHEAD top edges (the module docstring)
+REFUTING = 3
+LOOKAHEAD = 16
 
 
 def luby(i: int) -> int:
@@ -621,6 +703,7 @@ def _solve_component(
     po = _WatchedOrientation(g, _cycle_inventory(g, cfg.cycle_len))
     for u in g.neighbors(source):
         po.set_arc(source, u)
+    before = budget.used  # the nodes of earlier components
     if not budget.spend():  # the root node
         return BudgetExceeded(budget.used)
 
@@ -635,9 +718,11 @@ def _solve_component(
     opener: Root | MoveCopy = Root()
     steps: list[Orient | Branch] = []
     wlog_pending = cfg.wlog_rule
+    probed: _DeadProbe | None = None
 
     while True:
-        forced, witness = propagate(po)
+        forced, witness = probed or propagate(po)
+        probed = None
         steps.extend(forced)
         if witness is not None:
             lines.append(
@@ -670,7 +755,11 @@ def _solve_component(
                 raise RuntimeError("found orientation failed its self-check")
             return SemiTransitive(orientation)
 
-        lo, hi = _pick_branch_edge(po)
+        # a line ends before any branch only at a dead root, so the first
+        # branch, the one the wlog rule may take, never probes
+        snapshot = None if wlog_pending else po.snapshot()
+        refuting = bool(lines) and REFUTING * len(lines) >= budget.used - before
+        (lo, hi), probed = _pick_branch_edge(po, refuting)
         if not budget.spend():
             return BudgetExceeded(budget.used)
         if wlog_pending:
@@ -680,9 +769,10 @@ def _solve_component(
             )
         else:
             cid = next(copy_ids)
-            copies.append((cid, po.snapshot(), (hi, lo)))
+            copies.append((cid, snapshot, (hi, lo)))
             steps.append(Branch((g.labels[lo], g.labels[hi]), cid))
-        po.set_arc(lo, hi)
+        if probed is None:
+            po.set_arc(lo, hi)
 
 
 def solve(g: LabeledGraph, cfg: SolverConfig | None = None) -> Verdict:

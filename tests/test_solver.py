@@ -436,35 +436,71 @@ def test_luby_gives_the_restart_sequence():
     ]
 
 
+def _copy_events(trace):
+    """("bank", copy id) per B step and ("resume", copy id) per MC line, in
+    the order of the proof."""
+    events = []
+    for line in trace.lines:
+        if isinstance(line.opener, MoveCopy):
+            events.append(("resume", line.opener.copy_id))
+        events += [("bank", s.copy_id) for s in line.steps if isinstance(s, Branch)]
+    return events
+
+
 @pytest.mark.parametrize("unit", [solver.UNIT, 1, 3])
 def test_copy_store_ids_start_at_two_and_resume_on_the_luby_schedule(
     unit, monkeypatch
 ):
     # copies are created as 2, 3, ...; a resume takes the highest pending
     # id, the newest copy, except that after unit * luby(j) such resumes
-    # the j-th jump takes the lowest, the oldest.  The witness resumes 86
-    # copies: one jump at the default unit, many at the small ones.
+    # the j-th jump takes the lowest, the oldest.  The order is read off
+    # the snapshots the search banks and restores.  The witness resumes 41
+    # copies, fewer than a jump needs at the default unit, so that case
+    # runs S(4,4)'s search, which resumes 98 and jumps once; the small
+    # units jump 20 and 9 times on the witness.
+    default = unit == solver.UNIT
     monkeypatch.setattr(solver, "UNIT", unit)
-    verdict = solve(extract_graph(load_witness_trace()))
-    created, pending = [], set()
-    j = dives = lowest_differs = 0
-    for line in verdict.trace.lines:
-        if isinstance(line.opener, MoveCopy):
-            if dives < unit * solver.luby(j + 1):
-                dives += 1
-                expected = max(pending)
-            else:
-                j, dives = j + 1, 0
-                expected = min(pending)
-                lowest_differs += expected != max(pending)
-            assert line.opener.copy_id == expected
-            pending.remove(expected)
-        for step in line.steps:
-            if isinstance(step, Branch):
-                created.append(step.copy_id)
-                pending.add(step.copy_id)
-    assert created == list(range(2, len(created) + 2))
-    assert not pending and lowest_differs > 0
+    snapshot, restore = _WatchedOrientation.snapshot, _WatchedOrientation.restore
+    banked, events = {}, []
+
+    def banking(po):
+        bank = snapshot(po)
+        cid = len(banked) + 2
+        banked[id(bank)] = cid, bank  # kept alive, so no id is reused
+        events.append(("bank", cid))
+        return bank
+
+    def resuming(po, bank):
+        events.append(("resume", banked[id(bank)][0]))
+        restore(po, bank)
+
+    monkeypatch.setattr(_WatchedOrientation, "snapshot", banking)
+    monkeypatch.setattr(_WatchedOrientation, "restore", resuming)
+    if default:
+        verdict = solve(build_simplified(4, 4).graph, SolverConfig(budget=3000))
+        assert isinstance(verdict, SemiTransitive)
+    else:
+        verdict = solve(extract_graph(load_witness_trace()))
+        # the proof names the copies in the order they were banked and resumed
+        assert _copy_events(verdict.trace) == events
+    pending = set()
+    j = dives = lowest_differs = resumes = 0
+    for kind, cid in events:
+        if kind == "bank":
+            pending.add(cid)
+            continue
+        resumes += 1
+        if dives < unit * solver.luby(j + 1):
+            dives += 1
+            expected = max(pending)
+        else:
+            j, dives = j + 1, 0
+            expected = min(pending)
+            lowest_differs += expected != max(pending)
+        assert cid == expected
+        pending.remove(expected)
+    assert resumes > unit and lowest_differs > 0
+    assert not pending or isinstance(verdict, SemiTransitive)
 
 
 GOLDEN_GRAPHS = {
@@ -501,23 +537,25 @@ def _line_digest(text):
     return hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()[:16]
 
 
-# the digests of the golden proofs the oldest-first search emitted, with
-# their line counts
+# the digests of the golden proofs, with their line counts
 GOLDEN_LINE_DIGESTS = {
     "w5": ("b70a23dfddad1c26", 1),
     "s23": ("0b26ad5a482522a0", 4),
-    "witness": ("5b2b9ef0f1fda106", 87),
-    "s24": ("7620bbbe0b10afa0", 13),
-    "s25": ("28a5cf16f1d55742", 36),
-    "s33": ("908cdc2b7b31f6ed", 543),
+    "witness": ("7e649a806768f2c3", 42),
+    "s24": ("e8f7a6fdcc7b452b", 5),
+    "s25": ("2b02f3c2bc54e526", 6),
+    "s33": ("7c10af02638e2cc9", 46),
 }
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_GRAPHS))
 def test_golden_proofs_keep_their_lines_in_any_resume_order(name):
-    # the resume order changes only the order of the lines and the copy
-    # numbers: every copy is resumed once, and its subtree depends on its
-    # state alone.  The golden files are the emitted proofs (above).
+    # the digest pins a proof's lines whatever their order and copy
+    # numbers.  Without lookahead a copy's subtree depends on its state
+    # alone, so the resume order moved only those; the lookahead gate
+    # counts the lines ended so far, so it can now move the lines too
+    # (S(3,3) takes 144 at UNIT 1).  The golden files are the emitted
+    # proofs (above).
     text = (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")
     assert (_line_digest(text), len(text.splitlines())) == GOLDEN_LINE_DIGESTS[name]
 
@@ -555,25 +593,64 @@ GOLDEN_ORIENTATIONS = {
     (7, 2): "b2d91f553268da44",
     (4, 3): "9e74b945ba123151",
     (8, 2): "013fd5ee9cb7c9bf",
+    (5, 3): "de21a4a24ccf09fd",
     (4, 4): "13d63d546471dc91",
     (6, 3): "d80fda65041099c1",
 }
 
 
 @pytest.mark.parametrize("n,k", sorted(GOLDEN_ORIENTATIONS))
-def test_found_orientations_match_the_golden_hashes(n, k):
+def test_found_orientations_match_the_golden_hashes(n, k, monkeypatch):
     # the positive counterpart of the golden proofs: a change to the
     # search that picks another orientation must show up here.  The node
     # budget keeps the reach of the dives: resuming the oldest copy first
     # took 4,199 nodes on S(4,4) and ran out of memory on S(6,3), and the
     # dives take 454 and 1,120.  A budget is deterministic, so this cannot
-    # flake on timing.
+    # flake on timing.  Lookahead waits for a line to end and runs only
+    # while one node in solver.REFUTING or more has ended one: S(4,4)
+    # ends the most lines of these searches, 98 in 454 nodes, but never
+    # more than 28% of the nodes so far, so they make no probe and find
+    # the orientations they found before lookahead.
+    probes = []
+    monkeypatch.setattr(solver, "_lookahead", lambda po, edges: probes.append(edges))
     g = build_simplified(n, k).graph
     verdict = solve(g, SolverConfig(budget=3000))
-    assert isinstance(verdict, SemiTransitive)
+    assert isinstance(verdict, SemiTransitive) and probes == []
     digest = hashlib.sha256(repr(verdict.orientation.arcs).encode("utf-8"))
     assert digest.hexdigest()[:16] == GOLDEN_ORIENTATIONS[(n, k)]
     assert reference_is_semitransitive(g, verdict.orientation.arcs)
+
+
+@pytest.mark.parametrize("name", ["witness", "s24", "s33"])
+def test_every_probe_rewinds_to_its_save_point(name, monkeypatch):
+    # a probe sets an arc and propagates from a save point; its undo must
+    # give back the save point's edge states, arcs and planes, rows that a
+    # plain BFS rebuilds, and no decided edge and no arc owed a scan
+    save, rewind = _WatchedOrientation.save, _WatchedOrientation.rewind
+    points, rewinds = [], []
+
+    def state(po):
+        return list(po.state), list(po.out_adj), po.along, po.against, po.unset
+
+    def saving(po):
+        _check_rows(po)
+        assert po.decided == [] and po.unscanned == []
+        points.append(state(po))
+        return save(po)
+
+    def rewinding(po, point):
+        assert state(po) != points[-1]  # the probe set an arc
+        rewind(po, point)
+        assert state(po) == points[-1]
+        _check_rows(po)
+        assert po.decided == [] and po.unscanned == []
+        rewinds.append(point)
+
+    monkeypatch.setattr(_WatchedOrientation, "save", saving)
+    monkeypatch.setattr(_WatchedOrientation, "rewind", rewinding)
+    verdict = solve(GOLDEN_GRAPHS[name]())
+    assert isinstance(verdict, NonSemiTransitive)
+    assert points and len(rewinds) > len(points)
 
 
 def test_reference_is_semitransitive_agrees_with_is_semitransitive():

@@ -49,6 +49,19 @@ from helpers import normalize_latex, reference_verify_trace
 # fixtures
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
+# the proofs the search emitted before it branched by lookahead, on the
+# witness, S(2,4), S(2,5) and S(3,3): 87, 13, 36 and 543 lines against the
+# golden 42, 5, 6 and 46.  They are still refutations, with the golden
+# preambles, and the verifier's mutation tests draw on them
+LONG = Path(__file__).parent / "data" / "long"
+
+
+def corpus_text(name: str) -> str:
+    """A graph's long proof when it has one, else its golden proof."""
+    path = LONG / f"{name}.txt"
+    if not path.exists():
+        path = GOLDEN / f"{name}.txt"
+    return path.read_text(encoding="utf-8")
 
 
 def wheel5():
@@ -213,7 +226,7 @@ def test_parse_rejects_malformed_text(text, message_part):
 
 @pytest.mark.parametrize("indent", ["  ", "\t", "\u00a0 "])
 def test_parse_indented_numbered_lines_as_unindented(indent):
-    text = (GOLDEN / "s33.txt").read_text(encoding="utf-8")
+    text = corpus_text("s33")
     indented = "".join(indent + raw for raw in text.splitlines(keepends=True))
     assert parse_trace(indented) == parse_trace(text)
 
@@ -256,11 +269,13 @@ def test_emit_formats_all_instruction_kinds():
 
 
 def test_emit_parse_round_trip_on_w5_trace():
-    # the hand-built W5 text and every golden proof; S(3,3)'s and the
-    # witness's proofs hold two-arc O steps
+    # the hand-built W5 text and every golden and long proof; S(3,3)'s and
+    # the witness's proofs hold two-arc O steps
     texts = {"hand-built": W5_TRACE_TEXT}
     for name in ("w5", "s23", "s24", "s25", "s33", "witness"):
         texts[name] = (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")
+    for path in LONG.glob("*.txt"):
+        texts[f"long {path.stem}"] = path.read_text(encoding="utf-8")
     for name, text in texts.items():
         trace = parse_trace(text)
         assert emit_trace(trace) == text, name
@@ -571,7 +586,7 @@ def test_force_check_rejects_every_reversed_o_step_of_the_golden_proofs(name):
     g = GOLDEN_GRAPHS[name]()
     pre = json.loads((GOLDEN / "preambles.json").read_text(encoding="utf-8"))[name]
     preamble = Preamble(tuple(pre["wlog"]), pre["source"])
-    lines = parse_trace((GOLDEN / f"{name}.txt").read_text(encoding="utf-8")).lines
+    lines = parse_trace(corpus_text(name)).lines
     assert verify_trace(g, ProofTrace(preamble, lines)).accepted
     creator = {
         step.copy_id: line
@@ -774,12 +789,12 @@ def test_witness_trace_truncation_unbalances_the_ledger(witness):
 
 
 def _proof(name: str):
-    """A golden proof with its graph and preamble, or the bundled one."""
+    """A corpus proof with its graph and preamble, or the bundled one."""
     if name == "bundled":
         trace = load_witness_trace()
         return extract_graph(trace), trace
     pre = json.loads((GOLDEN / "preambles.json").read_text(encoding="utf-8"))[name]
-    lines = parse_trace((GOLDEN / f"{name}.txt").read_text(encoding="utf-8")).lines
+    lines = parse_trace(corpus_text(name)).lines
     graph = build_simplified(3, 3).graph if name == "s33" else GOLDEN_GRAPHS[name]()
     return graph, ProofTrace(Preamble(tuple(pre["wlog"]), pre["source"]), lines)
 
