@@ -102,9 +102,6 @@ def find_induced_embedding(
 
     mapping = [-1] * pattern.n
     used = [False] * host.n
-    for p, h in fixed.items():
-        mapping[p] = h
-        used[h] = True
 
     def consistent(p: int, h: int) -> bool:
         if host.degree(h) < pattern.degree(p):
@@ -115,16 +112,12 @@ def find_induced_embedding(
                 return False
         return True
 
-    # the anchors themselves must be mutually consistent
-    for p in fixed:
-        h = mapping[p]
-        used[h] = False
-        mapping[p] = -1
-        ok = consistent(p, h)
+    # each anchor must agree with the anchors placed before it
+    for p, h in fixed.items():
+        if not consistent(p, h):
+            return None
         mapping[p] = h
         used[h] = True
-        if not ok:
-            return None
 
     def extend(depth: int) -> bool:
         if depth == len(order):

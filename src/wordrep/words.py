@@ -1,15 +1,23 @@
-"""Alternation relation on words and a bounded uniform-representant search.
+"""Alternation on words, and a bounded uniform-representant search.
 
 A word over the vertex alphabet represents a graph when two vertices
-alternate in it exactly if they are adjacent. The search here is a positive
-oracle only: it looks for a k-uniform representing word and reports the
-first hit; exhaustion proves nothing.
+alternate in it exactly if they are adjacent.  ``represents`` and the
+search both grow a word one letter at a time through ``_place``, which
+keeps two bitmasks per letter:
 
-Symmetry breaking: for k-uniform words, every cyclic shift represents the
-same graph (equal letter counts force the ends of an alternating
-restriction to differ, so linear and circular alternation coincide), and
-therefore any representable graph has a representant starting with vertex
-0. The search fixes w[0] = 0 and explores the rest.
+- ``last[v]``: the letters u whose restriction to {u, v} ends in v;
+- ``broken[v]``: the letters u that no longer alternate with v.
+
+Appending v marks every pair in ``last[v]`` broken (its restriction now
+repeats v), then makes v the last letter of every pair it is in.  A word
+represents the graph when, at its end, ``broken[x]`` is exactly the
+non-neighbours of x for every x.
+
+The search is a positive oracle only: it reports the first k-uniform
+representing word; exhaustion proves nothing.  For k-uniform words every
+cyclic shift represents the same graph (equal letter counts force the
+ends of an alternating restriction to differ, so linear and circular
+alternation coincide), so the search fixes w[0] = 0 and loses nothing.
 """
 
 from __future__ import annotations
@@ -21,7 +29,6 @@ from .graphs import LabeledGraph
 __all__ = [
     "MissingLetter",
     "BudgetExceeded",
-    "alternate",
     "represents",
     "find_uniform_representant",
 ]
@@ -41,17 +48,21 @@ class BudgetExceeded(Exception):
     pass
 
 
-def alternate(w: Word, x: int, y: int) -> bool:
-    """True iff w restricted to {x, y} strictly alternates (any length)."""
-    if x == y:
-        raise ValueError("alternation needs two distinct letters")
-    prev = -1
-    for letter in w:
-        if letter == x or letter == y:
-            if letter == prev:
-                return False
-            prev = letter
-    return True
+def _place(v: int, last: list[int], broken: list[int]) -> None:
+    """Append letter v to the word whose masks ``last``/``broken`` hold."""
+    bit = 1 << v
+    ended = last[v]
+    broken[v] |= ended
+    for u in range(len(last)):
+        if ended >> u & 1:
+            broken[u] |= bit
+        last[u] &= ~bit
+    last[v] = ((1 << len(last)) - 1) ^ bit
+
+
+def _non_neighbours(g: LabeledGraph) -> list[int]:
+    full = (1 << g.n) - 1
+    return [full ^ g.adj[x] ^ 1 << x for x in range(g.n)]
 
 
 def represents(w: Word, g: LabeledGraph) -> bool:
@@ -59,11 +70,12 @@ def represents(w: Word, g: LabeledGraph) -> bool:
     for v in range(g.n):
         if v not in seen:
             raise MissingLetter(v)
-    for x in range(g.n):
-        for y in range(x + 1, g.n):
-            if alternate(w, x, y) != g.has_edge(x, y):
-                return False
-    return True
+    if len(seen) > g.n:
+        raise ValueError("the word has a letter that is not a vertex")
+    last, broken = [0] * g.n, [0] * g.n
+    for v in w:
+        _place(v, last, broken)
+    return broken == _non_neighbours(g)
 
 
 def find_uniform_representant(
@@ -78,94 +90,45 @@ def find_uniform_representant(
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
     n = g.n
-    if n == 0:
-        return []
+    if n <= 1:
+        return [0] * n
+    adj, non_adj = g.adj, _non_neighbours(g)
     nodes = 0
     for k in range(1, k_max + 1):
-        total = n * k
-        if n == 1:
-            return [0] * k
         word = [0]
-        count = [0] * n
-        count[0] = 1
-        # per unordered pair: which of the two letters occurred last in the
-        # restriction (-1 = neither), and whether a repeat has been seen.
-        # a repeat is fatal for edges and required for non-edges.
-        last = [[-1] * n for _ in range(n)]
-        broken = [[False] * n for _ in range(n)]
-        for y in range(1, n):
-            last[0][y] = 0
+        count = [1] + [0] * (n - 1)
 
-        def breakable(u: int, v: int, last_uv: int, rem_u: int, rem_v: int) -> bool:
-            # can future placements still create a repeat in the (u,v)
-            # restriction? a repeat needs some z in {u,v} appended right
-            # after a z: either two z's remain, or one remains and z was last
-            if rem_u >= 2 or rem_v >= 2:
-                return True
-            if rem_u >= 1 and last_uv == u:
-                return True
-            if rem_v >= 1 and last_uv == v:
-                return True
-            return False
-
-        def place(pos: int) -> list[int] | None:
+        def place(last: list[int], broken: list[int]) -> list[int] | None:
             nonlocal nodes
             nodes += 1
             if nodes > budget:
                 raise BudgetExceeded(f"word search exceeded {budget} nodes")
-            if pos == total:
-                for x in range(n):
-                    for y in range(x + 1, n):
-                        if not g.has_edge(x, y) and not broken[x][y]:
-                            return None
-                return list(word)
+            if len(word) == n * k:
+                # the prune lets no full word keep a non-edge unbroken; this
+                # test backs the word it returns
+                return list(word) if broken == non_adj else None
             for v in range(n):
-                if count[v] >= k:
+                # a neighbour whose pair ends in v would repeat v
+                if count[v] == k or last[v] & adj[v]:
                     continue
-                undo = []
-                dead = False
-                for u in range(n):
-                    if u == v:
-                        continue
-                    lo, hi = (u, v) if u < v else (v, u)
-                    prev = last[lo][hi]
-                    if prev == v:
-                        if g.has_edge(lo, hi):
-                            dead = True
-                            break
-                        if not broken[lo][hi]:
-                            undo.append((lo, hi, prev, False))
-                            broken[lo][hi] = True
-                    else:
-                        undo.append((lo, hi, prev, broken[lo][hi]))
-                        last[lo][hi] = v
-                if not dead:
-                    count[v] += 1
-                    # unbreakable-pair prune over v's non-neighbors
-                    for u in range(n):
-                        if u == v or g.has_edge(u, v):
-                            continue
-                        lo, hi = (u, v) if u < v else (v, u)
-                        if broken[lo][hi]:
-                            continue
-                        if not breakable(
-                            u, v, last[lo][hi], k - count[u], k - count[v]
-                        ):
-                            dead = True
-                            break
-                    if not dead:
-                        word.append(v)
-                        res = place(pos + 1)
-                        if res is not None:
-                            return res
-                        word.pop()
-                    count[v] -= 1
-                for lo, hi, old_last, old_broken in undo:
-                    last[lo][hi] = old_last
-                    broken[lo][hi] = old_broken
+                next_last, next_broken = last[:], broken[:]
+                _place(v, next_last, next_broken)
+                count[v] += 1
+                # every pair holding v now ends in v, so once v is spent a
+                # pair that still alternates has at most one u to come and
+                # never repeats: a non-neighbour of v must be broken by now
+                if count[v] < k or not non_adj[v] & ~next_broken[v]:
+                    word.append(v)
+                    found = place(next_last, next_broken)
+                    if found is not None:
+                        return found
+                    word.pop()
+                count[v] -= 1
             return None
 
-        result = place(1)
-        if result is not None:
-            return result
+        last, broken = [0] * n, [0] * n
+        _place(0, last, broken)
+        found = place(last, broken)
+        if found is not None:
+            return found
     return None

@@ -2,12 +2,14 @@
 
 They were part of the library, but no library code or command calls
 them: DOT writers for eyeballing a graph or an orientation, the reversal
-of an orientation, the graph a word defines, induced containment as a
-yes/no, the reduction of a LaTeX proof listing to plain trace lines, a
-copy of a partial orientation with one vertex made a source, its unset
-edges, the closing arc of a shortcut witness, the host label an
-embedding maps a pattern label to, and a plain recursive enumerator of
-the solver's cycle inventory, the reference for its bitmask DFS.
+of an orientation, the alternation of two letters in a word and the
+graph a word defines (the per-pair reference for ``words.represents``),
+induced containment as a yes/no, the reduction of a LaTeX proof listing
+to plain trace lines, a copy of a partial orientation with one vertex
+made a source, its unset edges, the closing arc of a shortcut witness,
+the host label an embedding maps a pattern label to, and a plain
+recursive enumerator of the solver's cycle inventory, the reference for
+its bitmask DFS.
 
 ``reference_verify_trace`` is the proof verifier as a plain replay that
 checks every orient step from scratch, the reference for the verifier's
@@ -48,7 +50,7 @@ from wordrep.traces import (
     TraceLine,
     VerificationReport,
 )
-from wordrep.words import MissingLetter, alternate
+from wordrep.words import MissingLetter
 
 
 def graph_to_dot(g: LabeledGraph, name: str = "g") -> str:
@@ -74,6 +76,19 @@ def orientation_to_dot(o: Orientation, name: str = "o") -> str:
 
 def reverse_orientation(o: Orientation) -> Orientation:
     return Orientation(o.graph, tuple((h, t) for t, h in o.arcs))
+
+
+def alternate(w, x: int, y: int) -> bool:
+    """True iff w restricted to {x, y} strictly alternates (any length)."""
+    if x == y:
+        raise ValueError("alternation needs two distinct letters")
+    prev = -1
+    for letter in w:
+        if letter == x or letter == y:
+            if letter == prev:
+                return False
+            prev = letter
+    return True
 
 
 def graph_of_word(w, n_vertices: int) -> LabeledGraph:

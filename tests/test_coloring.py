@@ -1,4 +1,6 @@
 import itertools
+import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -12,8 +14,13 @@ from wordrep.coloring import (
     color_s_n_2,
     exact_chromatic_number,
 )
-from wordrep.debruijn import SizeLimitExceeded
+from wordrep.debruijn import SizeLimitExceeded, build_simplified
 from wordrep.graphs import LabeledGraph, build_graph, build_wheel, is_proper_coloring
+from wordrep.orientations import Orientation, is_semitransitive
+
+from helpers import reference_is_semitransitive
+
+COLORINGS = Path(__file__).parent / "data" / "colorings"
 
 
 @pytest.mark.parametrize(
@@ -131,3 +138,21 @@ def test_chromatic_matches_bruteforce(case):
     edges = {(a, b) for a, b in raw_edges if b < n}
     g = LabeledGraph([str(i) for i in range(n)], edges)
     assert exact_chromatic_number(g, 4) == _brute_chromatic(g, 4)
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_pinned_3_colourings_of_s_n_3_orient_semitransitively(n):
+    # S(n,3) for n >= 4 is conjectured not word-representable, but under
+    # this library's convention (vertices as length-n words over 3
+    # letters) S(4,3) and S(5,3) are 3-colourable.  The colourings were
+    # found by a DSATUR search on edges rebuilt from the definition, and
+    # orienting each edge from the lower colour to the higher is then
+    # semi-transitive: every directed path has at most three vertices.
+    g = build_simplified(n, 3).graph
+    by_label = json.loads((COLORINGS / f"s{n}-3.json").read_text(encoding="utf-8"))
+    assert sorted(by_label) == sorted(g.labels)
+    colors = [by_label[label] for label in g.labels]
+    assert set(colors) <= {0, 1, 2} and is_proper_coloring(g, colors)
+    arcs = tuple((a, b) if colors[a] < colors[b] else (b, a) for a, b in sorted(g.edges))
+    assert is_semitransitive(Orientation(g, arcs))
+    assert reference_is_semitransitive(g, arcs)

@@ -6,14 +6,18 @@ from wordrep.orientations import brute_force_semitransitive
 from wordrep.words import (
     BudgetExceeded,
     MissingLetter,
-    alternate,
     find_uniform_representant,
     represents,
 )
 
-from helpers import graph_of_word
+from helpers import alternate, graph_of_word
 
 A, B, C = 0, 1, 2
+
+
+def _edge_sets(n):
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    return st.sets(st.sampled_from(pairs)) if pairs else st.just(set())
 
 
 def test_alternate_abab():
@@ -69,6 +73,64 @@ def test_represents_examples():
     assert represents([A, B, A, C, B, C], p3)
 
 
+def test_represents_rejects_a_letter_that_is_not_a_vertex():
+    single = build_graph(["a", "b"], [("a", "b")])
+    with pytest.raises(ValueError):
+        represents([A, B, 2], single)
+
+
+def _graphs_and_words(n):
+    return st.tuples(
+        st.just(n), _edge_sets(n), st.lists(st.integers(0, n - 1), max_size=18)
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 6).flatmap(_graphs_and_words))
+def test_represents_is_the_per_pair_definition(case):
+    # one pass over the word gives the verdict of the per-pair definition,
+    # and a missing letter is reported as the same vertex
+    n, edges, w = case
+    g = LabeledGraph([str(i) for i in range(n)], edges)
+    try:
+        expected = graph_of_word(w, n) == g
+    except MissingLetter as exc:
+        with pytest.raises(MissingLetter) as raised:
+            represents(w, g)
+        assert raised.value.vertex == exc.vertex
+    else:
+        assert represents(w, g) == expected
+
+
+def _cycle(n):
+    return build_graph(
+        [str(i) for i in range(n)], [(str(i), str((i + 1) % n)) for i in range(n)]
+    )
+
+
+@pytest.mark.parametrize(
+    "g, k_max, word, nodes",
+    [
+        pytest.param(_cycle(5), 2, [0, 1, 4, 0, 3, 4, 2, 3, 1, 2], 26, id="C5-k2"),
+        pytest.param(
+            build_graph(list("0123"), [("0", "1"), ("1", "2"), ("2", "3")]),
+            2,
+            [0, 1, 0, 2, 1, 3, 2, 3],
+            9,
+            id="P4-k2",
+        ),
+        pytest.param(_cycle(4), 2, [0, 1, 3, 0, 2, 3, 1, 2], 11, id="C4-k2"),
+        pytest.param(build_wheel(5), 2, None, 406, id="W5-k2"),
+        pytest.param(build_wheel(5), 3, None, 5_104, id="W5-k3"),
+    ],
+)
+def test_word_search_keeps_its_words_and_node_counts(g, k_max, word, nodes):
+    # a budget of exactly the node count suffices, one node less does not
+    assert find_uniform_representant(g, k_max, budget=nodes) == word
+    with pytest.raises(BudgetExceeded):
+        find_uniform_representant(g, k_max, budget=nodes - 1)
+
+
 def test_uniform_representant_clique():
     k4 = build_graph(list("abcd"), [(x, y) for x in "abcd" for y in "abcd" if x < y])
     w = find_uniform_representant(k4, k_max=1)
@@ -122,11 +184,6 @@ def test_alternate_symmetric(w, data):
 def test_alternate_ignores_other_letters(w):
     filtered = [v for v in w if v != 2]
     assert alternate(w, 0, 1) == alternate(filtered, 0, 1)
-
-
-def _edge_sets(n):
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    return st.sets(st.sampled_from(pairs)) if pairs else st.just(set())
 
 
 @settings(max_examples=30, deadline=None)
