@@ -361,13 +361,23 @@ def _leaf_verdicts(edges: list[tuple[int, int]], high: int, k: int) -> int:
       x->y, i.e. ``(reach . P . reach)[u][v]`` with ``P = reach & ~arc``
       off the diagonal.  At a leaf with the arc u->v, P[u][v] is clear, so
       (x, y) != (u, v) holds by itself.
+    - Before any matrix is built, the batch is 0 when its fixed arcs (the
+      edges i >= k, each oriented by bit i of ``high``) doom every leaf
+      (``_fixed_arcs_doom``): they close a directed cycle, which every
+      leaf contains, or they hold a fixed arc u->v and x != y with
+      u ->* x ->* y ->* v over fixed arcs, where x-y is neither a fixed
+      arc x->y nor one of the k free edges.  Every leaf keeps those paths
+      and has no arc x->y, as a non-edge is never an arc and a fixed y->x
+      would close a cycle.
 
     The test shares no code with ``find_shortcut``.
     """
-    full = (1 << (1 << k)) - 1
     live = sorted({v for e in edges for v in e})
     at = {v: i for i, v in enumerate(live)}
     size = len(live)
+    if _fixed_arcs_doom(edges, high, k, at):
+        return 0
+    full = (1 << (1 << k)) - 1
     arc = [[0] * size for _ in range(size)]
     for i, (lo, hi) in enumerate(edges):
         if i < k:  # bit i of j: runs of 2^i zeros, then 2^i ones
@@ -388,8 +398,6 @@ def _leaf_verdicts(edges: list[tuple[int, int]], high: int, k: int) -> int:
     for v in range(size):
         bad |= reach[v][v]
         reach[v][v] = full
-    if bad == full:  # the high edges alone close a cycle
-        return 0
     # later = P . reach: some y != x with no arc x->y has x ->* y ->* v
     later = []
     for x in range(size):
@@ -406,3 +414,59 @@ def _leaf_verdicts(edges: list[tuple[int, int]], high: int, k: int) -> int:
                 for x in range(size):
                     bad |= closing & reach[u][x] & later[x][v]
     return full & ~bad
+
+
+def _fixed_arcs_doom(
+    edges: list[tuple[int, int]], high: int, k: int, at: dict[int, int]
+) -> bool:
+    """True when the fixed arcs of batch ``high`` (edge i >= k oriented
+    hi->lo when bit i of ``high`` is set) close a directed cycle or hold a
+    shortcut that none of the free edges i < k can heal.
+
+    Rows are bitmasks over the vertex indices ``at``: ``out[v]`` holds the
+    heads of v's fixed arcs, ``free[v]`` the other ends of v's free edges,
+    and ``reach[v]`` what v reaches over fixed arcs (Warshall's closure).
+    """
+    size = len(at)
+    out = [0] * size
+    free = [0] * size
+    for i, (lo, hi) in enumerate(edges):
+        a, b = at[lo], at[hi]
+        if i < k:
+            free[a] |= 1 << b
+            free[b] |= 1 << a
+        elif high >> i & 1:
+            out[b] |= 1 << a
+        else:
+            out[a] |= 1 << b
+    reach = list(out)
+    for w in range(size):
+        row_w = reach[w]
+        for v, row in enumerate(reach):
+            if row >> w & 1:
+                reach[v] = row | row_w
+    for v, row in enumerate(reach):
+        if row >> v & 1:
+            return True
+    # later[x]: the vertices reached from some y != x that x reaches over
+    # fixed arcs with x-y neither a fixed arc x->y nor a free edge, y included
+    later = []
+    for x, row in enumerate(reach):
+        ys = row & ~out[x] & ~free[x]
+        acc = 0
+        while ys:
+            low = ys & -ys
+            ys ^= low
+            acc |= low | reach[low.bit_length() - 1]
+        later.append(acc)
+    for u, heads in enumerate(out):
+        if heads:
+            xs = reach[u] | 1 << u
+            acc = 0
+            while xs:
+                low = xs & -xs
+                xs ^= low
+                acc |= later[low.bit_length() - 1]
+            if heads & acc:
+                return True
+    return False

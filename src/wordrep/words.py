@@ -97,38 +97,43 @@ def find_uniform_representant(
     for k in range(1, k_max + 1):
         word = [0]
         count = [1] + [0] * (n - 1)
-
-        def place(last: list[int], broken: list[int]) -> list[int] | None:
-            nonlocal nodes
-            nodes += 1
-            if nodes > budget:
-                raise BudgetExceeded(f"word search exceeded {budget} nodes")
-            if len(word) == n * k:
-                # the prune lets no full word keep a non-edge unbroken; this
-                # test backs the word it returns
-                return list(word) if broken == non_adj else None
-            for v in range(n):
-                # a neighbour whose pair ends in v would repeat v
-                if count[v] == k or last[v] & adj[v]:
-                    continue
-                next_last, next_broken = last[:], broken[:]
-                _place(v, next_last, next_broken)
-                count[v] += 1
-                # every pair holding v now ends in v, so once v is spent a
-                # pair that still alternates has at most one u to come and
-                # never repeats: a non-neighbour of v must be broken by now
-                if count[v] < k or not non_adj[v] & ~next_broken[v]:
-                    word.append(v)
-                    found = place(next_last, next_broken)
-                    if found is not None:
-                        return found
-                    word.pop()
-                count[v] -= 1
-            return None
-
         last, broken = [0] * n, [0] * n
         _place(0, last, broken)
-        found = place(last, broken)
-        if found is not None:
-            return found
+        # one entry per letter after w[0]: the letter and the masks before it
+        saved: list[tuple[int, list[int], list[int]]] = []
+        v = 0  # the next letter to try, 0 exactly when a node is entered
+        while True:
+            if not v:
+                nodes += 1
+                if nodes > budget:
+                    raise BudgetExceeded(f"word search exceeded {budget} nodes")
+                # the prune lets no full word keep a non-edge unbroken; this
+                # test backs the word it returns (a full word spends every
+                # letter, so the loop below tries none)
+                if len(word) == n * k and broken == non_adj:
+                    return list(word)
+            while v < n:
+                # a neighbour whose pair ends in v would repeat v
+                if count[v] < k and not last[v] & adj[v]:
+                    next_last, next_broken = last[:], broken[:]
+                    _place(v, next_last, next_broken)
+                    # every pair holding v now ends in v, so once v is spent a
+                    # pair that still alternates has at most one u to come and
+                    # never repeats: a non-neighbour of v must be broken by now
+                    if count[v] + 1 < k or not non_adj[v] & ~next_broken[v]:
+                        break
+                v += 1
+            if v < n:
+                count[v] += 1
+                word.append(v)
+                saved.append((v, last, broken))
+                last, broken = next_last, next_broken
+                v = 0
+            elif saved:
+                v, last, broken = saved.pop()
+                word.pop()
+                count[v] -= 1
+                v += 1
+            else:
+                break
     return None

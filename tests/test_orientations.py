@@ -8,6 +8,7 @@ from wordrep.graphs import LabeledGraph, build_graph, build_wheel, induced_subgr
 from wordrep.debruijn import build_simplified
 from wordrep.orientations import (
     _BATCH_BITS,
+    _fixed_arcs_doom,
     _leaf_verdicts,
     CyclicInput,
     Orientation,
@@ -277,6 +278,57 @@ def test_pure_leaf_verdicts_match_is_semitransitive():
             for j in range(2**k):
                 po = _decode(g, edges, high | j)
                 assert bool(good >> j & 1) == is_semitransitive(po), (g.edge_list(), high | j)
+
+
+def test_leaf_verdicts_are_exact_at_every_split():
+    # every batch of every split k = 0..m: the edges i >= k are fixed by
+    # `high`, so batches whose fixed arcs doom every leaf take the early
+    # exit; on every graph on 1..4 vertices and a seeded sample of 5-vertex
+    # graphs, the batch's mask equals the per-leaf verdicts
+    sample = random.Random(32).sample(list(_all_graphs(5)), 200)
+    for g in [*(g for n in range(1, 5) for g in _all_graphs(n)), *sample]:
+        edges = sorted(g.edges)
+        m = len(edges)
+        truth = sum(
+            1 << c for c in range(2**m) if is_semitransitive(_decode(g, edges, c))
+        )
+        for k in range(m + 1):
+            for high in range(0, 2**m, 2**k):
+                want = truth >> high & (1 << 2**k) - 1
+                assert _leaf_verdicts(edges, high, k) == want, (g.edge_list(), k, high)
+
+
+def _refuted_batches(g, k):
+    """The batches `high` (2^k leaves each) whose fixed arcs doom them."""
+    edges = sorted(g.edges)
+    at = {v: i for i, v in enumerate(sorted({v for e in edges for v in e}))}
+    return [
+        high for high in range(0, 2 ** len(edges), 2**k)
+        if _fixed_arcs_doom(edges, high, k, at)
+    ]
+
+
+def test_small_batches_walk_past_refuted_batches_to_the_reference(monkeypatch):
+    # with 4 leaves per batch most batches are refuted by their fixed arcs
+    # alone, and the certificates of UNSET_CHORD_GRAPH (counter 160) and
+    # SECOND_BATCH_GRAPH (counter 4096) lie behind such batches
+    from wordrep import orientations
+
+    monkeypatch.setattr(orientations, "_BATCH_BITS", 2)
+    graphs = [g for n in range(1, 5) for g in _all_graphs(n)]
+    for g in [*graphs, UNSET_CHORD_GRAPH, build_wheel(7), SECOND_BATCH_GRAPH]:
+        r = brute_force_semitransitive(g)
+        assert (r.verdict, r.certificate, r.examined) == _pure_reference(g), g.edge_list()
+    for g, examined in ((UNSET_CHORD_GRAPH, 161), (SECOND_BATCH_GRAPH, 4097)):
+        assert brute_force_semitransitive(g).examined == examined
+        assert min(_refuted_batches(g, 2)) < examined - 1
+
+
+def test_fixed_arcs_refute_most_batches_of_w9_and_s23():
+    # the batches the oracle refutes before building a matrix
+    s23 = build_simplified(2, 3).graph
+    assert len(_refuted_batches(build_wheel(9), _BATCH_BITS)) == 44  # of 64
+    assert len(_refuted_batches(s23, _BATCH_BITS)) == 486  # of 512
 
 
 def _semitransitive_sources(g):

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -136,6 +138,14 @@ def test_uniform_representant_clique():
     w = find_uniform_representant(k4, k_max=1)
     assert w == [0, 1, 2, 3]
     assert represents(w, k4)
+
+
+def test_word_search_is_not_bounded_by_the_recursion_limit():
+    # the search keeps its own stack: a 1,100-letter word, past Python's
+    # default recursion limit of 1,000
+    n = 1100
+    clique = LabeledGraph([str(i) for i in range(n)], list(itertools.combinations(range(n), 2)))
+    assert find_uniform_representant(clique, k_max=1) == list(range(n))
 
 
 def test_uniform_representant_edgeless_pair():
