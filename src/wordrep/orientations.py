@@ -8,20 +8,21 @@ where x->y is not itself a set arc and (x,y) != (u,v) (an unset edge x-y is
 no defect: every acyclic completion orients it x->y); the witness path is
 assembled from shortest segments, which compose to a simple path in a DAG.
 
-Every traversal of the directed bitmask adjacency (``out_adj[v]`` = heads
-of the arcs leaving v) goes through one of three routines.  Reach and
-co-reach rows are grown only by ``add_arc_rows``, one arc at a time
-(Italiano's incremental transitive closure), which refuses an arc that
-closes a directed cycle; ``reach_rows`` builds them by folding it over
-the arcs; ``shortest_path`` is a BFS taking heads lowest id first.  The
-per-arc witness step, ``shortcut_under``, is shared with the solver:
+Outside the oracle, every traversal of the directed bitmask adjacency
+(``out_adj[v]`` = heads of the arcs leaving v) goes through one of three
+routines.  Reach and co-reach rows are grown only by ``add_arc_rows``, one
+arc at a time (Italiano's incremental transitive closure), which refuses
+an arc that closes a directed cycle; ``reach_rows`` builds them by folding
+it over the arcs; ``shortest_path`` is a BFS taking heads lowest id first.
+The per-arc witness step, ``shortcut_under``, is shared with the solver:
 ``find_shortcut`` runs it under every set arc, in sorted order, while the
 solver runs it only under the closing arcs that a new arc can have
 changed.  The proof verifier in ``traces`` keeps its own checks on
-purpose, and so does the exhaustive oracle: ``_leaf_verdicts`` decides
-whole batches of orientations with boolean matrices, so the tests that
-hold the solver and ``find_shortcut`` to the oracle compare two
-independent exact tests.
+purpose, and so does the exhaustive oracle: its walk over the high edges
+keeps its own rows, and ``_leaf_verdicts`` decides whole batches of
+orientations with boolean matrices.  It calls ``is_semitransitive`` only
+to re-check its certificate, so the tests that hold the solver and
+``find_shortcut`` to the oracle compare two independent exact tests.
 """
 
 from __future__ import annotations
@@ -313,9 +314,22 @@ def brute_force_semitransitive(
     Canonical enumeration: edges sorted (lo, hi); bit i of the counter
     orients edge i (0 = lo->hi).  Every counter value 0 .. 2^m - 1 is
     decided, 2^k consecutive values per pass of bit-sliced boolean matrix
-    algebra (``_leaf_verdicts``, k = min(_BATCH_BITS, m)), and the walk
-    stops at the first batch that holds a semi-transitive leaf.  The first
-    such leaf in counter order is the certificate, and
+    algebra (``_leaf_verdicts``, k = min(_BATCH_BITS, m)).
+
+    A walk fixes the high edges i >= k one at a time, from edge m - 1
+    down, bit 0 before bit 1, so it reaches the batches in counter order.
+    It grows bitmask rows of the fixed arcs, and of what each vertex
+    reaches over them, by one arc per step.  It refuses an arc that closes
+    a directed cycle, and prunes a prefix with a fixed arc u->v and
+    u ->* x ->+ y ->* v over fixed arcs, x and y not adjacent in g
+    (``_doomed``): every completion keeps that path and has no arc x->y,
+    so each holds the shortcut u->v.  Adjacent x and y need no test: x-y
+    is then a fixed arc x->y, no defect; a fixed arc y->x, which closes a
+    cycle the walk refused; or an edge not yet fixed, which every acyclic
+    completion orients x->y.
+
+    The walk stops at the first batch that holds a semi-transitive leaf.
+    The first such leaf in counter order is the certificate, and
     ``is_semitransitive`` must accept it before it is returned; otherwise
     ``RuntimeError`` is raised.  ``examined`` is one more than the
     certificate's counter, or all 2^m leaves when there is none.
@@ -328,7 +342,24 @@ def brute_force_semitransitive(
         return BruteForceResult("budget", examined=0)
     edges = sorted(g.edges)
     k = min(_BATCH_BITS, m)
-    for high in range(0, 2**m, 2**k):
+    # the prefixes left to walk, the next in counter order on top: the
+    # counter's bits >= i as ``high``, the heads of each vertex's fixed
+    # arcs, and what each vertex reaches over them, itself included
+    stack = [(0, m, [0] * g.n, [1 << v for v in range(g.n)])]
+    while stack:
+        high, i, out, reach = stack.pop()
+        if i > k:
+            i -= 1
+            lo, hi = edges[i]
+            for bit, t, h in ((1, hi, lo), (0, lo, hi)):  # bit 0 on top
+                if reach[h] >> t & 1:
+                    continue  # t->h would close a directed cycle
+                grown = [row | reach[h] if row >> t & 1 else row for row in reach]
+                fixed = list(out)
+                fixed[t] |= 1 << h
+                if not _doomed(g.adj, fixed, grown):
+                    stack.append((high | bit << i, i, fixed, grown))
+            continue
         good = _leaf_verdicts(edges, high, k)
         if good:
             counter = high | (good & -good).bit_length() - 1
@@ -340,6 +371,28 @@ def brute_force_semitransitive(
                 raise RuntimeError(f"batched leaf check accepted counter {counter}")
             return BruteForceResult("exists", cert, counter + 1)
     return BruteForceResult("notexists", examined=2**m)
+
+
+def _doomed(adj: tuple[int, ...], out: list[int], reach: list[int]) -> bool:
+    """Whether some fixed arc u->v has u ->* x ->+ y ->* v over the fixed
+    arcs with x and y not adjacent in g; exact once every edge is fixed.
+
+    ``adj[v]`` holds v's neighbours, ``out[v]`` the heads of v's fixed
+    arcs and ``reach[v]`` what v reaches over them, v included.
+    """
+
+    def union(rows: list[int], mask: int) -> int:
+        acc = 0
+        while mask:
+            low = mask & -mask
+            mask ^= low
+            acc |= rows[low.bit_length() - 1]
+        return acc
+
+    # later[x]: what the vertices y != x that x reaches, not adjacent to
+    # x, reach
+    later = [union(reach, row & ~adj[x] & ~(1 << x)) for x, row in enumerate(reach)]
+    return any(heads & union(later, reach[u]) for u, heads in enumerate(out) if heads)
 
 
 def _leaf_verdicts(edges: list[tuple[int, int]], high: int, k: int) -> int:
@@ -361,22 +414,12 @@ def _leaf_verdicts(edges: list[tuple[int, int]], high: int, k: int) -> int:
       x->y, i.e. ``(reach . P . reach)[u][v]`` with ``P = reach & ~arc``
       off the diagonal.  At a leaf with the arc u->v, P[u][v] is clear, so
       (x, y) != (u, v) holds by itself.
-    - Before any matrix is built, the batch is 0 when its fixed arcs (the
-      edges i >= k, each oriented by bit i of ``high``) doom every leaf
-      (``_fixed_arcs_doom``): they close a directed cycle, which every
-      leaf contains, or they hold a fixed arc u->v and x != y with
-      u ->* x ->* y ->* v over fixed arcs, where x-y is neither a fixed
-      arc x->y nor one of the k free edges.  Every leaf keeps those paths
-      and has no arc x->y, as a non-edge is never an arc and a fixed y->x
-      would close a cycle.
 
     The test shares no code with ``find_shortcut``.
     """
     live = sorted({v for e in edges for v in e})
     at = {v: i for i, v in enumerate(live)}
     size = len(live)
-    if _fixed_arcs_doom(edges, high, k, at):
-        return 0
     full = (1 << (1 << k)) - 1
     arc = [[0] * size for _ in range(size)]
     for i, (lo, hi) in enumerate(edges):
@@ -414,59 +457,3 @@ def _leaf_verdicts(edges: list[tuple[int, int]], high: int, k: int) -> int:
                 for x in range(size):
                     bad |= closing & reach[u][x] & later[x][v]
     return full & ~bad
-
-
-def _fixed_arcs_doom(
-    edges: list[tuple[int, int]], high: int, k: int, at: dict[int, int]
-) -> bool:
-    """True when the fixed arcs of batch ``high`` (edge i >= k oriented
-    hi->lo when bit i of ``high`` is set) close a directed cycle or hold a
-    shortcut that none of the free edges i < k can heal.
-
-    Rows are bitmasks over the vertex indices ``at``: ``out[v]`` holds the
-    heads of v's fixed arcs, ``free[v]`` the other ends of v's free edges,
-    and ``reach[v]`` what v reaches over fixed arcs (Warshall's closure).
-    """
-    size = len(at)
-    out = [0] * size
-    free = [0] * size
-    for i, (lo, hi) in enumerate(edges):
-        a, b = at[lo], at[hi]
-        if i < k:
-            free[a] |= 1 << b
-            free[b] |= 1 << a
-        elif high >> i & 1:
-            out[b] |= 1 << a
-        else:
-            out[a] |= 1 << b
-    reach = list(out)
-    for w in range(size):
-        row_w = reach[w]
-        for v, row in enumerate(reach):
-            if row >> w & 1:
-                reach[v] = row | row_w
-    for v, row in enumerate(reach):
-        if row >> v & 1:
-            return True
-    # later[x]: the vertices reached from some y != x that x reaches over
-    # fixed arcs with x-y neither a fixed arc x->y nor a free edge, y included
-    later = []
-    for x, row in enumerate(reach):
-        ys = row & ~out[x] & ~free[x]
-        acc = 0
-        while ys:
-            low = ys & -ys
-            ys ^= low
-            acc |= low | reach[low.bit_length() - 1]
-        later.append(acc)
-    for u, heads in enumerate(out):
-        if heads:
-            xs = reach[u] | 1 << u
-            acc = 0
-            while xs:
-                low = xs & -xs
-                xs ^= low
-                acc |= later[low.bit_length() - 1]
-            if heads & acc:
-                return True
-    return False

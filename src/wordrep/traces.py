@@ -448,6 +448,8 @@ class _Replay:
                         f"branch on already-oriented edge "
                         f"{step.arc[0]}-{step.arc[1]}"
                     )
+                if step.copy_id in self.created_at:
+                    raise _Reject(f"copy {step.copy_id} created twice")
                 self.created_at[step.copy_id] = line.line_number
                 self.snapshots[step.copy_id] = (list(self.out), (h, t))
                 self.set_arc(t, h)

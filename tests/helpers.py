@@ -359,6 +359,8 @@ class _ReferenceReplay:
                         f"branch on already-oriented edge "
                         f"{step.arc[0]}-{step.arc[1]}"
                     )
+                if step.copy_id in self.copies:
+                    raise _Reject(f"copy {step.copy_id} created twice")
                 self.copies[step.copy_id] = (
                     self.po.copy(),
                     (h, t),

@@ -8,7 +8,7 @@ from wordrep.graphs import LabeledGraph, build_graph, build_wheel, induced_subgr
 from wordrep.debruijn import build_simplified
 from wordrep.orientations import (
     _BATCH_BITS,
-    _fixed_arcs_doom,
+    _doomed,
     _leaf_verdicts,
     CyclicInput,
     Orientation,
@@ -298,20 +298,37 @@ def test_leaf_verdicts_are_exact_at_every_split():
                 assert _leaf_verdicts(edges, high, k) == want, (g.edge_list(), k, high)
 
 
-def _refuted_batches(g, k):
-    """The batches `high` (2^k leaves each) whose fixed arcs doom them."""
+def _walk(monkeypatch, g):
+    """The oracle's result on g, the batches it hands to `_leaf_verdicts`
+    in order, its number of prefix tests, and the lowest counter of each
+    prefix it prunes."""
+    from wordrep import orientations
+
     edges = sorted(g.edges)
-    at = {v: i for i, v in enumerate(sorted({v for e in edges for v in e}))}
-    return [
-        high for high in range(0, 2 ** len(edges), 2**k)
-        if _fixed_arcs_doom(edges, high, k, at)
-    ]
+    batches, pruned = [], []
+    tests = 0
+
+    def counting_leaf_verdicts(edges, high, k):
+        batches.append(high)
+        return _leaf_verdicts(edges, high, k)
+
+    def counting_doomed(adj, out, reach):
+        nonlocal tests
+        tests += 1
+        doomed = _doomed(adj, out, reach)
+        if doomed:  # bit i is set where edge i is fixed hi->lo
+            pruned.append(sum(1 << i for i, (lo, hi) in enumerate(edges) if out[hi] >> lo & 1))
+        return doomed
+
+    monkeypatch.setattr(orientations, "_leaf_verdicts", counting_leaf_verdicts)
+    monkeypatch.setattr(orientations, "_doomed", counting_doomed)
+    return brute_force_semitransitive(g), batches, tests, pruned
 
 
 def test_small_batches_walk_past_refuted_batches_to_the_reference(monkeypatch):
-    # with 4 leaves per batch most batches are refuted by their fixed arcs
+    # with 4 leaves per batch most prefixes are pruned by their fixed arcs
     # alone, and the certificates of UNSET_CHORD_GRAPH (counter 160) and
-    # SECOND_BATCH_GRAPH (counter 4096) lie behind such batches
+    # SECOND_BATCH_GRAPH (counter 4096) lie behind such prefixes
     from wordrep import orientations
 
     monkeypatch.setattr(orientations, "_BATCH_BITS", 2)
@@ -320,15 +337,49 @@ def test_small_batches_walk_past_refuted_batches_to_the_reference(monkeypatch):
         r = brute_force_semitransitive(g)
         assert (r.verdict, r.certificate, r.examined) == _pure_reference(g), g.edge_list()
     for g, examined in ((UNSET_CHORD_GRAPH, 161), (SECOND_BATCH_GRAPH, 4097)):
-        assert brute_force_semitransitive(g).examined == examined
-        assert min(_refuted_batches(g, 2)) < examined - 1
+        r, _, _, pruned = _walk(monkeypatch, g)
+        assert r.examined == examined
+        assert min(pruned) < examined - 1
 
 
-def test_fixed_arcs_refute_most_batches_of_w9_and_s23():
-    # the batches the oracle refutes before building a matrix
+def test_the_walk_prunes_most_batches_of_w9_and_s23(monkeypatch):
+    # the batches that reach the matrices, in counter order, and the
+    # prefix tests the walk makes on the way
     s23 = build_simplified(2, 3).graph
-    assert len(_refuted_batches(build_wheel(9), _BATCH_BITS)) == 44  # of 64
-    assert len(_refuted_batches(s23, _BATCH_BITS)) == 486  # of 512
+    for g, batches, tests in ((build_wheel(9), 20, 62), (s23, 26, 174)):  # of 64, 512
+        r, seen, made, _ = _walk(monkeypatch, g)
+        monkeypatch.undo()
+        assert r.verdict == "notexists"
+        assert seen == sorted(seen)
+        assert (len(seen), made) == (batches, tests)
+
+
+def test_doomed_prefixes_have_no_semitransitive_leaf():
+    # every prefix (the edges i >= k fixed by `high`) of every graph on
+    # 1..4 vertices and of a seeded sample of 5-vertex graphs: a doomed
+    # prefix has no semi-transitive leaf, and with every edge fixed the
+    # test is exact; the walk refuses a cyclic prefix before testing it
+    sample = random.Random(33).sample(list(_all_graphs(5)), 200)
+    for g in [*(g for n in range(1, 5) for g in _all_graphs(n)), *sample]:
+        edges = sorted(g.edges)
+        m = len(edges)
+        truth = sum(
+            1 << c for c in range(2**m) if is_semitransitive(_decode(g, edges, c))
+        )
+        for k in range(m + 1):
+            for high in range(0, 2**m, 2**k):
+                out = [0] * g.n
+                for i in range(k, m):
+                    lo, hi = edges[i]
+                    t, h = (hi, lo) if high >> i & 1 else (lo, hi)
+                    out[t] |= 1 << h
+                rows = reference_rows(out)
+                if rows is None:
+                    continue
+                doomed = _doomed(g.adj, out, rows[0])
+                live = truth >> high & (1 << 2**k) - 1
+                assert not (doomed and live), (g.edge_list(), k, high)
+                assert k > 0 or doomed == (not live), (g.edge_list(), high)
 
 
 def _semitransitive_sources(g):

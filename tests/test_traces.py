@@ -419,6 +419,40 @@ def test_unconsumed_copy_fails_the_ledger():
     assert created == 8 and consumed is None
 
 
+def _s33_duplicate_copy_mutant() -> ProofTrace:
+    """S(3,3)'s golden proof with line 1's second branch renamed from copy
+    3 to copy 2, copy 2's 28-line subtree (lines 19-46) dropped, and the
+    line that resumed copy 3 reopened as MC2: an 18-line case analysis
+    that never takes the other case of line 1's first branch."""
+    pre = json.loads((GOLDEN / "preambles.json").read_text(encoding="utf-8"))["s33"]
+    lines = parse_trace((GOLDEN / "s33.txt").read_text(encoding="utf-8")).lines
+    assert len(lines) == 46 and lines[18].opener.copy_id == 2
+    first, *rest = lines[:18]
+    first = first._replace(steps=tuple(
+        step._replace(copy_id=2) if isinstance(step, Branch) and step.copy_id == 3
+        else step
+        for step in first.steps
+    ))
+    rest = [
+        line._replace(opener=line.opener._replace(copy_id=2))
+        if isinstance(line.opener, MoveCopy) and line.opener.copy_id == 3 else line
+        for line in rest
+    ]
+    return ProofTrace(Preamble(tuple(pre["wlog"]), pre["source"]), (first, *rest))
+
+
+@pytest.mark.parametrize("verify", [verify_trace, reference_verify_trace])
+def test_a_copy_created_twice_is_rejected_in_memory(verify):
+    # the parser refuses the text of this mutant, but the solver's
+    # self-check replays an in-memory trace that is never parsed
+    trace = _s33_duplicate_copy_mutant()
+    with pytest.raises(TraceSyntaxError, match="copy 2 created twice"):
+        parse_trace(emit_trace(trace))
+    report = verify(build_simplified(3, 3).graph, trace)
+    assert not report.accepted
+    assert report.line_statuses[0].reason == "copy 2 created twice"
+
+
 def test_zero_line_trace_proves_nothing():
     trace = ProofTrace(Preamble(source_vertex="h"), ())
     assert not verify_trace(wheel5(), trace).accepted
