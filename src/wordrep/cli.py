@@ -129,10 +129,7 @@ def _resolve_budget(flag: str | None, fallback: int) -> int:
 
 def _load_graph(path: str) -> LabeledGraph:
     try:
-        with open(path, encoding="utf-8") as fh:
-            obj = json.load(fh)
-    except OSError as exc:
-        raise _UsageError(f"cannot read {path}: {exc}") from None
+        obj = json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
         raise _UsageError(f"{path} is not valid JSON: {exc}") from None
     try:
@@ -154,6 +151,8 @@ def _read_text(path: str) -> str:
             return fh.read()
     except OSError as exc:
         raise _UsageError(f"cannot read {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise _UsageError(f"{path} is not UTF-8 text: {exc}") from None
 
 
 def _write_text(path: str, text: str) -> None:

@@ -243,7 +243,7 @@ def shortcut_under(
     shortest segments u ~> x ~> y ~> v.  A witness the solver finds becomes
     a proof's terminal path, which the verifier checks on replay.
     """
-    pair = _violating_pair(po, reach, reach[u] & coreach[v], u, v)
+    pair = _violating_pair(po.graph.adj, coreach, reach[u] & coreach[v])
     if pair is None:
         return None
     x, y = pair
@@ -257,35 +257,26 @@ def shortcut_under(
 
 
 def _violating_pair(
-    po: PartialOrientation, reach: list[int], between: int, u: int, v: int
+    adj: tuple[int, ...], coreach: list[int], between: int
 ) -> tuple[int, int] | None:
-    """Smallest (j desc, i asc) pair x,y with u ->* x -> y ->* v over set
-    arcs and x->y not a set arc, (x,y) != (u,v); None if no such pair.
-    ``between`` is the mask of the vertices x with u ->* x ->* v.
+    """Smallest (y desc, x asc) pair x,y with x ->+ y among the vertices
+    of ``between``, the mask of the x with u ->* x ->* v, and x-y no edge
+    of g; None if no such pair.  An edge x-y is no violation: an arc
+    y->x under x ->+ y would close a cycle, so it is a set arc x->y or an
+    unset edge every acyclic completion orients x->y.  So (u, v) is never
+    reported either.
 
-    The scan enumerates y from the far end first, so for a square
-    a->b->c->d with closing arc a->d the reported violation is (b, d),
-    the pair nearest the closing arc's head.
+    y runs from the far end first, so for a square a->b->c->d with
+    closing arc a->d the reported violation is (b, d), the pair nearest
+    the closing arc's head.
     """
-    g = po.graph
-    if between.bit_count() <= 2:
-        return None
-    xs = []
-    while between:
-        low = between & -between
-        xs.append(low.bit_length() - 1)
-        between ^= low
-    for y in reversed(xs):
-        for x in xs:
-            if x == y or (x, y) == (u, v):
-                continue
-            if not (reach[x] >> y & 1):
-                continue
-            if g.has_edge(x, y) and not po.has_arc(y, x):
-                # forward arc is fine; an unset edge is healable (every
-                # acyclic completion must orient it x -> y)
-                continue
-            return (x, y)
+    ys = between
+    while ys:
+        y = ys.bit_length() - 1
+        ys ^= 1 << y
+        xs = coreach[y] & between & ~adj[y] & ~(1 << y)
+        if xs:
+            return (xs & -xs).bit_length() - 1, y
     return None
 
 

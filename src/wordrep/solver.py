@@ -79,15 +79,21 @@ planes, and a banked copy holds the edge states and the planes.
 The orientation also keeps one reach row and one co-reach row per
 vertex, grown on each inserted arc by ``add_arc_rows`` (Italiano's
 incremental transitive closure) and rebuilt once per resume by
-``reach_rows``.  Reach only grows between resumes, so the edges a
-directed path decides are collected as they appear: before an arc t->h
-grows the rows, every vertex x reaching t comes to reach the neighbours
-y that h reaches and x did not, and each such unset edge x-y goes on a
-heap of edge indices.  A resume starts with an empty heap: a banked
-state is a propagation fixpoint, so it has no unset decided edge.  The
-PathRule pops set edges off the heap and forces the lowest unset one,
-which is the first decided edge in edge order, with a BFS only for that
-edge.
+``reach_rows``.  One scan reads what the arcs set since the last clean
+scan changed; the search abandons every dead state, so that state was
+clean, as is every banked state.  A violation under a closing arc u->v
+that is new since then runs through a new arc t->h (the closing arc
+itself, or one on the path), and so does a path that newly decides an
+unset edge u-y: u reaches t, and h reaches v or y.  So for each new arc
+the scan walks the vertices u reaching t.  It puts the unset edges u-y
+with y reached from h on a heap of edge indices, and tests the closing
+arcs u->v with v reached from h, in sorted order, with
+``find_shortcut``'s own per-arc step.  Every other closing arc has no
+violation, so the first witness is the one ``find_shortcut`` would
+report.  After a scan the heap holds every unset decided edge: a resume
+starts it empty, as a banked state is a propagation fixpoint.  The
+PathRule pops set edges off it and forces the lowest unset one, which
+is the first decided edge in edge order, with a BFS only for that edge.
 
 No arc the search sets closes a directed cycle, so every dead end is a
 shortcut, and ``set_arc`` raises RuntimeError on an arc that
@@ -99,15 +105,6 @@ are undecided at a fixpoint.  A two-arc force b1->a1, b2->a2 has
 b1 ~> a2 and b2 ~> a1 around its ring, so a path a2 ~> b1 -> a1 ~> b2
 opened by its first arc means a cycle a2 ~> b1 ~> a2 or a1 ~> b2 ~> a1
 before it (a2 = b1 and a1 = b2 cannot both hold).
-
-The defect scan reads both rows.  The search abandons every dead state,
-so the state at the last scan that found no defect was clean, as is
-every banked state.  A violation under a closing arc u->v that is new
-since then runs through an arc t->h set since then (the closing arc
-itself, or one on the path), so u reaches t and h reaches v.  The scan
-tests only those closing arcs, in sorted order, with ``find_shortcut``'s
-own per-arc step.  Every other closing arc has no violation, so the
-first witness is the one ``find_shortcut`` would report.
 """
 
 from __future__ import annotations
@@ -256,21 +253,6 @@ def _cycle_inventory(g: LabeledGraph, max_len: int) -> _Inventory:
     the ring to close within max_len."""
     adj, cap = g.adj, min(max_len, g.n)  # no ring is longer than g.n
     found: list[tuple[int, ...]] = []
-
-    def extend(tail: int, used: int) -> None:
-        depth = len(path)
-        # one orientation of each ring; clique rings never fire the CycleRule
-        if depth > 2 and adj[tail] >> s & 1 and path[1] < tail:
-            if depth == 3 or any((adj[v] | 1 << v) & used != used for v in path):
-                found.append(tuple(path))
-        ws = adj[tail] & allowed[depth] & ~used
-        while ws:
-            low = ws & -ws
-            ws ^= low
-            path.append(low.bit_length() - 1)
-            extend(path[-1], used | low)
-            path.pop()
-
     for s in range(g.n):
         # near[r]: the vertices above s within r steps of s through such
         # vertices.  A vertex that extends a path of d vertices towards a
@@ -286,8 +268,36 @@ def _cycle_inventory(g: LabeledGraph, max_len: int) -> _Inventory:
             seen |= frontier
             near.append(seen & above)
         allowed = [near[min(cap - d, cap // 2, len(near) - 1)] for d in range(cap + 1)]
-        path = [s]
-        extend(s, 1 << s)
+        # ws: the vertices left to extend the path by; the DFS keeps those
+        # of the shorter paths on an explicit stack, as a ring may be longer
+        # than Python's recursion limit allows frames
+        path, used, stack = [s], 1 << s, []
+        ws = adj[s] & allowed[1] & ~used
+        while True:
+            if ws:
+                low = ws & -ws
+                ws ^= low
+                tail = low.bit_length() - 1
+                path.append(tail)
+                used |= low
+                depth = len(path)
+                # one orientation of each ring; clique rings never fire the CycleRule
+                if depth > 2 and adj[tail] >> s & 1 and path[1] < tail:
+                    if depth == 3 or any((adj[v] | 1 << v) & used != used
+                                         for v in path):
+                        found.append(tuple(path))
+                more = adj[tail] & allowed[depth] & ~used
+                if more:
+                    stack.append(ws)
+                    ws = more
+                else:
+                    path.pop()
+                    used ^= low
+            elif stack:
+                ws = stack.pop()
+                used ^= 1 << path.pop()
+            else:
+                break
     found.sort(key=lambda ids: (len(ids), ids))
     steps = {d: bytearray(len(found) // 8 + 1) for e in g.edges for d in (e, e[::-1])}
     for c, ids in enumerate(found):
@@ -331,9 +341,10 @@ class _WatchedOrientation(PartialOrientation):
     It also keeps the reach rows of its arcs (``reach[v]``: the vertices
     v reaches, v included) and of their transpose (``coreach[v]``: the
     vertices reaching v), the arcs set since the last scan that found no
-    defect, and ``decided``: a heap of edge indices that holds every unset
-    edge one of whose ends reaches the other, and may still hold edges set
-    since they were pushed.
+    defect, and ``decided``: a heap of edge indices that, after a scan,
+    holds every unset edge one of whose ends reaches the other, and may
+    still hold edges set since they were pushed; ``_scan_defect`` brings
+    it up to date.
 
     Arcs are only ever added; the search goes back by ``restore``, and a
     probe by ``rewind``."""
@@ -353,36 +364,17 @@ class _WatchedOrientation(PartialOrientation):
         self.decided: list[int] = []
 
     def set_arc(self, tail: int, head: int) -> None:
-        """Orient one edge and update the reach rows, the decided edges and
-        the counts of every cycle on it.  An arc that closes a directed
-        cycle raises RuntimeError: the search never sets one."""
-        i = self.edge_index[(tail, head) if tail < head else (head, tail)]
-        fresh = self.state[i] == UNSET
-        super().set_arc(tail, head)
-        if not fresh:
+        """Orient one edge and update the reach rows and the counts of every
+        cycle on it; the next scan finds the edges it decides.  An arc that
+        closes a directed cycle raises RuntimeError: the search never sets
+        one."""
+        if self.has_arc(tail, head):
             return
-        self.unscanned.append((tail, head))
-        # the rows before they grow: each x reaching tail comes to reach
-        # its neighbours that head reaches and it did not
-        reach, adj, state = self.reach, self.graph.adj, self.state
-        edge_index, decided = self.edge_index, self.decided
-        below = reach[head]
-        above = self.coreach[tail]
-        while above:
-            low = above & -above
-            above ^= low
-            x = low.bit_length() - 1
-            ys = below & adj[x] & ~reach[x]
-            while ys:
-                bit = ys & -ys
-                ys ^= bit
-                y = bit.bit_length() - 1
-                j = edge_index[(x, y) if x < y else (y, x)]
-                if state[j] == UNSET:
-                    heappush(decided, j)
-        if not add_arc_rows(reach, self.coreach, tail, head):
+        super().set_arc(tail, head)
+        if not add_arc_rows(self.reach, self.coreach, tail, head):
             t, h = self.graph.labels[tail], self.graph.labels[head]
             raise RuntimeError(f"arc {t}->{h} closes a directed cycle")
+        self.unscanned.append((tail, head))
         # rings stepping tail -> head count it along, head -> tail against
         watch = self.inventory.watch
         forth, back = watch[tail, head], watch[head, tail]
@@ -445,7 +437,8 @@ class _WatchedOrientation(PartialOrientation):
         """Go back to a snapshot's state, which the search has scanned
         and found free of defects and of firing cycles.  No unset edge is
         decided there, or the PathRule would have forced it before the
-        branch, so the heap of decided edges starts empty."""
+        branch, so the heap of decided edges starts empty, and the next
+        scan adds the edges that the arcs set after the restore decide."""
         state, self.along, self.against, self.unset = snapshot
         self.state = list(state)
         out_adj = [0] * self.graph.n
@@ -485,9 +478,13 @@ def _scan_defect(po: _WatchedOrientation) -> tuple[str, ...] | None:
     """Printable terminal path if the state is dead, else None: the
     shortcut ``find_shortcut`` would report.  The arcs are acyclic.
 
-    Only the closing arcs u->v that an arc t->h set since the last clean
-    scan can have changed are tested: u reaches t and h reaches v."""
+    Only what the arcs set since the last clean scan can have changed is
+    looked at: for each such arc t->h and each u reaching t, the closing
+    arcs u->v with h reaching v, which are tested, and the unset edges
+    u-y with h reaching y, which go on the heap of decided edges whatever
+    the scan finds."""
     g = po.graph
+    adj, edge_index, decided = g.adj, po.edge_index, po.decided
     reach, coreach, out_adj = po.reach, po.coreach, po.out_adj
     heads: dict[int, int] = {}  # tail u -> the candidate closing arcs' heads
     for t, h in po.unscanned:
@@ -497,9 +494,17 @@ def _scan_defect(po: _WatchedOrientation) -> tuple[str, ...] | None:
             low = tails & -tails
             tails ^= low
             u = low.bit_length() - 1
-            hit = out_adj[u] & below
+            out = out_adj[u]
+            hit = out & below
             if hit:
                 heads[u] = heads.get(u, 0) | hit
+            # an arc y->u would close a cycle, so these edges are unset
+            ys = below & adj[u] & ~out
+            while ys:
+                bit = ys & -ys
+                ys ^= bit
+                y = bit.bit_length() - 1
+                heappush(decided, edge_index[(u, y) if u < y else (y, u)])
     for u in sorted(heads):
         vs = heads[u]
         while vs:

@@ -119,23 +119,24 @@ def find_induced_embedding(
         mapping[p] = h
         used[h] = True
 
-    def extend(depth: int) -> bool:
-        if depth == len(order):
-            return True
+    # order[:depth] is placed and h is the next host candidate for
+    # order[depth]; mapping is the stack, as a pattern may have more
+    # vertices than Python's recursion limit allows frames
+    depth = h = 0
+    while depth < len(order):
         p = order[depth]
-        for h in range(host.n):
-            if used[h] or not consistent(p, h):
-                continue
-            mapping[p] = h
-            used[h] = True
-            if extend(depth + 1):
-                return True
-            mapping[p] = -1
-            used[h] = False
-        return False
-
-    if not extend(0):
-        return None
+        while h < host.n and (used[h] or not consistent(p, h)):
+            h += 1
+        if h < host.n:
+            mapping[p], used[h] = h, True
+            depth, h = depth + 1, 0
+        elif depth:
+            depth -= 1
+            h = mapping[order[depth]]
+            mapping[order[depth]], used[h] = -1, False
+            h += 1
+        else:
+            return None
     found = Embedding(pattern, host, tuple(mapping))
     # checked under -O too: a "found" verdict has no other certificate
     if not found.is_induced():

@@ -329,6 +329,10 @@ class TraceText(str):
     """Trace text that a test writes to a file, passing the file's path."""
 
 
+# a file that starts with a byte no UTF-8 text holds
+NOT_UTF8 = b"\xff{}"
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -370,6 +374,12 @@ class TraceText(str):
         ("extract-graph", "--trace", TraceText("1. Oa->a (Ca-b-c) S:a-b-c\n")),
         ("extract-graph", "--trace",
          TraceText("1. Ba->b (Copy 2) S:a-b-c\n2. MC2 b->b S:a-b-c\n")),
+        # graph and trace files that are not UTF-8 (bytes are written as
+        # they are, to graph.json unless they follow --trace)
+        ("check", "--graph", NOT_UTF8),
+        ("verify-trace", "--graph", NOT_UTF8, "--trace", str(W5_PROOF)),
+        ("verify-trace", "--graph", W5, "--trace", NOT_UTF8),
+        ("extract-graph", "--trace", NOT_UTF8),
     ],
 )
 def test_usage_errors_exit_64(capsys, tmp_path, monkeypatch, argv):
@@ -384,6 +394,11 @@ def test_usage_errors_exit_64(capsys, tmp_path, monkeypatch, argv):
         elif isinstance(arg, TraceText):
             path = tmp_path / "trace.txt"
             path.write_text(arg)
+            argv[i] = str(path)
+        elif isinstance(arg, bytes):
+            name = "trace.txt" if argv[i - 1] == "--trace" else "graph.json"
+            path = tmp_path / name
+            path.write_bytes(arg)
             argv[i] = str(path)
     argv = [arg for arg in argv if not isinstance(arg, tuple)]
     code, _, err = cli(capsys, *argv)

@@ -37,6 +37,7 @@ MALFORMED_GRAPHS = [
     '{"labels": [1, 2], "edges": []}',
     '{"labels": ["a", "b"], "edges": [["a"]]}',
     '{"labels": ["a", "b"], "edges": "ab"}',
+    b"\xff{}",  # no UTF-8 text: written as raw bytes
 ]
 
 # W5 with hub "h", and a proof that it is not semi-transitive under
@@ -204,7 +205,10 @@ def test_exit_code_is_in_the_contract_and_stdout_is_json(invocation):
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         for name, text in files.items():
-            (root / name).write_text(text, encoding="utf-8")
+            if isinstance(text, bytes):
+                (root / name).write_bytes(text)
+            else:
+                (root / name).write_text(text, encoding="utf-8")
         argv = [str(root / a) if a.endswith((".json", ".txt")) else a for a in argv]
         out, err = io.StringIO(), io.StringIO()
         with redirect_stdout(out), redirect_stderr(err):

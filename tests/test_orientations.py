@@ -10,6 +10,7 @@ from wordrep.orientations import (
     _BATCH_BITS,
     _doomed,
     _leaf_verdicts,
+    _violating_pair,
     CyclicInput,
     Orientation,
     PartialOrientation,
@@ -135,6 +136,38 @@ def test_find_shortcut_backward_chord():
     assert w is not None
     i, j = w.violation
     assert (w.path[i], w.path[j]) == (0, 2)  # chord (a, c) is a non-edge
+
+
+def test_violating_pair_is_the_first_in_its_documented_order():
+    # y from the highest id down, then x from the lowest: the pair fixes
+    # the witness, and so a proof's terminal path.  The reference scans
+    # the pairs of ``between`` plainly, on rows a BFS builds.
+    rng = random.Random(34)
+    for _ in range(300):
+        n = rng.randint(2, 9)
+        g = LabeledGraph(
+            [str(v) for v in range(n)],
+            [e for e in itertools.combinations(range(n), 2) if rng.random() < 0.6],
+        )
+        rank = rng.sample(range(n), n)  # arcs point up the ranks: acyclic
+        po = PartialOrientation(g)
+        for a, b in g.edges:
+            if rng.random() < 0.8:
+                po.set_arc(*((a, b) if rank[a] < rank[b] else (b, a)))
+        reach, coreach = reference_rows(po.out_adj)
+        for u, v in po.arcs():
+            between = reach[u] & coreach[v]
+            inside = [x for x in range(n) if between >> x & 1]
+            expected = next(
+                (
+                    (x, y)
+                    for y in reversed(inside)
+                    for x in inside
+                    if x != y and reach[x] >> y & 1 and not g.has_edge(x, y)
+                ),
+                None,
+            )
+            assert _violating_pair(g.adj, coreach, between) == expected
 
 
 def test_orientation_validates_edge_cover():

@@ -707,6 +707,15 @@ def test_cycle_inventory_matches_the_reference_enumerator():
             assert watch == expected, (name, cycle_len)
 
 
+def test_cycle_inventory_lists_a_ring_longer_than_the_recursion_limit():
+    # the DFS keeps its own stack, so C_1200 at cycle_len 1200 has its one
+    # ring, the whole cycle from its least vertex
+    n = 1200
+    g = LabeledGraph([str(v) for v in range(n)], [(v, (v + 1) % n) for v in range(n)])
+    inventory = _cycle_inventory.__wrapped__(g, n)
+    assert inventory.rings == (tuple(range(n)),) and inventory.triangles == 0
+
+
 @pytest.mark.parametrize("name", ["w5", "witness"])
 def test_cycle_inventory_clamps_a_huge_cycle_len(name):
     # no ring is longer than the graph, so the BFS layers stop at g.n
@@ -865,7 +874,7 @@ def _check_counters(po, clean, scan=True):
                 edge = (t, h) if t < h else (h, t)
                 near[edge] = near.get(edge, 0) + 1
     assert _almost_forced_counts(po) == near
-    force = _next_force(po)
+    force = _scanned_force(po)
     assert force == _find_application(po, inventory, tallies)
     if force is None:
         before = _counters(po)
@@ -884,6 +893,17 @@ def _check_counters(po, clean, scan=True):
         po.restore(snapshot)
         po.unscanned = pending_arcs
     return clean
+
+
+def _scanned_force(po):
+    """``_next_force`` where the search calls it: after a scan, which brings
+    the heap of decided edges up to date.  The arcs the scan covered stay
+    owed, so that a walk's checked scans still cover several new arcs at
+    once."""
+    pending_arcs = list(po.unscanned)
+    _scan_defect(po)
+    po.unscanned = pending_arcs
+    return _next_force(po)
 
 
 def _bank(po):
@@ -930,7 +950,7 @@ def test_counters_match_a_fresh_recount(name, cycle_len):
         clean = True
         while arcs_left > 0:
             unset = unset_edges(po)
-            force = _next_force(po)
+            force = _scanned_force(po)
             if force is not None and rng.random() < 0.8:
                 arcs = force[0]
             elif not unset or (pending and rng.random() < 0.2):
@@ -989,13 +1009,13 @@ def test_snapshot_refuses_a_state_that_is_no_propagation_fixpoint():
     po = _WatchedOrientation(g, inventory)
     po.set_arc(0, 5)
     po.set_arc(5, 1)  # the triangle c0 h c1 forces c0->c1
-    po.unscanned = []
+    assert _scan_defect(po) is None
     with pytest.raises(RuntimeError, match="still propagates"):
         po.snapshot()
     po = _WatchedOrientation(g, inventory)
     for t in range(4):
         po.set_arc(t, t + 1)  # the rim path c0 ~> c4 decides c0-c4
-    po.unscanned = []
+    assert _scan_defect(po) is None  # the scan finds the decided edge
     assert not po.fire()
     with pytest.raises(RuntimeError, match="decided edge"):
         po.snapshot()

@@ -102,6 +102,16 @@ def test_anchored_results_extend_the_anchors():
     assert e.is_induced()
 
 
+def test_a_pattern_deeper_than_the_recursion_limit_embeds():
+    # the backtracking keeps its own stack, so a pattern with more vertices
+    # than Python allows frames is searched; a path into itself maps each
+    # vertex to itself, the first candidate in index order
+    n = 1100
+    path = LabeledGraph([str(v) for v in range(n)], [(v, v + 1) for v in range(n - 1)])
+    e = find_induced_embedding(path, path)
+    assert e is not None and e.mapping == tuple(range(n))
+
+
 # ---------------------------------------------------------------------------
 # the de Bruijn witnesses
 
