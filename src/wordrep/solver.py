@@ -113,7 +113,7 @@ import itertools
 from collections import deque
 from functools import lru_cache, reduce
 from heapq import heappop, heappush, nsmallest
-from operator import or_
+from operator import and_, or_
 from typing import NamedTuple
 
 from .graphs import FrozenRecord, LabeledGraph, induced_subgraph, max_degree_vertex
@@ -235,7 +235,7 @@ class _Inventory(NamedTuple):
     """The cycles the rules reason over, numbered in scan order, and the
     cycles each edge lies on, one bit per cycle."""
 
-    rings: tuple[tuple[int, ...], ...]  # ring order, sorted by (length, ids)
+    rings: tuple[tuple[int, ...], ...]  # ring order, ascending by (length, ids)
     triangles: int  # rings[:triangles] are the triangles
     size_planes: tuple[int, ...]  # bit c of plane i: bit i of ring c's length
     # watch[t, h] for each edge, both ways: the rings that step t -> h
@@ -250,10 +250,12 @@ def _cycle_inventory(g: LabeledGraph, max_len: int) -> _Inventory:
     """Every triangle, and every non-clique simple cycle of length
     4..max_len, once per vertex set ring: a bitmask DFS grows each path
     from the ring's least vertex s through vertices near enough to s for
-    the ring to close within max_len."""
-    adj, cap = g.adj, min(max_len, g.n)  # no ring is longer than g.n
-    found: list[tuple[int, ...]] = []
-    for s in range(g.n):
+    the ring to close within max_len.  It takes vertices in ascending order,
+    so each length's rings come out in scan order, with no sort."""
+    n, adj, cap = g.n, g.adj, min(max_len, g.n)  # no ring is longer than g.n
+    closed = [a | 1 << v for v, a in enumerate(adj)]
+    by_len: list[list[tuple[int, ...]]] = [[] for _ in range(max(cap, 3) + 1)]
+    for s in range(n):
         # near[r]: the vertices above s within r steps of s through such
         # vertices.  A vertex that extends a path of d vertices towards a
         # ring of length at most cap is within min(cap - d, cap // 2) steps.
@@ -267,10 +269,9 @@ def _cycle_inventory(g: LabeledGraph, max_len: int) -> _Inventory:
             frontier = step & above & ~seen
             seen |= frontier
             near.append(seen & above)
-        allowed = [near[min(cap - d, cap // 2, len(near) - 1)] for d in range(cap + 1)]
-        # ws: the vertices left to extend the path by; the DFS keeps those
-        # of the shorter paths on an explicit stack, as a ring may be longer
-        # than Python's recursion limit allows frames
+        allowed = [near[-1]] * (cap + 1 - len(near)) + near[::-1]
+        # ws: the vertices left to extend the path by; the DFS stacks those of
+        # shorter paths itself, as a ring may outgrow Python's recursion limit
         path, used, stack = [s], 1 << s, []
         ws = adj[s] & allowed[1] & ~used
         while True:
@@ -281,13 +282,18 @@ def _cycle_inventory(g: LabeledGraph, max_len: int) -> _Inventory:
                 path.append(tail)
                 used |= low
                 depth = len(path)
-                # one orientation of each ring; clique rings never fire the CycleRule
-                if depth > 2 and adj[tail] >> s & 1 and path[1] < tail:
-                    if depth == 3 or any((adj[v] | 1 << v) & used != used
-                                         for v in path):
-                        found.append(tuple(path))
                 more = adj[tail] & allowed[depth] & ~used
-                if more:
+                # the rings the path closes: one orientation of each (last
+                # vertex after path[1]), no clique ring (it never fires)
+                ends = more & adj[s] & -2 << path[1]
+                if ends and depth > 2:
+                    common = reduce(and_, map(closed.__getitem__, path))
+                    if common & used == used:
+                        ends &= ~common
+                while ends:
+                    by_len[depth + 1].append((*path, (ends & -ends).bit_length() - 1))
+                    ends &= ends - 1
+                if more and depth < cap - 1:  # cap - 1 vertices: only rings to close
                     stack.append(ws)
                     ws = more
                 else:
@@ -298,20 +304,23 @@ def _cycle_inventory(g: LabeledGraph, max_len: int) -> _Inventory:
                 used ^= 1 << path.pop()
             else:
                 break
-    found.sort(key=lambda ids: (len(ids), ids))
-    steps = {d: bytearray(len(found) // 8 + 1) for e in g.edges for d in (e, e[::-1])}
+    # the rings of length m are the bits of bounds[m + 1] - bounds[m]; 2 planes or more
+    found = [ids for rings in by_len for ids in rings]
+    bounds = [1 << c for c in itertools.accumulate(map(len, by_len), initial=0)]
+    longest = max((m for m, rings in enumerate(by_len) if rings), default=3)
+    size_planes = tuple(
+        sum(hi - lo for m, (lo, hi) in enumerate(zip(bounds, bounds[1:])) if m >> i & 1)
+        for i in range(longest.bit_length())
+    )
+    # ring steps t -> h keyed t * n + h, each ring walked once
+    steps = {t * n + h: bytearray(len(found) // 8 + 1) for e in g.edges for t, h in (e, e[::-1])}
     for c, ids in enumerate(found):
-        byte, bit = c >> 3, 1 << (c & 7)
-        for step in zip(ids, ids[1:] + ids[:1]):
-            steps[step][byte] |= bit
-    watch = {step: int.from_bytes(mask, "little") for step, mask in steps.items()}
-    # a ring steps once along each of its edges, so the watch masks sum to
-    # the ring lengths, which need 2 planes or more (a ring has 3 steps)
-    size_planes = (0,) * (len(found[-1]).bit_length() if found else 2)
-    for mask in watch.values():
-        size_planes = _bump(size_planes, mask)
-    triangles = sum(len(ids) == 3 for ids in found)
-    return _Inventory(tuple(found), triangles, size_planes, watch, {})
+        byte, bit, t = c >> 3, 1 << (c & 7), ids[-1]
+        for h in ids:
+            steps[t * n + h][byte] |= bit
+            t = h
+    watch = {divmod(k, n): int.from_bytes(steps.pop(k), "little") for k in list(steps)}
+    return _Inventory(tuple(found), len(by_len[3]), size_planes, watch, {})
 
 
 def _bump(planes: tuple[int, ...], mask: int, down: bool = False) -> tuple[int, ...]:

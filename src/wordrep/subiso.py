@@ -9,7 +9,9 @@ larger graph too.
 
 The search is plain backtracking with two prunes: a candidate image
 needs at least the pattern vertex's degree, and it must agree with
-every already-placed neighbor and non-neighbor.  Pattern vertices are
+every already-placed neighbor and non-neighbor: among the placed
+images, its neighbors must be exactly the images of the pattern
+vertex's placed neighbors, one mask comparison.  Pattern vertices are
 tried in degree-descending order and host candidates in index order,
 so the first embedding found is deterministic.  The hosts in scope are
 small (at most a few dozen vertices); nothing heavier is warranted.
@@ -53,14 +55,14 @@ class Embedding(FrozenRecord):
         }
 
     def is_induced(self) -> bool:
-        """Re-check the induced condition over all pattern vertex pairs."""
-        for u in range(self.pattern.n):
-            for v in range(u + 1, self.pattern.n):
-                if self.pattern.has_edge(u, v) != self.host.has_edge(
-                    self.mapping[u], self.mapping[v]
-                ):
-                    return False
-        return True
+        """Re-check the induced condition: among the images, each pattern
+        vertex's image is adjacent to exactly its neighbors' images."""
+        mapping, neighbors = self.mapping, self.pattern.neighbors
+        images = sum(1 << h for h in mapping)
+        return all(
+            self.host.adj[h] & images == sum(1 << mapping[v] for v in neighbors(u))
+            for u, h in enumerate(mapping)
+        )
 
 
 def _resolve_anchors(
@@ -100,24 +102,17 @@ def find_induced_embedding(
     order = [p for p in range(pattern.n) if p not in fixed]
     order.sort(key=lambda p: (-pattern.degree(p), p))
 
-    mapping = [-1] * pattern.n
-    used = [False] * host.n
+    mapping, images = [-1] * pattern.n, 0  # images: a mask of the placed images
 
-    def consistent(p: int, h: int) -> bool:
-        if host.degree(h) < pattern.degree(p):
-            return False
-        for q in range(pattern.n):
-            hq = mapping[q]
-            if hq >= 0 and pattern.has_edge(p, q) != host.has_edge(h, hq):
-                return False
-        return True
+    def wanted(p: int) -> int:
+        # the images of p's placed neighbors, which p's image must match
+        return sum(1 << mapping[q] for q in pattern.neighbors(p) if mapping[q] >= 0)
 
     # each anchor must agree with the anchors placed before it
     for p, h in fixed.items():
-        if not consistent(p, h):
+        if host.degree(h) < pattern.degree(p) or host.adj[h] & images != wanted(p):
             return None
-        mapping[p] = h
-        used[h] = True
+        mapping[p], images = h, images | 1 << h
 
     # order[:depth] is placed and h is the next host candidate for
     # order[depth]; mapping is the stack, as a pattern may have more
@@ -125,16 +120,22 @@ def find_induced_embedding(
     depth = h = 0
     while depth < len(order):
         p = order[depth]
-        while h < host.n and (used[h] or not consistent(p, h)):
-            h += 1
-        if h < host.n:
-            mapping[p], used[h] = h, True
+        want, degree = wanted(p), pattern.degree(p)
+        # the free hosts from h on, next to one placed neighbor's image
+        pool = host.adj[(want & -want).bit_length() - 1] if want else (1 << host.n) - 1
+        cands = pool & ~images & -1 << h
+        while cands:
+            h = (cands & -cands).bit_length() - 1
+            if host.adj[h] & images == want and host.degree(h) >= degree:
+                break
+            cands ^= 1 << h
+        if cands:
+            mapping[p], images = h, images | 1 << h
             depth, h = depth + 1, 0
         elif depth:
             depth -= 1
-            h = mapping[order[depth]]
-            mapping[order[depth]], used[h] = -1, False
-            h += 1
+            q = order[depth]
+            h, mapping[q], images = mapping[q] + 1, -1, images ^ 1 << mapping[q]
         else:
             return None
     found = Embedding(pattern, host, tuple(mapping))

@@ -140,11 +140,11 @@ def test_chromatic_matches_bruteforce(case):
     assert exact_chromatic_number(g, 4) == _brute_chromatic(g, 4)
 
 
-@pytest.mark.parametrize("n", [4, 5])
+@pytest.mark.parametrize("n", [4, 5, 6, 7])
 def test_pinned_3_colourings_of_s_n_3_orient_semitransitively(n):
     # S(n,3) for n >= 4 is conjectured not word-representable, but under
     # this library's convention (vertices as length-n words over 3
-    # letters) S(4,3) and S(5,3) are 3-colourable.  The colourings were
+    # letters) S(4,3) to S(7,3) are 3-colourable.  The colourings were
     # found by a DSATUR search on edges rebuilt from the definition, and
     # orienting each edge from the lower colour to the higher is then
     # semi-transitive: every directed path has at most three vertices.

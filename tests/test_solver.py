@@ -675,8 +675,11 @@ def _inventory_graphs():
     k4_pendant = LabeledGraph(
         [str(v) for v in range(5)], [*itertools.combinations(range(4), 2), (3, 4)]
     )
-    yield "k5", complete(5), range(3, 9)
+    k33 = LabeledGraph([str(v) for v in range(6)], itertools.product(range(3), range(3, 6)))
+    for n in (4, 5, 6):
+        yield f"k{n}", complete(n), range(3, 9)
     yield "k4+pendant", k4_pendant, range(3, 9)
+    yield "k3,3", k33, range(3, 9)
     # S(2,4) has 47,422 rings of length <= 8 and S(2,5) 114,844 of length
     # <= 7: too many for the plain DFS to list in a unit test
     longest = {"s24": 7, "s25": 6}
