@@ -21,7 +21,6 @@ import os
 import re
 import sys
 from collections.abc import Sequence
-from typing import TYPE_CHECKING
 
 # Modules that only some subcommands use are imported inside those
 # subcommands, so a process loads only the code its command runs.
@@ -34,16 +33,14 @@ from .graphs import (
     is_proper_coloring,
 )
 
-if TYPE_CHECKING:
-    from .debruijn import DeBruijnDigraph
-
 __all__ = ["run", "main"]
 
 # The names of the solver, the verifier and the oracle that subcommands
 # call, by module.  ``__getattr__`` (PEP 562) imports a module when one of
 # its names is first read and binds the name here, and the subcommands
-# read these names through ``_names``, not with imports of their own, so a
-# name replaced on this module is the one a command calls.
+# read these names as attributes of ``_lib``, this module, not with
+# imports of their own, so a name replaced on this module is the one a
+# command calls.
 _DEFERRED = {
     **dict.fromkeys(
         ("DEFAULT_CYCLE_LEN", "NonSemiTransitive", "SemiTransitive",
@@ -70,10 +67,8 @@ def __getattr__(name: str):
     return value
 
 
-def _names(*names: str) -> list:
-    """The deferred library names, each imported on its first use."""
-    bound = globals()
-    return [bound[name] if name in bound else __getattr__(name) for name in names]
+# this module, also when it runs as ``__main__`` under ``python -m``
+_lib = sys.modules[__name__]
 
 
 BUDGET_ENV = "WORDREP_BUDGET"
@@ -114,17 +109,10 @@ def _parse_budget(text: str) -> int:
     return value
 
 
-def _default_budget(fallback: int) -> int:
-    raw = os.environ.get(BUDGET_ENV)
-    if raw is None:
-        return fallback
-    return _parse_budget(raw)
-
-
 def _resolve_budget(flag: str | None, fallback: int) -> int:
-    if flag is not None:
-        return _parse_budget(flag)
-    return _default_budget(fallback)
+    if flag is None:
+        flag = os.environ.get(BUDGET_ENV)
+    return fallback if flag is None else _parse_budget(flag)
 
 
 def _load_graph(path: str) -> LabeledGraph:
@@ -171,22 +159,8 @@ def _parse_arc(text: str) -> tuple[str, str]:
     return tail.strip(), head.strip()
 
 
-def _arc_labels(arc: tuple[str, str] | None) -> str | None:
-    return None if arc is None else f"{arc[0]}->{arc[1]}"
-
-
 # ---------------------------------------------------------------------------
 # subcommands
-
-
-def _digraph_to_dot(b: DeBruijnDigraph, name: str = "b") -> str:
-    lines = [f"digraph {name} {{"]
-    for label in b.vertices:
-        lines.append(f'  "{label}";')
-    for t, h in b.arcs:
-        lines.append(f'  "{b.vertices[t]}" -> "{b.vertices[h]}";')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
 
 
 def _cmd_debruijn(ns) -> int:
@@ -195,6 +169,7 @@ def _cmd_debruijn(ns) -> int:
         SizeLimitExceeded,
         build_debruijn,
         build_simplified,
+        digraph_to_dot,
         simplified_to_dot,
     )
 
@@ -214,7 +189,7 @@ def _cmd_debruijn(ns) -> int:
             b = build_debruijn(ns.n, ns.k, limit)
             _say(f"B({ns.n},{ns.k}): {len(b.vertices)} vertices, {len(b.arcs)} arcs")
             if ns.format == "dot":
-                print(_digraph_to_dot(b), end="")
+                print(digraph_to_dot(b), end="")
             else:
                 _emit(
                     {
@@ -277,29 +252,22 @@ def _cmd_chromatic(ns) -> int:
 
 
 def _cmd_check(ns) -> int:
-    (
-        solve, SolverConfig, SemiTransitive, NonSemiTransitive,
-        DEFAULT_CYCLE_LEN, emit_trace,
-    ) = _names(
-        "solve", "SolverConfig", "SemiTransitive", "NonSemiTransitive",
-        "DEFAULT_CYCLE_LEN", "emit_trace",
-    )
     g = _load_graph(ns.graph)
     source = None if ns.source == "maxdeg" else ns.source
     if source is not None and source not in g.index:
         raise _UsageError(f"source label {source!r} is not a vertex")
     try:
-        cfg = SolverConfig(
+        cfg = _lib.SolverConfig(
             source=source,
-            budget=_resolve_budget(ns.budget, SolverConfig().budget),
-            cycle_len=DEFAULT_CYCLE_LEN if ns.cycle_len is None else ns.cycle_len,
+            budget=_resolve_budget(ns.budget, _lib.SolverConfig().budget),
+            cycle_len=_lib.DEFAULT_CYCLE_LEN if ns.cycle_len is None else ns.cycle_len,
         )
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
     # a ValueError from the search is a fault of the program: exit 70
-    verdict = solve(g, cfg)
+    verdict = _lib.solve(g, cfg)
 
-    if isinstance(verdict, SemiTransitive):
+    if isinstance(verdict, _lib.SemiTransitive):
         arcs = verdict.orientation.arcs
         labels = verdict.orientation.graph.labels
         _emit(
@@ -310,16 +278,17 @@ def _cmd_check(ns) -> int:
         )
         _say("semi-transitive")
         return EXIT_POSITIVE
-    if isinstance(verdict, NonSemiTransitive):
+    if isinstance(verdict, _lib.NonSemiTransitive):
         trace = verdict.trace
+        wlog = trace.preamble.wlog_arc
         payload = {
             "verdict": "not-semi-transitive",
             "lines": len(trace.lines),
             "source": trace.preamble.source_vertex,
-            "wlog": _arc_labels(trace.preamble.wlog_arc),
+            "wlog": None if wlog is None else f"{wlog[0]}->{wlog[1]}",
         }
         if ns.trace:
-            _write_text(ns.trace, emit_trace(trace))
+            _write_text(ns.trace, _lib.emit_trace(trace))
             payload["trace_file"] = ns.trace
         _emit(payload)
         _say(f"not semi-transitive ({len(trace.lines)} proof lines)")
@@ -331,12 +300,9 @@ def _cmd_check(ns) -> int:
 
 
 def _cmd_oracle(ns) -> int:
-    DEFAULT_ORACLE_BUDGET, brute_force_semitransitive = _names(
-        "DEFAULT_ORACLE_BUDGET", "brute_force_semitransitive"
-    )
     g = _load_graph(ns.graph)
-    budget = _resolve_budget(ns.budget, DEFAULT_ORACLE_BUDGET)
-    result = brute_force_semitransitive(g, budget)
+    budget = _resolve_budget(ns.budget, _lib.DEFAULT_ORACLE_BUDGET)
+    result = _lib.brute_force_semitransitive(g, budget)
     certificate = None
     if result.certificate is not None:
         labels = result.certificate.graph.labels
@@ -357,9 +323,6 @@ def _cmd_oracle(ns) -> int:
 
 
 def _cmd_verify_trace(ns) -> int:
-    Preamble, ProofTrace, TraceSyntaxError, parse_trace, verify_trace = _names(
-        "Preamble", "ProofTrace", "TraceSyntaxError", "parse_trace", "verify_trace"
-    )
     g = _load_graph(ns.graph)
     wlog = _parse_arc(ns.wlog) if ns.wlog else None
     if wlog is not None:
@@ -374,11 +337,11 @@ def _cmd_verify_trace(ns) -> int:
     if ns.source is not None and ns.source not in g.index:
         raise _UsageError(f"source {ns.source!r} is not a vertex")
     try:
-        parsed = parse_trace(_read_text(ns.trace))
-    except TraceSyntaxError as exc:
+        parsed = _lib.parse_trace(_read_text(ns.trace))
+    except _lib.TraceSyntaxError as exc:
         raise _UsageError(f"{ns.trace}: {exc}") from None
-    trace = ProofTrace(Preamble(wlog, ns.source), parsed.lines)
-    report = verify_trace(g, trace)
+    trace = _lib.ProofTrace(_lib.Preamble(wlog, ns.source), parsed.lines)
+    report = _lib.verify_trace(g, trace)
     _emit(
         {
             "accepted": report.accepted,
@@ -394,15 +357,12 @@ def _cmd_verify_trace(ns) -> int:
 
 
 def _cmd_extract_graph(ns) -> int:
-    TraceSyntaxError, parse_trace, extract_graph = _names(
-        "TraceSyntaxError", "parse_trace", "extract_graph"
-    )
     try:
-        trace = parse_trace(_read_text(ns.trace))
-    except TraceSyntaxError as exc:
+        trace = _lib.parse_trace(_read_text(ns.trace))
+    except _lib.TraceSyntaxError as exc:
         raise _UsageError(f"{ns.trace}: {exc}") from None
     try:
-        g = extract_graph(trace)
+        g = _lib.extract_graph(trace)
     except GraphError as exc:  # the trace names a self-loop
         raise _UsageError(f"{ns.trace}: {exc}") from None
     payload = graph_to_json(g)

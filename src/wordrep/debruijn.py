@@ -21,6 +21,7 @@ __all__ = [
     "build_debruijn",
     "simplify",
     "build_simplified",
+    "digraph_to_dot",
     "simplified_to_dot",
 ]
 
@@ -77,9 +78,19 @@ def build_simplified(n: int, k: int, size_limit: int = DEFAULT_SIZE_LIMIT) -> Si
     return simplify(build_debruijn(n, k, size_limit))
 
 
-def simplified_to_dot(s: SimplifiedDeBruijnGraph, name: str = "s") -> str:
+def digraph_to_dot(b: DeBruijnDigraph) -> str:
+    lines = ["digraph b {"]
+    for label in b.vertices:
+        lines.append(f'  "{label}";')
+    for t, h in b.arcs:
+        lines.append(f'  "{b.vertices[t]}" -> "{b.vertices[h]}";')
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+def simplified_to_dot(s: SimplifiedDeBruijnGraph) -> str:
     g = s.graph
-    lines = [f"graph {name} {{"]
+    lines = ["graph s {"]
     for i, lab in enumerate(g.labels):
         lines.append(f'  v{i} [label="{lab}"];')
     for a, b in g.edge_list():

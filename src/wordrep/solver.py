@@ -49,8 +49,8 @@ lookahead, which costs a node up to 2 * LOOKAHEAD propagations.  The gate
 counts lines, so the resume order can now change where the search
 probes, and with it the tree.
 
-Optionally the very first branch is oriented one way only (recorded as the
-preamble arc of the emitted trace instead of a copy).  The branch edge is
+The very first branch is oriented one way only (recorded as the preamble
+arc of the emitted trace instead of a copy).  The branch edge is
 not incident to the source s, and reversing every arc *not* incident to s
 maps a semi-transitive orientation with source s to another one with
 source s: a directed cycle avoids s and reverses to a cycle; a shortcut
@@ -166,18 +166,16 @@ class SolverConfig(FrozenRecord):
     """Search knobs.
 
     source: vertex label to fix as source; None picks the maximum-degree
-    vertex (smallest id on ties) per component.  wlog_rule: orient the
-    first branch edge one way only, recording it as the trace preamble
-    arc.  budget: search nodes (root, branches, resumes) before giving
-    up.  cycle_len: longest cycle the CycleRule propagates over.
+    vertex (smallest id on ties) per component.  budget: search nodes
+    (root, branches, resumes) before giving up.  cycle_len: longest cycle
+    the CycleRule propagates over.
     """
 
-    __slots__ = ("source", "wlog_rule", "budget", "cycle_len")
+    __slots__ = ("source", "budget", "cycle_len")
 
     def __init__(
         self,
         source: str | None = None,
-        wlog_rule: bool = True,
         budget: int = DEFAULT_NODE_BUDGET,
         cycle_len: int = DEFAULT_CYCLE_LEN,
     ):
@@ -185,7 +183,7 @@ class SolverConfig(FrozenRecord):
             raise ValueError("budget must be positive")
         if cycle_len < 3:
             raise ValueError("cycle_len must be at least 3")
-        self._store(source, wlog_rule, budget, cycle_len)
+        self._store(source, budget, cycle_len)
 
 
 # --------------------------------------------------------------------------
@@ -731,7 +729,7 @@ def _solve_component(
     lines: list[TraceLine] = []
     opener: Root | MoveCopy = Root()
     steps: list[Orient | Branch] = []
-    wlog_pending = cfg.wlog_rule
+    wlog_pending = True
     probed: _DeadProbe | None = None
 
     while True:
@@ -770,7 +768,7 @@ def _solve_component(
             return SemiTransitive(orientation)
 
         # a line ends before any branch only at a dead root, so the first
-        # branch, the one the wlog rule may take, never probes
+        # branch, the preamble's wlog arc, never probes
         snapshot = None if wlog_pending else po.snapshot()
         refuting = bool(lines) and REFUTING * len(lines) >= budget.used - before
         (lo, hi), probed = _pick_branch_edge(po, refuting)

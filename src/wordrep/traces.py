@@ -309,11 +309,11 @@ def extract_graph(trace: ProofTrace) -> LabeledGraph:
         labels.update((a, b))
         edges.add((a, b))
 
-    def ring(seq: tuple[str, ...], close: bool) -> None:
+    def ring(seq: tuple[str, ...]) -> None:
         labels.update(seq)
         for a, b in zip(seq, seq[1:]):
             edges.add((a, b))
-        if close and len(seq) > 1:
+        if len(seq) > 1:
             edges.add((seq[0], seq[-1]))
 
     if trace.preamble.wlog_arc is not None:
@@ -329,8 +329,8 @@ def extract_graph(trace: ProofTrace) -> LabeledGraph:
             else:
                 for arc in step.arcs:
                     arc_edge(arc)
-                ring(step.cycle, close=True)
-        ring(line.terminal.path, close=True)
+                ring(step.cycle)
+        ring(line.terminal.path)
     return build_graph(sorted(labels), sorted(edges))
 
 

@@ -23,6 +23,8 @@ from wordrep.graphs import (
 )
 from wordrep.orientations import Orientation, is_semitransitive
 
+GOLDEN = Path(__file__).parent / "data" / "golden"
+
 
 def cli(capsys, *argv):
     code = run(list(argv))
@@ -91,15 +93,16 @@ def test_debruijn_digraph_json(capsys):
 
 
 def test_debruijn_dot_outputs(capsys):
-    code, out, _ = cli(
-        capsys, "debruijn", "--n", "2", "--k", "2", "--format", "dot"
-    )
-    assert code == 0 and out.startswith("digraph") and "->" in out
-    code, out, _ = cli(
-        capsys, "debruijn", "--n", "2", "--k", "2", "--simplified",
-        "--format", "dot",
-    )
-    assert code == 0 and out.startswith("graph") and "label=" in out
+    # byte for byte: the simplified graph's DOT ends without a newline
+    for flags, golden in (
+        ((), "debruijn-2-2.dot"),
+        (("--simplified",), "debruijn-2-2-simplified.dot"),
+    ):
+        code, out, _ = cli(
+            capsys, "debruijn", "--n", "2", "--k", "2", *flags, "--format", "dot"
+        )
+        assert code == 0
+        assert out.encode("utf-8") == (GOLDEN / golden).read_bytes(), golden
 
 
 def test_debruijn_size_limit_is_a_usage_error(capsys):
@@ -314,7 +317,7 @@ def test_word_search(capsys, p4_file, w5_file):
 
 
 W5 = graph_to_json(build_wheel(5))
-W5_PROOF = Path(__file__).parent / "data" / "golden" / "w5.txt"
+W5_PROOF = GOLDEN / "w5.txt"
 S23 = graph_to_json(build_simplified(2, 3).graph)
 # W5 with labels outside the trace label grammar: a proof naming them
 # could not be parsed back

@@ -80,7 +80,7 @@ def test_a_record_refuses_assignment(record, field):
 
 
 VALIDATING = [
-    (SolverConfig, ("a", True, 5, 6), "budget"),
+    (SolverConfig, ("a", 5, 6), "budget"),
     (Orientation, (PATH3, ((0, 1), (1, 2))), "graph"),
     (Embedding, (PATH3, PATH3, (2, 1, 0)), "mapping"),
 ]

@@ -1,8 +1,9 @@
 """The branch-and-propagate solver: propagation rules, verdicts, traces.
 
 Every negative verdict's trace must verify; verdicts must agree with the
-exhaustive orientation oracle and be invariant under source choice, the
-first-branch symmetry rule, and trace emission.
+exhaustive orientation oracle and be invariant under source choice and
+trace emission, and the first-branch arc must meet the precondition of
+the symmetry that fixes it.
 """
 
 import hashlib
@@ -367,7 +368,7 @@ def test_disconnected_graphs_solve_componentwise():
 
 
 def test_budget_exhaustion_is_reported():
-    verdict = solve(build_wheel(5), SolverConfig(budget=1, wlog_rule=False))
+    verdict = solve(build_wheel(5), SolverConfig(budget=1))
     assert isinstance(verdict, BudgetExceeded)
     assert verdict.nodes == 2
 
@@ -381,20 +382,13 @@ def test_unknown_source_label_is_an_error():
 # solve: invariances (exhaustive on small graphs)
 
 
-def test_verdict_matches_oracle_on_all_4_vertex_graphs():
-    for g in all_graphs(4):
+def test_verdict_matches_oracle_on_all_4_and_5_vertex_graphs():
+    for g in itertools.chain(all_graphs(4), all_graphs(5)):
         expected = brute_force_semitransitive(g).verdict == "exists"
         verdict = solve(g)
         assert isinstance(verdict, SemiTransitive) == expected, g.edge_list()
         if isinstance(verdict, NonSemiTransitive):
             assert verify_trace(g, verdict.trace).accepted, g.edge_list()
-
-
-def test_verdict_is_invariant_under_the_first_branch_rule_on_4_vertices():
-    for g in all_graphs(4):
-        on = solve(g, SolverConfig(wlog_rule=True))
-        off = solve(g, SolverConfig(wlog_rule=False))
-        assert isinstance(on, SemiTransitive) == isinstance(off, SemiTransitive)
 
 
 def test_verdict_is_invariant_under_source_choice_on_4_vertices():
@@ -526,6 +520,40 @@ def test_emitted_proofs_match_the_golden_files(name):
     assert emit_trace(verdict.trace).encode("utf-8") == expected
 
 
+def _w5_labellings():
+    """W5 on the labels 0..5 in each of its distinct ways."""
+    w5 = build_wheel(5)
+    edge_sets = {
+        frozenset(tuple(sorted((perm[a], perm[b]))) for a, b in w5.edge_list())
+        for perm in itertools.permutations(range(6))
+    }
+    labels = [str(v) for v in range(6)]
+    return [LabeledGraph(labels, sorted(edges)) for edges in sorted(edge_sets, key=sorted)]
+
+
+def test_the_wlog_arc_is_an_edge_off_the_source():
+    # the module docstring's reversal argument fixes the first branch's
+    # arc only on an edge of g that is not incident to the source.  W5 is
+    # the only graph on at most six vertices that is not semi-transitive,
+    # so its labellings are every negative verdict on six vertices (and
+    # there is none on four or five); then each golden graph, and W5 as
+    # the second component of a graph
+    labellings = _w5_labellings()
+    assert len(labellings) == 72  # 6! over W5's 10 automorphisms
+    w5 = build_wheel(5)
+    two = LabeledGraph(
+        ["a", "b", "c", *w5.labels],
+        [(0, 1), (1, 2), (0, 2), *((a + 3, b + 3) for a, b in w5.edge_list())],
+    )
+    for g in [*labellings, *(make() for make in GOLDEN_GRAPHS.values()), two]:
+        verdict = solve(g)
+        assert isinstance(verdict, NonSemiTransitive), g.edge_list()
+        source = verdict.trace.preamble.source_vertex
+        tail, head = verdict.trace.preamble.wlog_arc
+        assert g.has_edge(g.index[tail], g.index[head]), g.edge_list()
+        assert source not in (tail, head), g.edge_list()
+
+
 def _line_digest(text):
     """sha256, first 16 hex digits, of a proof's lines sorted, with the
     line numbers and the copy ids blanked: the same digest for the same
@@ -597,6 +625,7 @@ GOLDEN_ORIENTATIONS = {
     (5, 3): "de21a4a24ccf09fd",
     (4, 4): "13d63d546471dc91",
     (6, 3): "d80fda65041099c1",
+    (5, 4): "0bacdb4a1700d1b6",
 }
 
 
