@@ -44,13 +44,11 @@ class SimplifiedDeBruijnGraph(NamedTuple):
     # unordered edge (lo, hi) -> sorted tuple of the (n+1)-words that induced it
     edge_labels: dict[tuple[int, int], tuple[str, ...]]
 
-    def canonical_edge_label(self, edge: tuple[int, int]) -> str:
-        return self.edge_labels[edge][0]
-
 
 def build_debruijn(n: int, k: int, size_limit: int = DEFAULT_SIZE_LIMIT) -> DeBruijnDigraph:
-    if n < 1 or k < 2:
-        raise ValueError(f"need n >= 1 and k >= 2, got ({n}, {k})")
+    # a label spells each letter as one decimal digit
+    if n < 1 or not 2 <= k <= 10:
+        raise ValueError(f"need n >= 1 and 2 <= k <= 10, got ({n}, {k})")
     if k**n > size_limit:
         raise SizeLimitExceeded(f"k^n = {k**n} exceeds limit {size_limit}")
     vertices = ["".join(map(str, t)) for t in itertools.product(range(k), repeat=n)]
@@ -64,11 +62,10 @@ def build_debruijn(n: int, k: int, size_limit: int = DEFAULT_SIZE_LIMIT) -> DeBr
 
 def simplify(b: DeBruijnDigraph) -> SimplifiedDeBruijnGraph:
     by_edge: dict[tuple[int, int], list[str]] = {}
-    for (u, v), t in zip(b.arcs, itertools.product(range(b.k), repeat=b.n + 1)):
-        if u == v:
-            continue
-        word = "".join(map(str, t))
-        by_edge.setdefault((u, v) if u < v else (v, u), []).append(word)
+    for u, v in b.arcs:
+        if u != v:
+            word = b.vertices[u] + b.vertices[v][-1]
+            by_edge.setdefault((u, v) if u < v else (v, u), []).append(word)
     graph = LabeledGraph(b.vertices, by_edge.keys())
     labels = {e: tuple(sorted(ws)) for e, ws in by_edge.items()}
     return SimplifiedDeBruijnGraph(graph, labels)
@@ -94,6 +91,6 @@ def simplified_to_dot(s: SimplifiedDeBruijnGraph) -> str:
     for i, lab in enumerate(g.labels):
         lines.append(f'  v{i} [label="{lab}"];')
     for a, b in g.edge_list():
-        lines.append(f'  v{a} -- v{b} [label="{s.canonical_edge_label((a, b))}"];')
+        lines.append(f'  v{a} -- v{b} [label="{s.edge_labels[a, b][0]}"];')
     lines.append("}")
     return "\n".join(lines)

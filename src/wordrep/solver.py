@@ -111,7 +111,7 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from functools import lru_cache, reduce
+from functools import reduce
 from heapq import heappop, heappush, nsmallest
 from operator import and_, or_
 from typing import NamedTuple
@@ -239,11 +239,10 @@ class _Inventory(NamedTuple):
     # watch[t, h] for each edge, both ways: the rings that step t -> h
     watch: dict[tuple[int, int], int]
     # printed rings, made when a ring first fires and shared by every
-    # proof step it justifies; each inventory is given its own dict
+    # proof step it justifies; the dict lives and dies with its solve
     prints: dict[int, tuple[str, ...]]
 
 
-@lru_cache(maxsize=32)
 def _cycle_inventory(g: LabeledGraph, max_len: int) -> _Inventory:
     """Every triangle, and every non-clique simple cycle of length
     4..max_len, once per vertex set ring: a bitmask DFS grows each path
@@ -700,18 +699,14 @@ def _components(g: LabeledGraph) -> list[list[int]]:
     return comps
 
 
-def _choose_source(g: LabeledGraph, cfg: SolverConfig) -> int:
-    if cfg.source is not None and cfg.source in g.index:
-        return g.index[cfg.source]
-    return max_degree_vertex(g)
-
-
 def _solve_component(
     g: LabeledGraph, cfg: SolverConfig, budget: _Budget
 ) -> Verdict:
     if not g.edges:
         return SemiTransitive(Orientation(g, ()))
-    source = _choose_source(g, cfg)
+    source = g.index.get(cfg.source)
+    if source is None:
+        source = max_degree_vertex(g)
     po = _WatchedOrientation(g, _cycle_inventory(g, cfg.cycle_len))
     for u in g.neighbors(source):
         po.set_arc(source, u)
@@ -804,20 +799,15 @@ def solve(g: LabeledGraph, cfg: SolverConfig | None = None) -> Verdict:
     if len(comps) <= 1:
         return _solve_component(g, cfg, budget)
 
-    arcs_by_label: list[tuple[str, str]] = []
+    arcs: list[tuple[int, int]] = []
     for comp in comps:
-        sub = induced_subgraph(g, comp)
-        verdict = _solve_component(sub, cfg, budget)
-        if isinstance(verdict, SemiTransitive):
-            labels = sub.labels
-            arcs_by_label.extend(
-                (labels[t], labels[h]) for t, h in verdict.orientation.arcs
-            )
-        else:
+        # induced_subgraph keeps ids ascending, as comp is: sub's id i is comp[i]
+        verdict = _solve_component(induced_subgraph(g, comp), cfg, budget)
+        if not isinstance(verdict, SemiTransitive):
             # NonSemiTransitive in any component settles the graph (its
             # trace replays against g unchanged); budget exhaustion stops
             # the scan
             return verdict
-    arcs = tuple((g.index[a], g.index[b]) for a, b in arcs_by_label)
-    return SemiTransitive(Orientation(g, arcs))
+        arcs.extend((comp[t], comp[h]) for t, h in verdict.orientation.arcs)
+    return SemiTransitive(Orientation(g, tuple(arcs)))
 

@@ -355,6 +355,8 @@ NOT_UTF8 = b"\xff{}"
         (("WORDREP_BUDGET", "1e999"), "oracle", "--graph", S23),
         # inputs beyond a command's size limits or domain
         ("color3", "--n", "13"),
+        ("debruijn", "--n", "1", "--k", "11"),
+        ("debruijn", "--n", "2", "--k", "12", "--simplified"),
         ("chromatic", "--graph", graph_to_json(build_simplified(7, 2).graph)),
         ("word-search", "--graph", W5, "--kmax", "0"),
         ("represent-check", "--graph", S23, "--word", "00 01"),

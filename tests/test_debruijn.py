@@ -110,7 +110,16 @@ def test_bad_parameters():
         build_debruijn(2, 1)
 
 
-def test_dot_has_canonical_edge_labels():
+@pytest.mark.parametrize("n,k", [(1, 11), (2, 12)])
+def test_more_letters_than_digits_is_a_bad_parameter(n, k):
+    # a label spells each letter as one decimal digit, so k <= 10; past
+    # that, labels would collide or fail to split into letters
+    with pytest.raises(ValueError, match="2 <= k <= 10"):
+        build_debruijn(n, k)
+    assert len(build_debruijn(1, 10).vertices) == 10
+
+
+def test_dot_labels_each_edge_by_its_least_word():
     s = build_simplified(1, 2)
     dot = simplified_to_dot(s)
     assert 'label="01"' in dot

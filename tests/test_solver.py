@@ -357,14 +357,22 @@ def test_disconnected_graphs_solve_componentwise():
     assert isinstance(verdict, NonSemiTransitive)
     assert verify_trace(g, verdict.trace).accepted
 
-    # two positive components merge into one orientation
+    # two positive components merge into one orientation: a 4-cycle on the
+    # even ids and a triangle on the odd ones, so each component's ids map
+    # back to interleaved ids of the whole graph; the source "c" (5) lies
+    # in the second component, so the first starts at its own max degree
     two = LabeledGraph(
-        ["a", "b", "c", "p", "q"], [(0, 1), (1, 2), (0, 2), (3, 4)]
+        ["p", "a", "q", "b", "r", "c", "s"],
+        [(0, 2), (2, 4), (4, 6), (0, 6), (1, 3), (3, 5), (1, 5)],
     )
-    verdict = solve(two)
-    assert isinstance(verdict, SemiTransitive)
-    assert is_semitransitive(verdict.orientation)
-    assert len(verdict.orientation.arcs) == 4
+    for source, arcs in [
+        (None, ((0, 2), (0, 6), (2, 4), (6, 4), (1, 3), (1, 5), (3, 5))),
+        ("c", ((0, 2), (0, 6), (2, 4), (6, 4), (1, 3), (5, 1), (5, 3))),
+    ]:
+        verdict = solve(two, SolverConfig(source=source))
+        assert isinstance(verdict, SemiTransitive)
+        assert verdict.orientation.arcs == arcs
+        assert is_semitransitive(verdict.orientation)
 
 
 def test_budget_exhaustion_is_reported():
@@ -723,10 +731,10 @@ def _inventory_graphs():
 def test_cycle_inventory_matches_the_reference_enumerator():
     # the bitmask DFS must find the rings the plain recursive DFS finds, in
     # the same order, and list every ring step exactly once, under its
-    # directed step; the cache is bypassed so other tests keep theirs
+    # directed step
     for name, g, lens in _inventory_graphs():
         for cycle_len in lens:
-            inventory = _cycle_inventory.__wrapped__(g, cycle_len)
+            inventory = _cycle_inventory(g, cycle_len)
             rings = reference_rings(g, cycle_len)
             assert list(inventory.rings) == rings, (name, cycle_len)
             assert inventory.triangles == sum(len(ids) == 3 for ids in rings)
@@ -744,16 +752,26 @@ def test_cycle_inventory_lists_a_ring_longer_than_the_recursion_limit():
     # ring, the whole cycle from its least vertex
     n = 1200
     g = LabeledGraph([str(v) for v in range(n)], [(v, (v + 1) % n) for v in range(n)])
-    inventory = _cycle_inventory.__wrapped__(g, n)
+    inventory = _cycle_inventory(g, n)
     assert inventory.rings == (tuple(range(n)),) and inventory.triangles == 0
+
+
+def test_each_cycle_inventory_is_built_afresh():
+    # nothing outlives a solve: a second inventory of the same graph is a
+    # new object, with its own print memo, and equal to the first
+    g = GOLDEN_GRAPHS["s24"]()
+    first, second = _cycle_inventory(g, 6), _cycle_inventory(g, 6)
+    assert first is not second and first.prints is not second.prints
+    assert first.rings == second.rings and first.triangles == second.triangles
+    assert first.size_planes == second.size_planes and first.watch == second.watch
 
 
 @pytest.mark.parametrize("name", ["w5", "witness"])
 def test_cycle_inventory_clamps_a_huge_cycle_len(name):
     # no ring is longer than the graph, so the BFS layers stop at g.n
     g = GOLDEN_GRAPHS[name]()
-    huge = _cycle_inventory.__wrapped__(g, 10**7)
-    assert huge.rings == _cycle_inventory.__wrapped__(g, g.n).rings
+    huge = _cycle_inventory(g, 10**7)
+    assert huge.rings == _cycle_inventory(g, g.n).rings
 
 
 def test_solve_with_a_huge_cycle_len_returns_the_default_proof():
