@@ -384,7 +384,10 @@ def _cmd_findsub(ns) -> int:
         key, sep, value = text.partition("=")
         if not sep or not key or not value:
             raise _UsageError(f"anchor {text!r} must look like PATTERN=HOST")
-        anchors[key] = value
+        if anchors.setdefault(key, value) != value:
+            raise _UsageError(
+                f"anchor {key!r} is given two images, {anchors[key]!r} and {value!r}"
+            )
     try:
         embedding = find_induced_embedding(pattern, host, anchors)
     except ValueError as exc:

@@ -73,9 +73,10 @@ class PartialOrientation:
 
     def copy(self) -> "PartialOrientation":
         # No library code calls this: the search banks its own snapshots and
-        # the verifier keeps its own arc rows.  It is kept only because the
-        # benchmark's probe (``perfbench/probe.py``) times it as its copy
-        # span.
+        # the verifier keeps its own arc rows.  The benchmark's probe
+        # (``perfbench/probe.py``) times it as its copy span, and the tests'
+        # reference verifier snapshots its replay with it, so deleting it
+        # means giving that reference a copy of its own.
         other = object.__new__(PartialOrientation)
         other.graph = self.graph
         other.edge_order = self.edge_order
@@ -83,14 +84,6 @@ class PartialOrientation:
         other.state = list(self.state)
         other.out_adj = list(self.out_adj)
         return other
-
-    def direction(self, a: int, b: int) -> int | None:
-        """None if edge (a,b) unset; else the tail of its arc."""
-        lo, hi = (a, b) if a < b else (b, a)
-        s = self.state[self.edge_index[(lo, hi)]]
-        if s == UNSET:
-            return None
-        return lo if s == FORWARD else hi
 
     def has_arc(self, tail: int, head: int) -> bool:
         return bool(self.out_adj[tail] >> head & 1)
@@ -130,12 +123,6 @@ class Orientation(FrozenRecord):
         if edges != graph.edges or len(arcs) != len(graph.edges):
             raise ValueError("arcs must orient every edge exactly once")
         self._store(graph, arcs)
-
-    def as_partial(self) -> PartialOrientation:
-        po = PartialOrientation(self.graph)
-        for t, h in self.arcs:
-            po.set_arc(t, h)
-        return po
 
 
 class ShortcutWitness(NamedTuple):
@@ -209,9 +196,18 @@ def shortest_path(out_adj: list[int], src: int, dst: int) -> list[int] | None:
     return None
 
 
+def _heads(o: Orientation | PartialOrientation) -> list[int]:
+    """``o``'s rows of arc heads, an ``Orientation``'s folded from its arcs."""
+    if isinstance(o, PartialOrientation):
+        return o.out_adj
+    out_adj = [0] * o.graph.n
+    for t, h in o.arcs:
+        out_adj[t] |= 1 << h
+    return out_adj
+
+
 def is_acyclic(o: Orientation | PartialOrientation) -> bool:
-    po = o.as_partial() if isinstance(o, Orientation) else o
-    return reach_rows(po.out_adj) is not None
+    return reach_rows(_heads(o)) is not None
 
 
 def find_shortcut(o: Orientation | PartialOrientation) -> ShortcutWitness | None:
@@ -220,36 +216,42 @@ def find_shortcut(o: Orientation | PartialOrientation) -> ShortcutWitness | None
     On a PartialOrientation this reports defects among fully oriented arcs,
     exactly the defects that persist in every completion.
     """
-    po = o.as_partial() if isinstance(o, Orientation) else o
-    rows = reach_rows(po.out_adj)
+    out_adj = _heads(o)
+    rows = reach_rows(out_adj)
     if rows is None:
         raise CyclicInput("orientation has a directed cycle")
     reach, coreach = rows
-    for u, v in sorted(po.arcs()):
-        witness = shortcut_under(po, reach, coreach, u, v)
-        if witness is not None:
-            return witness
+    adj = o.graph.adj
+    for u, heads in enumerate(out_adj):
+        while heads:
+            low = heads & -heads
+            heads ^= low
+            witness = shortcut_under(adj, out_adj, reach, coreach, u, low.bit_length() - 1)
+            if witness is not None:
+                return witness
     return None
 
 
 def shortcut_under(
-    po: PartialOrientation, reach: list[int], coreach: list[int], u: int, v: int
+    adj: tuple[int, ...], out_adj: list[int],
+    reach: list[int], coreach: list[int], u: int, v: int,
 ) -> ShortcutWitness | None:
     """The shortcut closed by the set arc u->v, else None.
 
-    ``reach`` and ``coreach`` are the reach rows of the acyclic set arcs
-    and of their transpose (``coreach[v]``: the vertices reaching v).
-    The violating pair is ``_violating_pair``'s, and the path is made of
-    shortest segments u ~> x ~> y ~> v.  A witness the solver finds becomes
-    a proof's terminal path, which the verifier checks on replay.
+    ``adj`` and ``out_adj`` are the graph's neighbour rows and the set
+    arcs' head rows; ``reach`` and ``coreach`` the reach rows of the
+    acyclic set arcs and of their transpose (``coreach[v]``: the vertices
+    reaching v).  The violating pair is ``_violating_pair``'s, and the
+    path is made of shortest segments u ~> x ~> y ~> v.  A witness the
+    solver finds becomes a proof's terminal path, checked on replay.
     """
-    pair = _violating_pair(po.graph.adj, coreach, reach[u] & coreach[v])
+    pair = _violating_pair(adj, coreach, reach[u] & coreach[v])
     if pair is None:
         return None
     x, y = pair
-    seg1 = shortest_path(po.out_adj, u, x)
-    seg2 = shortest_path(po.out_adj, x, y)
-    seg3 = shortest_path(po.out_adj, y, v)
+    seg1 = shortest_path(out_adj, u, x)
+    seg2 = shortest_path(out_adj, x, y)
+    seg3 = shortest_path(out_adj, y, v)
     # segments cannot share interior vertices: a repeat would close a
     # directed cycle in the DAG of set arcs
     path = seg1 + seg2[1:] + seg3[1:]

@@ -118,8 +118,6 @@ from typing import NamedTuple
 
 from .graphs import FrozenRecord, LabeledGraph, induced_subgraph, max_degree_vertex
 from .orientations import (
-    BACKWARD,
-    FORWARD,
     UNSET,
     Orientation,
     PartialOrientation,
@@ -210,8 +208,8 @@ Verdict = SemiTransitive | NonSemiTransitive | BudgetExceeded
 
 
 def _label_key(label: str) -> tuple[int, int, str]:
-    """Numeric labels order numerically, everything else lexically after."""
-    if label.isdigit():
+    """Decimal labels order numerically, everything else lexically after."""
+    if label.isdecimal():
         return (0, int(label), label)
     return (1, 0, label)
 
@@ -406,24 +404,23 @@ class _WatchedOrientation(PartialOrientation):
     def unset_steps(self, c: int) -> list[tuple[int, int]]:
         """The ring steps of cycle ``c`` whose edges are unset."""
         ring = self.inventory.rings[c]
+        out_adj = self.out_adj
         return [
             (t, h)
             for t, h in zip(ring, ring[1:] + ring[:1])
-            if self.direction(t, h) is None
+            if not (out_adj[t] >> h & 1 or out_adj[h] >> t & 1)
         ]
 
-    def forced_by(
-        self, c: int
-    ) -> tuple[tuple[tuple[int, int], ...], tuple[int, ...], tuple[str, ...]]:
+    def forced_by(self, c: int) -> tuple[tuple[tuple[int, int], ...], tuple[str, ...]]:
         """The force of a firing cycle: its unset ring steps, pointed
-        against the way most of its arcs point, its ring and its print."""
+        against the way most of its arcs point, and its printed ring."""
         # a firing ring has at most one arc one way, two or more the other
         back = not reduce(or_, self.along[1:]) >> c & 1  # so: along <= 1
         arcs = tuple((t, h) if back else (h, t) for t, h in self.unset_steps(c))
-        ring, prints = self.inventory.rings[c], self.inventory.prints
+        prints = self.inventory.prints
         if c not in prints:
-            prints[c] = _canonical_ring_print(self.graph, ring)
-        return arcs, ring, prints[c]
+            prints[c] = _canonical_ring_print(self.graph, self.inventory.rings[c])
+        return arcs, prints[c]
 
     def snapshot(self) -> _Snapshot:
         """Edge states and cycle counts.  Snapshots are taken at a
@@ -447,13 +444,9 @@ class _WatchedOrientation(PartialOrientation):
         scan adds the edges that the arcs set after the restore decide."""
         state, self.along, self.against, self.unset = snapshot
         self.state = list(state)
-        out_adj = [0] * self.graph.n
-        for (lo, hi), s in zip(self.edge_order, self.state):
-            if s == FORWARD:
-                out_adj[lo] |= 1 << hi
-            elif s == BACKWARD:
-                out_adj[hi] |= 1 << lo
-        self.out_adj = out_adj
+        self.out_adj = out_adj = [0] * self.graph.n
+        for t, h in self.arcs():
+            out_adj[t] |= 1 << h
         # a banked state's arcs each went through set_arc, so they are acyclic
         self.reach, self.coreach = reach_rows(out_adj)
         self.decided = []
@@ -516,7 +509,7 @@ def _scan_defect(po: _WatchedOrientation) -> tuple[str, ...] | None:
         while vs:
             low = vs & -vs
             vs ^= low
-            witness = shortcut_under(po, reach, coreach, u, low.bit_length() - 1)
+            witness = shortcut_under(adj, out_adj, reach, coreach, u, low.bit_length() - 1)
             if witness is not None:
                 return tuple(g.labels[v] for v in witness.path)
     po.unscanned = []
@@ -525,10 +518,10 @@ def _scan_defect(po: _WatchedOrientation) -> tuple[str, ...] | None:
 
 def _next_force(
     po: _WatchedOrientation,
-) -> tuple[tuple[tuple[int, int], ...], tuple[int, ...], tuple[str, ...]] | None:
+) -> tuple[tuple[tuple[int, int], ...], tuple[str, ...]] | None:
     """The first force a rule allows in an acyclic state: its arcs (one,
-    or the two remaining edges of a CycleRule cycle), the ids of the
-    justifying cycle and its printed ring.
+    or the two remaining edges of a CycleRule cycle) and the printed ring
+    of the justifying cycle.
 
     The rules are tried in order, TriangleRule, PathRule, CycleRule, each
     scanning its cycles or edges in a fixed order."""
@@ -546,7 +539,7 @@ def _next_force(
         a, b = po.edge_order[decided[0]]
         t, h = (a, b) if po.reach[a] >> b & 1 else (b, a)
         ids = tuple(shortest_path(po.out_adj, t, h))
-        return ((t, h),), ids, _canonical_ring_print(po.graph, ids)
+        return ((t, h),), _canonical_ring_print(po.graph, ids)
 
     return po.forced_by(first) if fire else None
 
@@ -572,7 +565,7 @@ def propagate(
         hit = _next_force(po)
         if hit is None:
             return steps, None
-        arcs, _, printed = hit
+        arcs, printed = hit
         for t, h in arcs:
             po.set_arc(t, h)
         steps.append(Orient(tuple([(labels[t], labels[h]) for t, h in arcs]), printed))

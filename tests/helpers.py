@@ -1,15 +1,14 @@
 """Small functions that only the tests use.
 
-They were part of the library, but no library code or command calls
-them: DOT writers for eyeballing a graph or an orientation, the reversal
-of an orientation, the alternation of two letters in a word and the
-graph a word defines (the per-pair reference for ``words.represents``),
-induced containment as a yes/no, the reduction of a LaTeX proof listing
-to plain trace lines, a copy of a partial orientation with one vertex
-made a source, its unset edges, the closing arc of a shortcut witness,
-the host label an embedding maps a pattern label to, and a plain
-recursive enumerator of the solver's cycle inventory, the reference for
-its bitmask DFS.
+Most were part of the library, but no library code or command calls
+them: the reversal of an orientation, the alternation of two letters in
+a word and the graph a word defines (the per-pair reference for
+``words.represents``), induced containment as a yes/no, the unset edges
+of a partial orientation, the closing arc of a shortcut witness, the
+host label an embedding maps a pattern label to, and a plain recursive
+enumerator of the solver's cycle inventory, the reference for its
+bitmask DFS.  ``all_graphs``, ``cycle`` and ``triangle`` build the
+graphs that several test modules share.
 
 ``reference_verify_trace`` is the proof verifier as a plain replay that
 checks every orient step from scratch, the reference for the verifier's
@@ -29,9 +28,8 @@ and the test asserts on it.
 """
 
 import itertools
-import re
 
-from wordrep.graphs import LabeledGraph
+from wordrep.graphs import LabeledGraph, build_graph
 from wordrep.orientations import (
     UNSET,
     Orientation,
@@ -53,25 +51,22 @@ from wordrep.traces import (
 from wordrep.words import MissingLetter
 
 
-def graph_to_dot(g: LabeledGraph, name: str = "g") -> str:
-    lines = [f"graph {name} {{"]
-    for i, lab in enumerate(g.labels):
-        lines.append(f'  v{i} [label="{lab}"];')
-    for a, b in g.edge_list():
-        lines.append(f"  v{a} -- v{b};")
-    lines.append("}")
-    return "\n".join(lines)
+def all_graphs(n: int):
+    """Every graph on the vertices "0" .. str(n - 1), edge set by edge set."""
+    pairs = list(itertools.combinations(range(n), 2))
+    for bits in range(1 << len(pairs)):
+        edges = [pairs[i] for i in range(len(pairs)) if bits >> i & 1]
+        yield LabeledGraph([str(v) for v in range(n)], edges)
 
 
-def orientation_to_dot(o: Orientation, name: str = "o") -> str:
-    g = o.graph
-    lines = [f"digraph {name} {{"]
-    for i, lab in enumerate(g.labels):
-        lines.append(f'  v{i} [label="{lab}"];')
-    for t, h in sorted(o.arcs):
-        lines.append(f"  v{t} -> v{h};")
-    lines.append("}")
-    return "\n".join(lines)
+def cycle(n: int) -> LabeledGraph:
+    return build_graph(
+        [str(i) for i in range(n)], [(str(i), str((i + 1) % n)) for i in range(n)]
+    )
+
+
+def triangle() -> LabeledGraph:
+    return build_graph(["a", "b", "c"], [("a", "b"), ("b", "c"), ("a", "c")])
 
 
 def reverse_orientation(o: Orientation) -> Orientation:
@@ -111,36 +106,6 @@ def contains_induced(pattern: LabeledGraph, host: LabeledGraph) -> bool:
     return find_induced_embedding(pattern, host) is not None
 
 
-def normalize_latex(text: str) -> str:
-    """Reduce LaTeX trace source to plain instruction lines.
-
-    Unwraps ``{\\bf ...}`` groups, rewrites ``$\\rightarrow$`` to ``->``,
-    drops layout commands and blank lines, and collapses whitespace.
-    """
-    text = re.sub(r"\{\\bf\s*([^{}]*)\}", r"\1", text)
-    text = text.replace(r"$\rightarrow$", "->")
-    text = re.sub(r"\\(?:noindent|begin\{tiny\}|end\{tiny\})", " ", text)
-    text = text.replace("\\\\", " ")
-    lines = [" ".join(raw.split()) for raw in text.splitlines()]
-    return "\n".join(line for line in lines if line)
-
-
-def fix_source(po: PartialOrientation, v: int) -> PartialOrientation:
-    """A copy of ``po`` with every edge at ``v`` oriented outward."""
-    g = po.graph
-    if not 0 <= v < g.n:
-        raise ValueError(f"vertex id {v} out of range")
-    for u in g.neighbors(v):
-        if po.direction(v, u) is not None:
-            raise ValueError(
-                f"edge {g.labels[v]}-{g.labels[u]} is already oriented"
-            )
-    out = po.copy()
-    for u in g.neighbors(v):
-        out.set_arc(v, u)
-    return out
-
-
 def unset_edges(po: PartialOrientation) -> list[tuple[int, int]]:
     return [e for e, s in zip(po.edge_order, po.state) if s == UNSET]
 
@@ -150,17 +115,26 @@ def reference_rows(out_adj: list[int]) -> tuple[list[int], list[int]] | None:
     v reaches, ``coreach[v]``: the vertices reaching v, v included in
     both), by a plain BFS from each vertex; None on a directed cycle."""
     n = len(out_adj)
-    heads = [[w for w in range(n) if out_adj[v] >> w & 1] for v in range(n)]
     reach = []
     for v in range(n):
-        seen, frontier = {v}, [v]
+        seen = frontier = 1 << v
         while frontier:
-            frontier = [w for u in frontier for w in heads[u] if w not in seen]
-            seen.update(frontier)
-        if any(v in heads[w] for w in seen):
-            return None  # v reaches a tail of an arc into v
-        reach.append(sum(1 << w for w in seen))
-    coreach = [sum(1 << u for u in range(n) if reach[u] >> v & 1) for v in range(n)]
+            heads = 0
+            while frontier:
+                low = frontier & -frontier
+                frontier ^= low
+                heads |= out_adj[low.bit_length() - 1]
+            if heads >> v & 1:
+                return None  # v reaches a tail of an arc into v
+            frontier = heads & ~seen
+            seen |= frontier
+        reach.append(seen)
+    coreach = [0] * n
+    for u, row in enumerate(reach):
+        while row:
+            low = row & -row
+            row ^= low
+            coreach[low.bit_length() - 1] |= 1 << u
     return reach, coreach
 
 
@@ -181,34 +155,39 @@ def reference_is_semitransitive(g: LabeledGraph, arcs) -> bool:
         return False
     reach, coreach = rows
     for u, v in arcs:
-        between = reach[u] & coreach[v]
-        for x in range(g.n):
-            if between >> x & 1 and between & reach[x] & ~(g.adj[x] | 1 << x):
+        between = xs = reach[u] & coreach[v]
+        while xs:
+            low = xs & -xs
+            xs ^= low
+            x = low.bit_length() - 1
+            if between & reach[x] & ~(g.adj[x] | low):
                 return False
     return True
 
 
-def witness_fault(po: PartialOrientation, w: ShortcutWitness) -> str | None:
-    """Why ``w`` is not a shortcut of ``po``, else None.  A shortcut is a
-    path of at least three vertices, none repeated, each step and the
-    closing arc from its first vertex to its last set in ``po``, with a
-    violating pair of positions i < j other than the closing arc's ends:
-    a non-edge, or an arc set backward."""
+def witness_fault(
+    g: LabeledGraph, arcs: set[tuple[int, int]], w: ShortcutWitness
+) -> str | None:
+    """Why ``w`` is not a shortcut of the set ``arcs`` of (tail, head)
+    pairs on ``g``, else None.  A shortcut is a path of at least three
+    vertices, none repeated, each step and the closing arc from its first
+    vertex to its last an arc, with a violating pair of positions i < j
+    other than the closing arc's ends: a non-edge, or an arc set backward."""
     path = w.path
     k = len(path) - 1
     if k < 2:
         return "fewer than three vertices"
     if len(set(path)) != len(path):
         return "a repeated vertex"
-    if not all(po.has_arc(path[t], path[t + 1]) for t in range(k)):
+    if not all((path[t], path[t + 1]) in arcs for t in range(k)):
         return "a path step that is not a set arc"
-    if not po.has_arc(path[0], path[k]):
+    if (path[0], path[k]) not in arcs:
         return "no closing arc"
     i, j = w.violation
     if not 0 <= i < j <= k or (i, j) == (0, k):
         return "a violation that is not a pair of path positions"
     x, y = path[i], path[j]
-    if po.graph.has_edge(x, y) and not po.has_arc(y, x):
+    if g.has_edge(x, y) and (y, x) not in arcs:
         return "a violating pair that is an edge not set backward"
     return None
 
@@ -354,7 +333,7 @@ class _ReferenceReplay:
         for step in line.steps:
             if isinstance(step, Branch):
                 t, h = self.arc_ids(step.arc)
-                if self.po.direction(t, h) is not None:
+                if self.po.has_arc(t, h) or self.po.has_arc(h, t):
                     raise _Reject(
                         f"branch on already-oriented edge "
                         f"{step.arc[0]}-{step.arc[1]}"

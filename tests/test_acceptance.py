@@ -5,7 +5,6 @@ under ``pytest -v`` the test name itself is the per-criterion
 pass/fail line.
 """
 
-import itertools
 import random
 import time
 
@@ -39,19 +38,12 @@ from wordrep.traces import (
 )
 from wordrep.words import BudgetExceeded, find_uniform_representant
 
-from helpers import contains_induced, reverse_orientation
+from helpers import all_graphs, contains_induced, reverse_orientation
 
 
 def _line(criterion: int, detail: str, elapsed: float, bound: float | None):
     budget = f", bound {bound:g}s" if bound is not None else ""
     print(f"[criterion {criterion}] PASS {detail} ({elapsed:.2f}s{budget})")
-
-
-def _all_graphs(n: int):
-    pairs = list(itertools.combinations(range(n), 2))
-    for bits in range(1 << len(pairs)):
-        edges = [pairs[i] for i in range(len(pairs)) if bits >> i & 1]
-        yield LabeledGraph([str(v) for v in range(n)], edges)
 
 
 def test_criterion_1_proper_3_coloring_of_s_n_2_for_n_1_to_10():
@@ -212,7 +204,7 @@ def test_criterion_7_solver_oracle_and_word_search_agree():
             assert positive, f"representable graph refuted: {g.edge_list()}"
 
     count5 = 0
-    for g in _all_graphs(5):
+    for g in all_graphs(5):
         check(g)
         count5 += 1
     assert count5 == 1024
@@ -251,13 +243,13 @@ def test_criterion_8_reversal_source_and_hereditary_invariances():
             )
 
     for n in range(1, 5):
-        for g in _all_graphs(n):
+        for g in all_graphs(n):
             reversal_closed(g)
     reversal_closed(build_wheel(5))
 
     # source-choice invariance: every graph on <= 5 vertices, every vertex
     for n in range(1, 6):
-        for g in _all_graphs(n):
+        for g in all_graphs(n):
             verdicts = {
                 isinstance(solve(g, SolverConfig(source=str(s))), SemiTransitive)
                 for s in range(n)

@@ -284,6 +284,18 @@ def test_findsub_anchor_errors(capsys, w5_file, s23_file):
         "--anchor", "zz=01",
     )
     assert code == 64 and "not a pattern vertex" in err
+    # a returned embedding extends every anchor: one label pinned to two
+    # images is refused, and a repeated anchor is the anchor once
+    code, _, err = cli(
+        capsys, "findsub", "--pattern", w5_file, "--host", w5_file,
+        "--anchor", "c0=c0", "--anchor", "c0=c1",
+    )
+    assert code == 64 and "two images" in err
+    code, obj, _ = cli_json(
+        capsys, "findsub", "--pattern", w5_file, "--host", w5_file,
+        "--anchor", "c0=c1", "--anchor", "c0=c1",
+    )
+    assert code == 0 and obj["mapping"]["c0"] == "c1"
 
 
 def test_represent_check(capsys, p4_file):

@@ -18,7 +18,7 @@ from wordrep.debruijn import SizeLimitExceeded, build_simplified
 from wordrep.graphs import LabeledGraph, build_graph, build_wheel, is_proper_coloring
 from wordrep.orientations import Orientation, is_semitransitive
 
-from helpers import reference_is_semitransitive
+from helpers import cycle, reference_is_semitransitive
 
 COLORINGS = Path(__file__).parent / "data" / "colorings"
 
@@ -88,19 +88,13 @@ def test_color_s_5_2_is_proper_on_32_vertices():
     assert is_proper_coloring(s.graph, coloring)
 
 
-def _cycle(n):
-    return build_graph(
-        [str(i) for i in range(n)], [(str(i), str((i + 1) % n)) for i in range(n)]
-    )
-
-
 def test_chromatic_pinned_values():
     k4 = build_graph(
         list("abcd"), [(x, y) for x in "abcd" for y in "abcd" if x < y]
     )
     assert exact_chromatic_number(k4, 4) == 4
     assert exact_chromatic_number(k4, 3) is None
-    assert exact_chromatic_number(_cycle(5), 4) == 3
+    assert exact_chromatic_number(cycle(5), 4) == 3
     assert exact_chromatic_number(build_wheel(5), 4) == 4
 
 
@@ -109,7 +103,7 @@ def test_chromatic_easy_cases():
     assert exact_chromatic_number(LabeledGraph(["a"], []), 3) == 1
     edgeless = LabeledGraph(list("abc"), [])
     assert exact_chromatic_number(edgeless, 3) == 1
-    even_cycle = _cycle(6)
+    even_cycle = cycle(6)
     assert exact_chromatic_number(even_cycle, 4) == 2
 
 

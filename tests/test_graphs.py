@@ -15,8 +15,6 @@ from wordrep.graphs import (
     max_degree_vertex,
 )
 
-from helpers import graph_to_dot
-
 
 def test_build_graph_smallest():
     g = build_graph(["a", "b"], [("a", "b")])
@@ -149,13 +147,6 @@ def test_json_canonical_sorting():
     obj = graph_to_json(g)
     assert obj["labels"] == ["a", "b"]
     assert obj["edges"] == [["a", "b"]]
-
-
-def test_dot_export_mentions_all_edges():
-    g = build_wheel(3)
-    dot = graph_to_dot(g)
-    assert dot.startswith("graph")
-    assert dot.count("--") == 6
 
 
 # edge set closure under endpoint swap + no loops is structural: edges are

@@ -25,10 +25,11 @@ from wordrep.orientations import (
 from wordrep.solver import SemiTransitive, solve
 
 from helpers import (
+    all_graphs,
     closing_arc,
-    orientation_to_dot,
     reference_rows,
     reverse_orientation,
+    triangle,
     unset_edges,
     witness_fault,
 )
@@ -36,10 +37,6 @@ from helpers import (
 
 def _orient(g, arcs):
     return Orientation(g, tuple(arcs))
-
-
-def triangle():
-    return build_graph(list("abc"), [("a", "b"), ("b", "c"), ("a", "c")])
 
 
 def test_directed_3_cycle_not_acyclic():
@@ -179,12 +176,18 @@ def test_orientation_validates_edge_cover():
 
 def test_partial_orientation_round_trip():
     po = PartialOrientation(triangle())
-    assert po.direction(0, 2) is None
+    assert set(po.arcs()) == set() and not po.fully_oriented()
     assert unset_edges(po) == sorted(triangle().edges)
     po.set_arc(2, 0)
-    assert po.direction(0, 2) == 2
+    assert set(po.arcs()) == {(2, 0)}
     assert po.has_arc(2, 0) and not po.has_arc(0, 2)
     assert unset_edges(po) == [(0, 1), (1, 2)]
+    # a copy is set apart from its source
+    full = po.copy()
+    full.set_arc(0, 1)
+    full.set_arc(1, 2)
+    assert full.fully_oriented() and set(full.arcs()) == {(2, 0), (0, 1), (1, 2)}
+    assert set(po.arcs()) == {(2, 0)} and not po.fully_oriented()
 
 
 def test_partial_orientation_conflict():
@@ -212,15 +215,6 @@ def test_brute_force_first_certificate_is_canonical():
     r = brute_force_semitransitive(g)
     # counter 0: every edge lo->hi; transitive triangle is semi-transitive
     assert r.certificate.arcs == ((0, 1), (0, 2), (1, 2))
-
-
-def _all_graphs(n):
-    pairs = list(itertools.combinations(range(n), 2))
-    for bits in range(2 ** len(pairs)):
-        yield LabeledGraph(
-            [str(i) for i in range(n)],
-            [e for i, e in enumerate(pairs) if bits >> i & 1],
-        )
 
 
 # the first certificate is counter 160, inside the first batch
@@ -264,7 +258,7 @@ def test_pure_batches_equal_full_decode_reference():
     # included; a first certificate at counter 160; W7, whose 14 edges make
     # four batches and no certificate; and a first certificate on the first
     # leaf of a later batch
-    graphs = [g for n in range(1, 5) for g in _all_graphs(n)]
+    graphs = [g for n in range(1, 5) for g in all_graphs(n)]
     for g in [*graphs, UNSET_CHORD_GRAPH, build_wheel(7), SECOND_BATCH_GRAPH]:
         r = brute_force_semitransitive(g)
         assert (r.verdict, r.certificate, r.examined) == _pure_reference(g), g.edge_list()
@@ -300,7 +294,7 @@ def test_pure_leaf_verdicts_match_is_semitransitive():
     # with the tail 0-7-8, whose 14 edges make four batches
     w6 = build_wheel(6)
     tailed_w6 = LabeledGraph([*w6.labels, "t1", "t2"], [*w6.edges, (0, 7), (7, 8)])
-    graphs = [g for n in range(1, 6) for g in _all_graphs(n)]
+    graphs = [g for n in range(1, 6) for g in all_graphs(n)]
     for g in [*graphs, build_wheel(5), tailed_w6]:
         edges = sorted(g.edges)
         m = len(edges)
@@ -318,8 +312,8 @@ def test_leaf_verdicts_are_exact_at_every_split():
     # `high`, so batches whose fixed arcs doom every leaf take the early
     # exit; on every graph on 1..4 vertices and a seeded sample of 5-vertex
     # graphs, the batch's mask equals the per-leaf verdicts
-    sample = random.Random(32).sample(list(_all_graphs(5)), 200)
-    for g in [*(g for n in range(1, 5) for g in _all_graphs(n)), *sample]:
+    sample = random.Random(32).sample(list(all_graphs(5)), 200)
+    for g in [*(g for n in range(1, 5) for g in all_graphs(n)), *sample]:
         edges = sorted(g.edges)
         m = len(edges)
         truth = sum(
@@ -365,7 +359,7 @@ def test_small_batches_walk_past_refuted_batches_to_the_reference(monkeypatch):
     from wordrep import orientations
 
     monkeypatch.setattr(orientations, "_BATCH_BITS", 2)
-    graphs = [g for n in range(1, 5) for g in _all_graphs(n)]
+    graphs = [g for n in range(1, 5) for g in all_graphs(n)]
     for g in [*graphs, UNSET_CHORD_GRAPH, build_wheel(7), SECOND_BATCH_GRAPH]:
         r = brute_force_semitransitive(g)
         assert (r.verdict, r.certificate, r.examined) == _pure_reference(g), g.edge_list()
@@ -392,8 +386,8 @@ def test_doomed_prefixes_have_no_semitransitive_leaf():
     # 1..4 vertices and of a seeded sample of 5-vertex graphs: a doomed
     # prefix has no semi-transitive leaf, and with every edge fixed the
     # test is exact; the walk refuses a cyclic prefix before testing it
-    sample = random.Random(33).sample(list(_all_graphs(5)), 200)
-    for g in [*(g for n in range(1, 5) for g in _all_graphs(n)), *sample]:
+    sample = random.Random(33).sample(list(all_graphs(5)), 200)
+    for g in [*(g for n in range(1, 5) for g in all_graphs(n)), *sample]:
         edges = sorted(g.edges)
         m = len(edges)
         truth = sum(
@@ -439,7 +433,7 @@ def test_any_vertex_is_a_source_on_graphs_up_to_5_vertices():
     # Halldorsson, Kitaev & Pyatkin (2016): a semi-transitive orientation,
     # if any exists, can be chosen with any given vertex as a source
     for n in range(1, 6):
-        for g in _all_graphs(n):
+        for g in all_graphs(n):
             sources = _semitransitive_sources(g)
             assert sources in (set(), set(range(n))), g.edge_list()
     assert _semitransitive_sources(build_wheel(5)) == set()
@@ -459,7 +453,7 @@ def test_any_vertex_is_a_source_on_random_6_vertex_graphs(edges):
 def test_reversal_symmetry_exhaustive_small():
     # every orientation of every <= 4-vertex graph (5-vertex case runs in
     # the acceptance suite)
-    for g in _all_graphs(4):
+    for g in all_graphs(4):
         edges = sorted(g.edges)
         for bits in range(2 ** len(edges)):
             arcs = tuple(
@@ -553,7 +547,7 @@ def test_witness_replays(case):
             continue
         w = find_shortcut(o)
         if w is not None:
-            assert witness_fault(o.as_partial(), w) is None, arcs
+            assert witness_fault(g, set(o.arcs), w) is None, arcs
 
 
 def _naive_has_shortcut(o):
@@ -585,7 +579,7 @@ def test_find_shortcut_is_complete_on_graphs_up_to_5_vertices():
     # find_shortcut misses no shortcut and reports none that is not there,
     # and each witness it reports is a shortcut by the definition
     for n in range(1, 6):
-        for g in _all_graphs(n):
+        for g in all_graphs(n):
             edges = sorted(g.edges)
             for bits in range(2 ** len(edges)):
                 o = Orientation(g, tuple(
@@ -597,12 +591,4 @@ def test_find_shortcut_is_complete_on_graphs_up_to_5_vertices():
                 witness = find_shortcut(o)
                 assert (witness is None) == (not _naive_has_shortcut(o)), o.arcs
                 if witness is not None:
-                    assert witness_fault(o.as_partial(), witness) is None, o.arcs
-
-
-def test_dot_export_directed():
-    g = triangle()
-    o = _orient(g, [(0, 1), (0, 2), (1, 2)])
-    dot = orientation_to_dot(o)
-    assert dot.startswith("digraph")
-    assert dot.count("->") == 3
+                    assert witness_fault(g, set(o.arcs), witness) is None, o.arcs

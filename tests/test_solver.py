@@ -62,10 +62,11 @@ from wordrep.words import BudgetExceeded as WordSearchBudgetExceeded
 from wordrep.words import find_uniform_representant
 
 from helpers import (
-    fix_source,
+    all_graphs,
     reference_is_semitransitive,
     reference_rings,
     reference_rows,
+    triangle,
     unset_edges,
     witness_fault,
 )
@@ -74,10 +75,6 @@ GOLDEN = Path(__file__).parent / "data" / "golden"
 
 # ---------------------------------------------------------------------------
 # fixtures
-
-
-def triangle():
-    return build_graph(["a", "b", "c"], [("a", "b"), ("b", "c"), ("a", "c")])
 
 
 def c4():
@@ -93,13 +90,6 @@ def path4():
 def complete(n):
     labels = [f"v{i}" for i in range(n)]
     return LabeledGraph(labels, itertools.combinations(range(n), 2))
-
-
-def all_graphs(n):
-    pairs = list(itertools.combinations(range(n), 2))
-    for bits in range(1 << len(pairs)):
-        edges = [pairs[i] for i in range(len(pairs)) if bits >> i & 1]
-        yield LabeledGraph([str(v) for v in range(n)], edges)
 
 
 def random_graph(rng, n, p):
@@ -118,47 +108,6 @@ def test_config_rejects_bad_values():
         SolverConfig(budget=0)
     with pytest.raises(ValueError):
         SolverConfig(cycle_len=2)
-
-
-# ---------------------------------------------------------------------------
-# fix_source
-
-
-def test_fix_source_star_orients_all_arcs_outward():
-    star = build_graph(["c", "x", "y", "z"], [("c", "x"), ("c", "y"), ("c", "z")])
-    po = fix_source(PartialOrientation(star), 0)
-    assert sorted(po.arcs()) == [(0, 1), (0, 2), (0, 3)]
-    assert po.fully_oriented()
-    assert is_semitransitive(Orientation(star, tuple(po.arcs())))
-
-
-def test_fix_source_wheel_hub_leaves_rim_unset():
-    w5 = build_wheel(5)
-    hub = w5.index["h"]
-    po = fix_source(PartialOrientation(w5), hub)
-    assert len(list(po.arcs())) == 5
-    assert all(t == hub for t, _ in po.arcs())
-    assert len(unset_edges(po)) == 5
-
-
-def test_fix_source_is_pure_and_rejects_oriented_edges():
-    g = triangle()
-    po = PartialOrientation(g)
-    po.set_arc(1, 0)
-    with pytest.raises(ValueError):
-        fix_source(po, 0)
-    fresh = PartialOrientation(g)
-    fix_source(fresh, 0)
-    assert list(fresh.arcs()) == []
-
-
-def test_fix_source_on_the_witness_graph_source_13():
-    g = extract_graph(load_witness_trace())
-    v13 = g.index["13"]
-    po = fix_source(PartialOrientation(g), v13)
-    arcs = sorted(po.arcs())
-    assert len(arcs) == g.degree(v13) == 6
-    assert all(t == v13 for t, _ in arcs)
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +146,11 @@ def test_propagate_c4_forces_both_remaining_edges_opposite():
 
 def test_propagate_replays_the_first_two_forced_arcs_of_the_witness_line_1():
     g = extract_graph(load_witness_trace())
-    po = watched(fix_source(PartialOrientation(g), g.index["13"]))
+    v13 = g.index["13"]
+    assert g.degree(v13) == 6
+    po = watched(PartialOrientation(g))
+    for u in g.neighbors(v13):
+        po.set_arc(v13, u)
     po.set_arc(g.index["14"], g.index["16"])
     steps, _ = propagate(po)
     assert steps[:2] == [
@@ -305,6 +258,17 @@ def test_w5_is_not_semitransitive_and_the_trace_verifies():
     report = verify_trace(w5, verdict.trace)
     assert report.accepted
     assert brute_force_semitransitive(w5).verdict == "notexists"
+
+
+def test_a_label_that_is_a_digit_but_not_decimal_orders_lexically():
+    # str.isdigit accepts "²", which int() refuses: ring prints order it
+    # with the other non-decimal labels, and the proof passes the
+    # self-check solve makes before it returns
+    w5 = build_wheel(5)
+    g = LabeledGraph(["²" if lab == "c0" else lab for lab in w5.labels], w5.edge_list())
+    verdict = solve(g)
+    assert isinstance(verdict, NonSemiTransitive)
+    assert verify_trace(g, verdict.trace).accepted
 
 
 def test_the_witness_graph_is_not_semitransitive():
@@ -831,7 +795,7 @@ def _rule_force(po, ids, tally):
                 if (
                     po.has_arc(t, mid)
                     and po.has_arc(mid, h)
-                    and po.direction(t, h) is None
+                    and not (po.has_arc(t, h) or po.has_arc(h, t))
                 ):
                     return ((t, h),)
         return None
@@ -851,25 +815,24 @@ def _rule_force(po, ids, tally):
 def _find_application(po, inventory, tallies=None):
     """Reference for ``_next_force``: the first force found by scanning
     every triangle, then every unset edge by BFS, then every longer ring;
-    its arcs, the ids of the justifying cycle and its printed ring.
+    its arcs and the printed ring of the justifying cycle.
     ``tallies``, if given, are the rings' ``_tallies``."""
     g = po.graph
     rings, triangles = inventory.rings, inventory.triangles
     for ids in rings[:triangles]:
         arcs = _rule_force(po, ids, None)
         if arcs is not None:
-            return arcs, ids, _canonical_ring_print(g, ids)
+            return arcs, _canonical_ring_print(g, ids)
     for a, b in unset_edges(po):
         for t, h in ((a, b), (b, a)):
             path = shortest_path(po.out_adj, t, h)
             if path is not None:
-                ids = tuple(path)
-                return ((t, h),), ids, _canonical_ring_print(g, ids)
+                return ((t, h),), _canonical_ring_print(g, tuple(path))
     tallies = tallies or _tallies(po, rings)
     for ids, tally in zip(rings[triangles:], tallies[triangles:]):
         arcs = _rule_force(po, ids, tally)
         if arcs is not None:
-            return arcs, ids, _canonical_ring_print(g, ids)
+            return arcs, _canonical_ring_print(g, ids)
     return None
 
 
@@ -1099,17 +1062,20 @@ def test_every_witness_a_solve_finds_is_a_shortcut(name, monkeypatch):
     # the search's witnesses become the proof's terminal paths, which the
     # verifier checks on replay; here each is held to the definition, in
     # the partial state it was found in
+    g = GOLDEN_GRAPHS[name]()
     witnesses = []
 
-    def checked_shortcut_under(po, reach, coreach, u, v):
-        witness = shortcut_under(po, reach, coreach, u, v)
+    def checked_shortcut_under(adj, out_adj, reach, coreach, u, v):
+        witness = shortcut_under(adj, out_adj, reach, coreach, u, v)
         if witness is not None:
-            assert witness_fault(po, witness) is None, witness
+            pairs = itertools.permutations(range(g.n), 2)
+            arcs = {(t, h) for t, h in pairs if out_adj[t] >> h & 1}
+            assert witness_fault(g, arcs, witness) is None, witness
             witnesses.append(witness)
         return witness
 
     monkeypatch.setattr(solver, "shortcut_under", checked_shortcut_under)
-    verdict = solve(GOLDEN_GRAPHS[name]())
+    verdict = solve(g)
     assert len(witnesses) == len(verdict.trace.lines)
 
 

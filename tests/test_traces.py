@@ -43,7 +43,7 @@ from wordrep.traces import (
     verify_trace,
 )
 
-from helpers import normalize_latex, reference_verify_trace
+from helpers import reference_verify_trace
 
 # ---------------------------------------------------------------------------
 # fixtures
@@ -99,31 +99,6 @@ W5_WLOG_TRACE_TEXT = """\
 
 def w5_trace():
     return ProofTrace(Preamble(source_vertex="h"), parse_trace(W5_TRACE_TEXT).lines)
-
-
-# ---------------------------------------------------------------------------
-# surface normalization
-
-
-def test_normalize_latex_pinned_sample():
-    sample = (
-        "\\begin{tiny}\n"
-        "\\noindent\n"
-        "{\\bf 1.} B14$\\rightarrow$16 (Copy 2)   "
-        "O14$\\rightarrow$12 (C12-14-16-13) S:13-14-16\\\\\n"
-        "{\\bf 2.} MC2 16$\\rightarrow$14 S:13-16-14\\\\\n"
-        "\\end{tiny}\n"
-    )
-    assert normalize_latex(sample) == (
-        "1. B14->16 (Copy 2) O14->12 (C12-14-16-13) S:13-14-16\n"
-        "2. MC2 16->14 S:13-16-14"
-    )
-
-
-def test_normalize_latex_drops_blank_lines():
-    assert normalize_latex("\n\n1. Ba->b (Copy 2) S:a-b-c\n\n") == (
-        "1. Ba->b (Copy 2) S:a-b-c"
-    )
 
 
 # ---------------------------------------------------------------------------

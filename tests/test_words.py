@@ -12,7 +12,7 @@ from wordrep.words import (
     represents,
 )
 
-from helpers import alternate, graph_of_word
+from helpers import alternate, cycle, graph_of_word
 
 A, B, C = 0, 1, 2
 
@@ -104,16 +104,10 @@ def test_represents_is_the_per_pair_definition(case):
         assert represents(w, g) == expected
 
 
-def _cycle(n):
-    return build_graph(
-        [str(i) for i in range(n)], [(str(i), str((i + 1) % n)) for i in range(n)]
-    )
-
-
 @pytest.mark.parametrize(
     "g, k_max, word, nodes",
     [
-        pytest.param(_cycle(5), 2, [0, 1, 4, 0, 3, 4, 2, 3, 1, 2], 26, id="C5-k2"),
+        pytest.param(cycle(5), 2, [0, 1, 4, 0, 3, 4, 2, 3, 1, 2], 26, id="C5-k2"),
         pytest.param(
             build_graph(list("0123"), [("0", "1"), ("1", "2"), ("2", "3")]),
             2,
@@ -121,7 +115,7 @@ def _cycle(n):
             9,
             id="P4-k2",
         ),
-        pytest.param(_cycle(4), 2, [0, 1, 3, 0, 2, 3, 1, 2], 11, id="C4-k2"),
+        pytest.param(cycle(4), 2, [0, 1, 3, 0, 2, 3, 1, 2], 11, id="C4-k2"),
         pytest.param(build_wheel(5), 2, None, 406, id="W5-k2"),
         pytest.param(build_wheel(5), 3, None, 5_104, id="W5-k3"),
     ],
